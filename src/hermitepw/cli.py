@@ -4,21 +4,19 @@ Subcommands: maya, pw, equiv, minorder, xhermite, piv, selftest.
 Every numeric value in JSON output is rendered as an exact decimal (or
 p/q) string; output is byte-identical across runs for identical
 arguments.  Exit codes: 0 success / verified, 1 computed but a
-verification failed, 2 usage error (argparse's own convention).
+verification failed, 2 usage error or invalid input (argparse's own
+convention; a ValueError from the library counts as invalid input).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import hermite, minorder, painleve, xhermite
-from .hermite import CACHE, pseudo_wronskian, verify_equivalence
+from .hermite import pseudo_wronskian, verify_equivalence
 from .maya import MayaDiagram, Partition
-
-CACHE_ENV = "HERMITEPW_CACHE_DIR"
 
 
 def _emit(args, payload, text_lines):
@@ -35,7 +33,7 @@ def _diagram_from(args) -> MayaDiagram:
     elif getattr(args, "partition", None) is not None:
         m = MayaDiagram.from_partition(Partition.parse(args.partition))
     else:
-        raise SystemExit("one of --frobenius / --partition is required")
+        raise ValueError("one of --frobenius / --partition is required")
     if getattr(args, "shift", 0):
         m = m.shift(args.shift)
     return m
@@ -150,11 +148,11 @@ def cmd_piv(args):
 
     if args.family == "gh":
         if args.m is None or args.ell is None:
-            raise SystemExit("gh needs --m and --ell")
+            raise ValueError("gh needs --m and --ell")
         sol = painleve.piv_solution_gh(args.m, args.ell, args.branch)
     else:
         if args.l1 is None or args.l2 is None:
-            raise SystemExit("o needs --l1 and --l2")
+            raise ValueError("o needs --l1 and --l2")
         sol = painleve.piv_solution_o(args.l1, args.l2, args.branch)
     payload = sol.to_json()
     lines = [f"y(t) = {sol.y.pretty(var='t')}", f"a = {sol.a}, b = {sol.b}"]
@@ -278,22 +276,11 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir:
-        try:
-            CACHE.load(cache_dir)
-        except (OSError, ValueError, KeyError):
-            pass
     try:
-        code = args.func(args)
-    finally:
-        if cache_dir:
-            try:
-                os.makedirs(cache_dir, exist_ok=True)
-                CACHE.save(cache_dir)
-            except OSError:
-                pass
-    return code
+        return args.func(args)
+    except ValueError as exc:
+        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,8 +26,6 @@ test suite checks the identity against directly computed determinants.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +58,8 @@ class HermiteCache:
 
     Extension is serialized by a lock so concurrent readers can share one
     instance.  Both families satisfy the three-term recurrences
-    H_{n+1} = 2x H_n - 2n H_{n-1} and th_{n+1} = 2x th_n + 2n th_{n-1}.
+    H_{n+1} = 2x H_n - 2n H_{n-1} and th_{n+1} = 2x th_n + 2n th_{n-1};
+    each step is a coefficient shift plus a scaled add, linear in n.
     """
 
     def __init__(self):
@@ -72,9 +71,11 @@ class HermiteCache:
         with self._lock:
             seq = getattr(self, attr)
             while len(seq) <= n:
-                k = len(seq) - 1
-                nxt = IntPoly((0, 2)) * seq[-1] + sign * (2 * k) * seq[-2]
-                seq.append(nxt)
+                c = sign * 2 * (len(seq) - 1)
+                nxt = [0] + [2 * a for a in seq[-1].coeffs]
+                for i, b in enumerate(seq[-2].coeffs):
+                    nxt[i] += c * b
+                seq.append(IntPoly(nxt))
             return seq[n]
 
     def hermite(self, n):
@@ -88,36 +89,6 @@ class HermiteCache:
             raise ValueError(f"conjugate Hermite index must be non-negative: {n}")
         th = self._th
         return th[n] if n < len(th) else self._extend("_th", n, +1)
-
-    # optional plain-JSON persistence of the memo tables
-
-    def save(self, directory):
-        path = os.path.join(directory, "hermite_tables.json")
-        with self._lock:
-            data = {
-                "hermite": [list(p.coeffs) for p in self._h],
-                "conjugate": [list(p.coeffs) for p in self._th],
-            }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({k: [[str(c) for c in row] for row in v] for k, v in data.items()}, fh)
-        os.replace(tmp, path)
-        return path
-
-    def load(self, directory):
-        path = os.path.join(directory, "hermite_tables.json")
-        if not os.path.exists(path):
-            return False
-        with open(path) as fh:
-            data = json.load(fh)
-        h = [IntPoly(int(c) for c in row) for row in data.get("hermite", [])]
-        th = [IntPoly(int(c) for c in row) for row in data.get("conjugate", [])]
-        with self._lock:
-            if len(h) > len(self._h):
-                self._h = h
-            if len(th) > len(self._th):
-                self._th = th
-        return True
 
 
 CACHE = HermiteCache()

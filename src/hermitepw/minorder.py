@@ -121,7 +121,9 @@ def minimal_girth(lam: Partition) -> CornerReport:
     m = MayaDiagram.from_partition(lam)
     r, origins = minimal_girth_of_diagram(m)
     formula = min(lam.part(j + 1) + j for j in range(lam.length + 1))
-    assert r == formula, (r, formula, lam)
+    if r != formula:
+        raise ArithmeticError(f"minimal girth {r} of {lam} disagrees with the "
+                              f"corner-distance formula {formula}")
     # corner inventory: every valley of the walk
     lo, hi, g = _walk(m, 0)
     corners = tuple((k, g[k]) for k in range(lo + 1, hi + 1)
@@ -183,7 +185,9 @@ def durfee_symbol(m: MayaDiagram) -> DurfeeSymbol:
     mu = _staircase(m.s)
     nu = _staircase(m.t)
     total = m.partition().size
-    assert p * q + mu.size + nu.size == total, (m, mu, nu)
+    if p * q + mu.size + nu.size != total:
+        raise ArithmeticError(f"Durfee symbol [{mu} | {nu}]_{{{p}x{q}}} of {m} "
+                              f"does not account for size {total}")
     return DurfeeSymbol(mu, nu, p, q)
 
 

@@ -6,8 +6,10 @@ equation
 
 Each solution is a linear term plus log-derivatives of pseudo-Wronskians
 of the generalized-Hermite (GH) or Okamoto (O) diagram families.  The GH
-family substitutes x = t directly; the O family substitutes x = t/sqrt3,
-handled exactly in Z[sqrt3] with the sqrt3 component required to cancel.
+family substitutes x = t directly; the O family substitutes x = t/sqrt3.
+Every pseudo-Wronskian h of degree d has the parity of d, so
+3^(d/2) h(t/sqrt3) has integer coefficients, and the scalar 3^(d/2)
+drops out of the log-derivative: no sqrt3 ever appears.
 Verification clears denominators and checks the residual polynomial
 
     2 y y'' - (y')^2 - 3 y^4 - 8 t y^3 - 4 (t^2 - a) y^2 - 2 b = 0
@@ -24,7 +26,7 @@ from math import lcm
 from .hermite import equivalence_factor, pseudo_wronskian
 from .maya import MayaDiagram
 from .minorder import minimal_girth_of_diagram
-from .polys import IntPoly, RatFunc, sqrt3_log_derivative_term
+from .polys import IntPoly, RatFunc
 
 __all__ = [
     "gh_maya",
@@ -187,6 +189,15 @@ def _log_diff(h_num: IntPoly, h_den: IntPoly) -> RatFunc:
     return RatFunc(h_num).log_derivative() - RatFunc(h_den).log_derivative()
 
 
+def _at_t_over_sqrt3(h: IntPoly) -> IntPoly:
+    """3^(d/2) h(t/sqrt3) for h of degree d: coefficient c_k becomes
+    c_k 3^((d-k)/2), integral because h has definite parity."""
+    if h.parity() is None:
+        raise ArithmeticError(f"mixed parity: {h} has no integral image at t/sqrt3")
+    d = h.degree
+    return IntPoly(c * 3 ** ((d - k) // 2) for k, c in enumerate(h.coeffs))
+
+
 def piv_solution_gh(m: int, ell: int, branch: int) -> PivSolution:
     """GH-family solution; branch picks which flip of the cycle leads."""
     if branch not in (1, 2, 3):
@@ -214,7 +225,8 @@ def piv_solution_gh(m: int, ell: int, branch: int) -> PivSolution:
 
 
 def piv_solution_o(ell1: int, ell2: int, branch: int) -> PivSolution:
-    """O-family solution; built at x = t/sqrt3 with exact sqrt3 cancellation."""
+    """O-family solution y = -2t/3 + (log h_0/h_partner)' at x = t/sqrt3,
+    taken on the parity-rescaled polynomials of _at_t_over_sqrt3."""
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
     if branch == 1 and (ell1 < 1 or ell2 < 1):
@@ -232,9 +244,8 @@ def piv_solution_o(ell1: int, ell2: int, branch: int) -> PivSolution:
         partner = o_maya(ell1, ell2 + 1)
         a = Fraction(-2 - 2 * ell2 + ell1)
         b = Fraction(-2, 9) * (1 + 3 * ell1) ** 2
-    ld = _log_diff(h0, pseudo_wronskian(partner))
     y = RatFunc(IntPoly((0, -2)), IntPoly.const(3)) \
-        + sqrt3_log_derivative_term(ld.num, ld.den)
+        + _log_diff(_at_t_over_sqrt3(h0), _at_t_over_sqrt3(pseudo_wronskian(partner)))
     if y.is_zero():
         raise ValueError(f"degenerate parameters: o({ell1},{ell2}) branch {branch} gives y = 0")
     return PivSolution("o", (ell1, ell2), branch, y, a, b)
@@ -309,9 +320,12 @@ class MinOrderSpec:
 
 def _min_order(m: MayaDiagram, order: int, origin: int) -> MinOrderSpec:
     small = m.shift(-origin)
-    assert small.girth == order, (m, small, order)
+    if small.girth != order:
+        raise ArithmeticError(f"{m} shifted by {-origin} has girth {small.girth}, not {order}")
     r, origins = minimal_girth_of_diagram(m)
-    assert r == order and origin in origins, (m, order, origin, r, origins)
+    if r != order or origin not in origins:
+        raise ArithmeticError(f"{m}: minimal girth {r} at origins {origins}, "
+                              f"not {order} at {origin}")
     constant = equivalence_factor(m, origin).ratio
     return MinOrderSpec(order, origin, small, pseudo_wronskian(small), constant)
 

@@ -17,10 +17,8 @@ from fractions import Fraction
 __all__ = [
     "IntPoly",
     "RatFunc",
-    "Zsqrt3",
     "poly_gcd",
     "count_real_roots",
-    "sqrt3_log_derivative_term",
 ]
 
 # operand-size threshold (len(a)*len(b)) above which Kronecker packing wins
@@ -67,7 +65,8 @@ def _mul_kronecker(a, b):
         d = ((r + half) & mask) - half
         out.append(d)
         r = (r - d) >> w
-    assert r == 0
+    if r:
+        raise ArithmeticError("Kronecker unpacking left a carry: word size too small")
     return out
 
 
@@ -488,95 +487,3 @@ class RatFunc:
     @classmethod
     def from_json(cls, obj):
         return cls(IntPoly.from_json(obj["num"]), IntPoly.from_json(obj["den"]))
-
-
-class Zsqrt3:
-    """Element a + b*sqrt(3) of the quadratic ring Z[sqrt(3)]."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other):
-        return Zsqrt3(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return Zsqrt3(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        return Zsqrt3(self.a * other.a + 3 * self.b * other.b,
-                      self.a * other.b + self.b * other.a)
-
-    def conj(self):
-        return Zsqrt3(self.a, -self.b)
-
-    def __eq__(self, other):
-        return self.a == other.a and self.b == other.b
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def __repr__(self):
-        return f"Zsqrt3({self.a}, {self.b})"
-
-
-def _subst_sqrt3(p):
-    """Return q with Z[sqrt3] coefficients such that p(t/sqrt3) = q(t) / 3^ceil(deg/2).
-
-    Coefficient of t^k picks up sqrt(3)^(2*ceil(d/2) - k).
-    """
-    d = p.degree
-    if d < 0:
-        return []
-    top = 2 * ((d + 1) // 2)
-    out = []
-    for k, c in enumerate(p.coeffs):
-        e = top - k
-        if e % 2 == 0:
-            out.append(Zsqrt3(c * 3 ** (e // 2), 0))
-        else:
-            out.append(Zsqrt3(0, c * 3 ** ((e - 1) // 2)))
-    return out
-
-
-def _zs_mul(pa, pb):
-    out = [Zsqrt3() for _ in range(len(pa) + len(pb) - 1)] if pa and pb else []
-    for i, ca in enumerate(pa):
-        if not ca.is_zero():
-            for j, cb in enumerate(pb):
-                out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def sqrt3_log_derivative_term(num, den):
-    """Exact (1/sqrt3) * (num/den)(t/sqrt3) as a rational function of t.
-
-    Used for rescaled log-derivatives: num/den is D_x log(...) in the
-    original variable.  All arithmetic stays in Z[sqrt3]; the sqrt(3)
-    component of the final numerator must cancel identically, which is
-    asserted.
-    """
-    sn = _subst_sqrt3(num)
-    sd = _subst_sqrt3(den)
-    if not sn:
-        return RatFunc(0)
-    # multiply numerator by sqrt3 once more for the 1/sqrt3 = sqrt3/3 factor
-    sn = [Zsqrt3(3 * c.b, c.a) for c in sn]
-    # rationalize: multiply both by the conjugate of the denominator
-    sdc = [c.conj() for c in sd]
-    nn = _zs_mul(sn, sdc)
-    dd = _zs_mul(sd, sdc)
-    assert all(c.b == 0 for c in dd), "denominator norm must be rational"
-    assert all(c.b == 0 for c in nn), "sqrt(3) component failed to cancel"
-    num_t = IntPoly([c.a for c in nn])
-    den_t = IntPoly([c.a for c in dd]) * 3  # the deferred 1/3
-    # exponent bookkeeping of the two 3^ceil(d/2) scalings cancels in the
-    # ratio up to a known power of 3
-    en = (num.degree + 1) // 2
-    ed = (den.degree + 1) // 2
-    shift = ed - en
-    if shift >= 0:
-        return RatFunc(num_t * 3 ** shift, den_t)
-    return RatFunc(num_t, den_t * 3 ** (-shift))

@@ -94,7 +94,8 @@ def exceptional_hermite(lam: Partition, n: int) -> IntPoly:
         raise ValueError(f"degree {n} is not admissible for {lam}")
     indices = sorted(fam.diagram.t) + [fam.insertion_position(n)]
     poly = wronskian([hermite_poly(i) for i in indices])
-    assert poly.degree == n, (lam, n, poly.degree)
+    if poly.degree != n:
+        raise ArithmeticError(f"P_{n} of {lam} came out with degree {poly.degree}")
     return poly
 
 
@@ -150,8 +151,9 @@ def eigen_check(lam: Partition, n: int) -> EigenReport:
         raise ArithmeticError(f"T[P_{n}] is not proportional to P_{n} for {lam}")
     c = ratio.as_fraction()
     residual_rf = image - c * RatFunc(y)
-    assert residual_rf.is_zero()
-    return EigenReport(n, c, n + c / 2, IntPoly())
+    if not residual_rf.is_zero():
+        raise ArithmeticError(f"T[P_{n}] - {c} P_{n} is nonzero for {lam}")
+    return EigenReport(n, c, n + c / 2, residual_rf.num)
 
 
 def family_eigen_constant(lam: Partition, count: int = 4) -> Fraction:
@@ -188,7 +190,9 @@ def min_order_form(lam: Partition, n: int) -> MinOrderForm:
     order, origin = xhermite_min_origin(lam, n)
     enlarged = fam.diagram.add(fam.insertion_position(n))
     small = enlarged.shift(-origin)
-    assert small.girth == order, (lam, n, small, order)
+    if small.girth != order:
+        raise ArithmeticError(f"P_{n} of {lam} at origin {origin} has girth "
+                              f"{small.girth}, not {order}")
     sign = insertion_sign(lam, n)
     scalar = sign * equivalence_factor(enlarged, origin).ratio
     return MinOrderForm(n, origin, small, order, scalar, pseudo_wronskian(small))
@@ -250,7 +254,8 @@ def weight_and_norm_check(lam: Partition, n: int, m: int,
                        * mpmath.exp(-x * x) / w.eval_mpf(x, mp) ** 2)
         integral = mpmath.quad(f, [-L, 0, L])
         j = n + fam.ell - big_n
-        assert j.denominator == 1
+        if j.denominator != 1:
+            raise ArithmeticError(f"norm index j = {j} of {lam} is not an integer")
         j = int(j)
         if n == m:
             expected = mpmath.sqrt(mpmath.pi) * mpmath.mpf(2) ** (j + fam.ell)

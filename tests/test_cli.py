@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -124,10 +125,25 @@ def test_unknown_subcommand(capsys):
     assert exc.value.code == 2
 
 
-def test_cache_env_round_trip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HERMITEPW_CACHE_DIR", str(tmp_path))
-    code, _ = run(capsys, "pw", "--partition", "2,2,1,1")
+@pytest.mark.parametrize("argv", [
+    ("piv", "--class", "o", "--l1", "0", "--l2", "1", "--branch", "1"),
+    ("xhermite", "--partition", "2,1", "--n", "2"),
+    ("pw", "--frobenius", "3|x"),
+    ("minorder", "--partition", "0"),
+    ("pw",),
+    ("piv", "--class", "gh"),
+])
+def test_invalid_input_exit_code(capsys, argv):
+    # exit 1 is reserved for a failed verification
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hermitepw: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_catalog_bytes_pinned(capsys):
+    code, out = run(capsys, "--format", "json", "piv", "catalog", "--max", "4")
     assert code == 0
-    assert (tmp_path / "hermite_tables.json").exists()
-    code, _ = run(capsys, "pw", "--partition", "2,2,1,1")
-    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1ed2728f004fd8350ad54b78afaebc01ea8fb626d7f02a08d64f3e396c32b76b"

@@ -1,13 +1,13 @@
 import threading
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermitepw.determinant import det
 from hermitepw.hermite import (
-    CACHE,
     HermiteCache,
     conj_hermite_poly,
     conjugate_wronskian_identity,
@@ -25,7 +25,7 @@ from hermitepw.hermite import (
 from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
 from hermitepw.polys import IntPoly
 
-from conftest import random_diagram
+from conftest import frobenius_sides, random_diagram
 
 X = IntPoly((0, 1))
 
@@ -79,16 +79,17 @@ class TestHermiteFamilies:
         assert all(p == results[0] for p in results)
         assert results[0] == hermite_poly(80)
 
-    def test_cache_save_load(self, tmp_path):
-        cache = HermiteCache()
-        cache.hermite(12)
-        cache.conjugate(9)
-        cache.save(tmp_path)
-        fresh = HermiteCache()
-        assert fresh.load(tmp_path)
-        assert fresh.hermite(12) == CACHE.hermite(12)
-        assert fresh.conjugate(9) == CACHE.conjugate(9)
-        assert not HermiteCache().load(tmp_path / "missing")
+    @pytest.mark.parametrize("n", list(range(41)) + list(range(301, 306)))
+    def test_closed_form(self, n):
+        # H_n = n! sum_m (-1)^m (2x)^(n-2m) / (m! (n-2m)!); th_n drops the sign
+        h = [0] * (n + 1)
+        th = [0] * (n + 1)
+        for m in range(n // 2 + 1):
+            c = factorial(n) * 2 ** (n - 2 * m) // (factorial(m) * factorial(n - 2 * m))
+            h[n - 2 * m] = (-1) ** m * c
+            th[n - 2 * m] = c
+        assert hermite_poly(n) == IntPoly(h)
+        assert conj_hermite_poly(n) == IntPoly(th)
 
 
 class TestPseudoWronskian:
@@ -114,6 +115,13 @@ class TestPseudoWronskian:
         for _ in range(40):
             m = random_diagram(rng, max_girth=5, max_val=9)
             assert pseudo_wronskian(m).degree == m.partition().size
+
+    @given(st.builds(MayaDiagram, frobenius_sides(3, 8), frobenius_sides(3, 8)))
+    @settings(max_examples=60, deadline=None)
+    def test_definite_parity(self, m):
+        # the O family's integral rescaling at t/sqrt3 rests on this
+        h = pseudo_wronskian(m)
+        assert h.parity() == h.degree % 2
 
     def test_wronskian_degree_formula(self):
         for lam in all_partitions_up_to(7):

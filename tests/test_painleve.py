@@ -7,6 +7,7 @@ from hermitepw.maya import MayaDiagram
 from hermitepw.minorder import minimal_girth_of_diagram
 from hermitepw.painleve import (
     ChainStep,
+    _min_order,
     chain_step_verify,
     gh_maya,
     min_order_gh,
@@ -281,3 +282,10 @@ class TestMinOrder:
             min_order_gh(0, 3)
         with pytest.raises(ValueError):
             min_order_o(2, 0)
+
+    def test_wrong_order_or_origin_raises(self):
+        # O(2,3) has minimal order 3 at origin 6; at origin 3 its girth is 4
+        with pytest.raises(ArithmeticError):
+            _min_order(o_maya(2, 3), 2, 6)
+        with pytest.raises(ArithmeticError):
+            _min_order(o_maya(2, 3), 4, 3)

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermitepw.painleve import _at_t_over_sqrt3, _log_diff
 from hermitepw.polys import (
     IntPoly,
     RatFunc,
-    Zsqrt3,
     _mul_kronecker,
     _mul_schoolbook,
     count_real_roots,
     poly_gcd,
-    sqrt3_log_derivative_term,
 )
 
 from conftest import int_polys, nonzero_polys
@@ -192,16 +191,13 @@ class TestRatFunc:
 
 
 class TestSqrt3:
-    def test_ring(self):
-        a = Zsqrt3(1, 1)
-        b = Zsqrt3(2, 1)
-        assert (a * b).a == 5 and (a * b).b == 3
-        assert (a * a.conj()).b == 0
+    """The O family's substitution x = t/sqrt3 by parity rescaling."""
 
     def test_rescaled_log_derivative(self):
-        # (1/sqrt3) * (H2'/H2)(t/sqrt3) = 4t / (2t^2 - 3)
+        # 3 * H2(t/sqrt3) = 4t^2 - 6, and (1/sqrt3) * (H2'/H2)(t/sqrt3) = 4t / (2t^2 - 3)
         h2 = IntPoly((-2, 0, 4))
-        got = sqrt3_log_derivative_term(h2.derivative(), h2)
+        assert _at_t_over_sqrt3(h2) == IntPoly((-6, 0, 4))
+        got = _log_diff(_at_t_over_sqrt3(h2), IntPoly.const(1))
         assert got == RatFunc(IntPoly((0, 4)), IntPoly((-3, 0, 2)))
 
     @staticmethod
@@ -228,16 +224,18 @@ class TestSqrt3:
         raise AssertionError("oracle needs parity-pure input of opposite parity")
 
     def test_against_pointwise_oracle(self):
-        from hermitepw.hermite import hermite_poly, pseudo_wronskian
+        from hermitepw.hermite import pseudo_wronskian
         from hermitepw.maya import MayaDiagram
-        h0 = pseudo_wronskian(MayaDiagram.parse("|5,2,1"))
-        h1 = pseudo_wronskian(MayaDiagram.parse("|2"))
-        num = h0.derivative() * h1 - h1.derivative() * h0
-        den = h0 * h1
-        got = sqrt3_log_derivative_term(num, den)
-        for t0 in (1, 2, Fraction(1, 2), -3):
-            assert got.eval_at(t0) == self._oracle(num, den, t0)
+        # O(1,2) with its branch-1 partner O(0,1); O(2,2) with its branch-2 partner O(3,2)
+        for m0, m1 in (("|5,2,1", "|2"), ("|5,4,2,1", "|7,5,4,2,1")):
+            h0 = pseudo_wronskian(MayaDiagram.parse(m0))
+            h1 = pseudo_wronskian(MayaDiagram.parse(m1))
+            num = h0.derivative() * h1 - h1.derivative() * h0
+            den = h0 * h1
+            got = _log_diff(_at_t_over_sqrt3(h0), _at_t_over_sqrt3(h1))
+            for t0 in (1, 2, Fraction(1, 2), -3):
+                assert got.eval_at(t0) == self._oracle(num, den, t0)
 
     def test_mixed_parity_rejected(self):
-        with pytest.raises(AssertionError):
-            sqrt3_log_derivative_term(IntPoly((1, 1)), IntPoly((1, 0, 1)))
+        with pytest.raises(ArithmeticError):
+            _at_t_over_sqrt3(IntPoly((1, 1)))
