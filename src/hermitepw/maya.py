@@ -265,6 +265,28 @@ class MayaDiagram:
             raise ValueError("empty window")
         return [self.bent_point(n) for n in range(n_lo, n_hi + 1)]
 
+    def girth_walk(self, lo, hi):
+        """[girth(M - k) for k in lo..hi], in one pass over the window.
+
+        girth(M - k) counts the holes below k and the elements at or above
+        k, so the walk falls by 1 through each element and rises by 1
+        through each hole.
+        """
+        if lo > hi:
+            raise ValueError("empty window")
+        filled, holes = set(self.t), set(-v - 1 for v in self.s)
+        if lo >= 0:
+            g = len(self.s) + sum(1 for v in self.t if v >= lo) \
+                + sum(1 for j in range(lo) if j not in filled)
+        else:
+            g = len(self.t) + sum(1 for h in holes if h < lo) \
+                + sum(1 for m in range(lo, 0) if m not in holes)
+        out = [g]
+        for k in range(lo, hi):
+            g += -1 if (k in filled if k >= 0 else k not in holes) else 1
+            out.append(g)
+        return out
+
     def partition(self) -> Partition:
         """The partition of the unlabelled diagram (shift invariant)."""
         holes = self.holes()

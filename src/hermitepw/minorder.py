@@ -6,6 +6,9 @@ g(k) = girth(M - k) = i_k + j_k in bent-diagram coordinates, rising by 1
 through holes and falling by 1 through filled boxes.  Valleys of the walk
 (k-1 filled, k empty) are the inside corners of the Ferrers diagram plus
 the two degenerate corners, and every minimal-girth origin is a valley.
+The walk itself is ``MayaDiagram.girth_walk``, one pass over a window;
+``hermite.pseudo_wronskian`` uses it too, to find the minimal order it
+evaluates at.
 
 Two views of the level sets are needed:
 
@@ -51,9 +54,8 @@ def girth(m: MayaDiagram) -> int:
 
 
 def girth_of_shift(m: MayaDiagram, k: int) -> int:
-    """girth(M - k) = i_k + j_k, straight from the bent diagram of M."""
-    pt = m.bent_point(k)
-    return pt.holes_below + pt.filled_at_or_above
+    """girth(M - k) = i_k + j_k, the bent-diagram coordinates of M at k."""
+    return m.girth_walk(k, k)[0]
 
 
 def walk_window(m: MayaDiagram, slack: int = 0):
@@ -69,7 +71,7 @@ def walk_window(m: MayaDiagram, slack: int = 0):
 
 def _walk(m: MayaDiagram, slack):
     lo, hi = walk_window(m, slack)
-    return lo, hi, {k: girth_of_shift(m, k) for k in range(lo, hi + 1)}
+    return lo, hi, dict(zip(range(lo, hi + 1), m.girth_walk(lo, hi)))
 
 
 def girth_level_set(m: MayaDiagram, r: int):

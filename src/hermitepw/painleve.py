@@ -289,6 +289,8 @@ def verify_piv(sol: PivSolution) -> PivReport:
 def piv_catalog(max_param: int):
     """Every defined, non-degenerate solution with parameters <= max_param,
     each paired with its verification report."""
+    if max_param < 0:
+        raise ValueError(f"parameter bound must be non-negative: {max_param}")
     out = []
     for fam, builder in (("gh", piv_solution_gh), ("o", piv_solution_o)):
         for p1 in range(max_param + 1):

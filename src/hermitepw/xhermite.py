@@ -18,11 +18,12 @@ tanh-sinh quadrature at 50-digit working precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hermite import hermite_poly, pseudo_wronskian, equivalence_factor, wronskian
+from .hermite import equivalence_factor, pseudo_wronskian
 from .maya import MayaDiagram, Partition
 from .minorder import xhermite_min_origin
 from .polys import IntPoly, RatFunc, count_real_roots
@@ -88,12 +89,13 @@ class XHermiteFamily:
 
 
 def exceptional_hermite(lam: Partition, n: int) -> IntPoly:
-    """The degree-n family member, as the defining Wronskian."""
+    """The degree-n family member: the defining Wronskian, evaluated as
+    the signed pseudo-Wronskian of the enlarged diagram."""
     fam = XHermiteFamily(lam)
     if not fam.is_admissible(n):
         raise ValueError(f"degree {n} is not admissible for {lam}")
-    indices = sorted(fam.diagram.t) + [fam.insertion_position(n)]
-    poly = wronskian([hermite_poly(i) for i in indices])
+    enlarged = fam.diagram.add(fam.insertion_position(n))
+    poly = insertion_sign(lam, n) * pseudo_wronskian(enlarged)
     if poly.degree != n:
         raise ArithmeticError(f"P_{n} of {lam} came out with degree {poly.degree}")
     return poly
@@ -222,6 +224,19 @@ def _tail_cutoff(total_degree, dps):
     return L
 
 
+@functools.lru_cache(maxsize=4)
+def _mp_context(dps):
+    """A private mpmath context at ``dps`` digits, never changed after it is
+    made: the global ``mpmath.mp`` precision stays untouched, concurrent
+    callers cannot race on precision, and calls at one precision share its
+    cached quadrature nodes."""
+    import mpmath
+
+    mp = mpmath.MPContext()
+    mp.dps = dps
+    return mp
+
+
 def weight_and_norm_check(lam: Partition, n: int, m: int,
                           tolerance: float = 1e-10, dps: int = 50) -> NormReport:
     """Numerical orthogonality check for an even partition.
@@ -243,37 +258,30 @@ def weight_and_norm_check(lam: Partition, n: int, m: int,
     pm = pn if m == n else exceptional_hermite(lam, m)
     big_n = family_eigen_constant(lam)
 
-    import mpmath
-
-    mp = mpmath.mp
-    old_dps = mp.dps
-    try:
-        mp.dps = dps
-        L = _tail_cutoff(n + m + 2 * max(w.degree, 1), dps)
-        f = lambda x: (pn.eval_mpf(x, mp) * pm.eval_mpf(x, mp)
-                       * mpmath.exp(-x * x) / w.eval_mpf(x, mp) ** 2)
-        integral = mpmath.quad(f, [-L, 0, L])
-        j = n + fam.ell - big_n
-        if j.denominator != 1:
-            raise ArithmeticError(f"norm index j = {j} of {lam} is not an integer")
-        j = int(j)
-        if n == m:
-            expected = mpmath.sqrt(mpmath.pi) * mpmath.mpf(2) ** (j + fam.ell)
-            expected *= mpmath.factorial(j)
-            for t in fam.diagram.t:
-                expected *= j - t
-            rel = abs(integral - expected) / abs(expected)
-            ok = rel <= tolerance
-        else:
-            expected = mpmath.mpf(0)
-            # scale of the diagonal norms at n, used as the relative yardstick
-            scale = mpmath.sqrt(mpmath.pi) * mpmath.mpf(2) ** (j + fam.ell)
-            scale *= mpmath.factorial(j)
-            for t in fam.diagram.t:
-                scale *= abs(j - t)
-            rel = float(abs(integral) / scale)
-            ok = rel <= tolerance
-        return NormReport(n, m, mpmath.nstr(integral, 20), mpmath.nstr(expected, 20),
-                          float(rel), bool(ok))
-    finally:
-        mp.dps = old_dps
+    mp = _mp_context(dps)
+    L = _tail_cutoff(n + m + 2 * max(w.degree, 1), dps)
+    f = lambda x: (pn.eval_mpf(x, mp) * pm.eval_mpf(x, mp)
+                   * mp.exp(-x * x) / w.eval_mpf(x, mp) ** 2)
+    integral = mp.quad(f, [-L, 0, L])
+    j = n + fam.ell - big_n
+    if j.denominator != 1:
+        raise ArithmeticError(f"norm index j = {j} of {lam} is not an integer")
+    j = int(j)
+    if n == m:
+        expected = mp.sqrt(mp.pi) * mp.mpf(2) ** (j + fam.ell)
+        expected *= mp.factorial(j)
+        for t in fam.diagram.t:
+            expected *= j - t
+        rel = abs(integral - expected) / abs(expected)
+        ok = rel <= tolerance
+    else:
+        expected = mp.mpf(0)
+        # scale of the diagonal norms at n, used as the relative yardstick
+        scale = mp.sqrt(mp.pi) * mp.mpf(2) ** (j + fam.ell)
+        scale *= mp.factorial(j)
+        for t in fam.diagram.t:
+            scale *= abs(j - t)
+        rel = float(abs(integral) / scale)
+        ok = rel <= tolerance
+    return NormReport(n, m, mp.nstr(integral, 20), mp.nstr(expected, 20),
+                      float(rel), bool(ok))

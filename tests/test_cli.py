@@ -132,6 +132,7 @@ def test_unknown_subcommand(capsys):
     ("minorder", "--partition", "0"),
     ("pw",),
     ("piv", "--class", "gh"),
+    ("piv", "catalog", "--max", "-1"),
 ])
 def test_invalid_input_exit_code(capsys, argv):
     # exit 1 is reserved for a failed verification

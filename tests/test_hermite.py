@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermitepw.determinant import det
+from hermitepw.determinant import det, det_bareiss
 from hermitepw.hermite import (
+    EquivalenceFactor,
     HermiteCache,
+    _minimal_determinant,
+    _minimal_origin,
     conj_hermite_poly,
     conjugate_wronskian_identity,
     equivalence_factor,
@@ -23,9 +26,10 @@ from hermitepw.hermite import (
     wronskian,
 )
 from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
+from hermitepw.minorder import minimal_girth_of_diagram
 from hermitepw.polys import IntPoly
 
-from conftest import frobenius_sides, random_diagram
+from conftest import diagrams, frobenius_sides, random_diagram
 
 X = IntPoly((0, 1))
 
@@ -123,6 +127,42 @@ class TestPseudoWronskian:
         h = pseudo_wronskian(m)
         assert h.parity() == h.degree % 2
 
+    @given(diagrams, st.integers(min_value=-8, max_value=8))
+    @example(MayaDiagram(), 0)
+    @example(MayaDiagram((6, 3, 1), ()), 0)
+    @example(MayaDiagram((), (7, 4, 2, 1)), 0)
+    @example(MayaDiagram((), (7, 4, 2, 1)), 5)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_direct_bareiss(self, m, k):
+        # the minimal-order path against the defining determinant
+        m = m.shift(k)
+        assert pseudo_wronskian(m) == det_bareiss(pseudo_wronskian_matrix(m))
+
+    @given(diagrams)
+    def test_minimal_origin(self, m):
+        # 0 when the diagram is already minimal, else the smallest origin
+        r, origins = minimal_girth_of_diagram(m)
+        k = _minimal_origin(m)
+        assert k == (0 if 0 in origins else origins[0])
+        assert m.shift(-k).girth == r
+
+    def test_memo_keyed_by_minimal_diagram(self):
+        m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
+        _minimal_determinant.cache_clear()
+        pseudo_wronskian(m)
+        pseudo_wronskian(m.shift(-6))   # the minimal form of m
+        info = _minimal_determinant.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_inexact_rescale_raises(self, monkeypatch):
+        import hermitepw.hermite as hermite
+
+        m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
+        monkeypatch.setattr(hermite, "equivalence_factor",
+                            lambda m, k: EquivalenceFactor(k, (), (), 1, 7))
+        with pytest.raises(ArithmeticError):
+            pseudo_wronskian(m)
+
     def test_wronskian_degree_formula(self):
         for lam in all_partitions_up_to(7):
             m = MayaDiagram.from_partition(lam)
@@ -149,7 +189,7 @@ class TestEquivalence:
         # the big-coefficient pure Wronskian sits on the plain side:
         # H_M = ratio * H_{M-k}
         m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
-        assert pseudo_wronskian(m) == -768 * pseudo_wronskian(m.shift(-6))
+        assert det_bareiss(pseudo_wronskian_matrix(m)) == -768 * pseudo_wronskian(m.shift(-6))
 
     def test_k_zero_and_negative(self):
         m = MayaDiagram.parse("5,2,1|2,1")
@@ -189,7 +229,7 @@ class TestEquivalence:
             std, k = m.standardize()
             assert std.s == ()
             r = equivalence_factor(m, k).ratio
-            lhs = pseudo_wronskian(m) * r.denominator
+            lhs = det_bareiss(pseudo_wronskian_matrix(m)) * r.denominator
             rhs = r.numerator * pseudo_wronskian(std)
             assert lhs == rhs, (m, k)
             assert pseudo_wronskian(std) == hermite_wronskian(sorted(std.t))

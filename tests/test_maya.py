@@ -175,6 +175,15 @@ class TestBentDiagram:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             MayaDiagram.parse("|").bent_diagram(3, 2)
+        with pytest.raises(ValueError):
+            MayaDiagram.parse("|").girth_walk(3, 2)
+
+    @given(diagrams, st.integers(min_value=-12, max_value=12),
+           st.integers(min_value=0, max_value=16))
+    @settings(max_examples=100)
+    def test_girth_walk(self, m, lo, width):
+        assert m.girth_walk(lo, lo + width) == \
+            [m.shift(-k).girth for k in range(lo, lo + width + 1)]
 
 
 class TestRim:

@@ -1,7 +1,14 @@
 import pytest
 
-from hermitepw.determinant import det
-from hermitepw.hermite import conj_hermite_poly, hermite_poly, pseudo_wronskian, wronskian
+from hermitepw.determinant import det, det_bareiss
+from hermitepw.hermite import (
+    conj_hermite_poly,
+    hermite_poly,
+    hermite_wronskian,
+    pseudo_wronskian,
+    pseudo_wronskian_matrix,
+    wronskian,
+)
 from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
 from hermitepw.polys import IntPoly
 from hermitepw.xhermite import (
@@ -64,7 +71,18 @@ class TestConstruction:
             n = rng.choice(fam.admissible_degrees(8))
             enlarged = fam.diagram.add(fam.insertion_position(n))
             sign = insertion_sign(lam, n)
-            assert exceptional_hermite(lam, n) == sign * pseudo_wronskian(enlarged)
+            assert exceptional_hermite(lam, n) == \
+                sign * det_bareiss(pseudo_wronskian_matrix(enlarged))
+
+    @pytest.mark.parametrize("parts", [(2, 2, 1, 1), (4, 4, 1, 1), (2, 1), (3, 1, 1)])
+    def test_matches_defining_wronskian(self, parts):
+        # the minimal-order path against the Wronskian that defines P_n
+        lam = Partition(parts)
+        fam = XHermiteFamily(lam)
+        high = next(n for n in range(301, 400) if fam.is_admissible(n))
+        for n in fam.admissible_degrees(30) + [high]:
+            indices = sorted(fam.diagram.t) + [fam.insertion_position(n)]
+            assert exceptional_hermite(lam, n) == hermite_wronskian(indices), n
 
     def test_sign_both_values_occur(self):
         # single-row family: insertion below the top element flips the sign
@@ -173,6 +191,21 @@ class TestNorms:
         for n in degs:
             assert weight_and_norm_check(lam, n, n).ok
         assert weight_and_norm_check(lam, degs[0], degs[1]).ok
+
+    def test_global_precision_untouched(self):
+        import mpmath
+
+        lam = Partition((1, 1))
+        old = mpmath.mp.dps
+        try:
+            mpmath.mp.dps = 15
+            rep = weight_and_norm_check(lam, 0, 0)
+            assert mpmath.mp.dps == 15
+            mpmath.mp.dps = 30
+            assert weight_and_norm_check(lam, 0, 0) == rep
+        finally:
+            mpmath.mp.dps = old
+        assert rep.ok
 
     def test_odd_partition_rejected(self):
         with pytest.raises(ValueError):
