@@ -23,8 +23,9 @@ i.e. H_M = ratio * H_{M-k} with ratio = prod(eps) / prod(gamma).  The
 one-step constants are the classical Wronskian reduction factors.
 
 ``pseudo_wronskian`` uses the identity as its evaluation path: it takes
-the determinant at a minimal-girth origin of M (memoised per minimal
-diagram) and rescales it exactly.  The checks ``verify_equivalence``,
+the determinant at the smallest minimal-girth origin of M (memoised per
+minimal diagram, so one entry serves every shift of it) and rescales it
+exactly.  The checks ``verify_equivalence``,
 ``one_step_shift_check`` and ``conjugate_wronskian_identity`` compute
 the defining determinants at their own orders instead, so the identity
 is always tested against determinants it did not produce.
@@ -32,6 +33,7 @@ is always tested against determinants it did not produce.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import threading
 from dataclasses import dataclass
@@ -157,26 +159,27 @@ def _direct_pseudo_wronskian(m: MayaDiagram) -> IntPoly:
     return det(pseudo_wronskian_matrix(m))
 
 
-# Keyed by the minimal diagram.  exceptional_hermite and eigen_check ask
-# for the same one, and so does min_order_form when its origin agrees.
+# Keyed by the minimal diagram.  exceptional_hermite, eigen_check and
+# min_order_form reach the same one from any shift of it.
 _minimal_determinant = functools.lru_cache(maxsize=256)(_direct_pseudo_wronskian)
 
 
 def _minimal_origin(m: MayaDiagram) -> int:
-    """0 when m already has minimal girth, else its smallest minimal-girth
-    origin.  The walk falls before min_hole and rises past max_element, so
-    the minimum lies between them."""
+    """The smallest minimal-girth origin of m.  The origins of M - j are
+    those of M less j, so every shift of M reaches the same minimal
+    diagram and the memo keeps one entry per partition.  The walk falls
+    before min_hole and rises past max_element, so the minimum lies
+    between them."""
     lo, hi = m.min_hole(), m.max_element() + 1
     walk = m.girth_walk(lo, hi)
-    r = min(walk)
-    return 0 if m.girth == r else lo + walk.index(r)
+    return lo + walk.index(min(walk))
 
 
 def pseudo_wronskian(m: MayaDiagram) -> IntPoly:
     """The exact pseudo-Wronskian polynomial of a labelled diagram.
 
-    Evaluated at minimal order: H_M = (eps / gamma) * H_{M-k} for a
-    minimal-girth origin k, with the exact constants of
+    Evaluated at minimal order: H_M = (eps / gamma) * H_{M-k} for the
+    smallest minimal-girth origin k, with the exact constants of
     ``equivalence_factor``.  The empty diagram gives 1 (empty
     determinant).  Degree equals the size of the underlying partition.
     """
@@ -236,33 +239,31 @@ def equivalence_factor(m: MayaDiagram, k: int) -> EquivalenceFactor:
         return EquivalenceFactor(k, inv.filled_window, inv.hole_window,
                                  inv.gamma_product, inv.eps_product)
 
-    holes = m.holes()
-    ray_start = m._hole_ray_start()
-    top = m.max_element()
-
-    def holes_below(i):
-        return [h for h in holes if h < i] + list(range(ray_start, max(ray_start, i)))
-
-    def elements_above(i):
-        return list(m.elements_down_to(i + 1)) if i < top else []
-
-    filled = tuple(i for i in range(k) if i in m)
-    hole_w = tuple(i for i in range(k) if i not in m)
-    eps_prod = 1
-    for i in filled:
-        term = (-1) ** len(holes_below(i))
-        for e in elements_above(i):
-            term *= 2 * e - 2 * i
-        eps_prod *= term
-    gamma_prod = 1
-    for i in hole_w:
-        term = (-1) ** len(elements_above(i))
-        for h in holes_below(i):
-            term *= 2 * h - 2 * i
-        gamma_prod *= term
+    # One pass over the window: the holes below i grow by each hole passed,
+    # and the elements above i are a suffix of the ascending t.
+    t_asc = sorted(m.t)
+    filled_set = set(m.t)
+    holes_below = [-v - 1 for v in m.s]  # ascending
+    filled, hole_w = [], []
+    eps_prod = gamma_prod = 1
+    for i in range(k):
+        above = t_asc[bisect.bisect_right(t_asc, i):]
+        if i in filled_set:
+            term = -1 if len(holes_below) % 2 else 1
+            for e in above:
+                term *= 2 * e - 2 * i
+            eps_prod *= term
+            filled.append(i)
+        else:
+            term = -1 if len(above) % 2 else 1
+            for h in holes_below:
+                term *= 2 * h - 2 * i
+            gamma_prod *= term
+            hole_w.append(i)
+            holes_below.append(i)
     if eps_prod == 0 or gamma_prod == 0:
         raise ArithmeticError("degenerate zero factor: some 2m - 2i vanished")
-    return EquivalenceFactor(k, filled, hole_w, eps_prod, gamma_prod)
+    return EquivalenceFactor(k, tuple(filled), tuple(hole_w), eps_prod, gamma_prod)
 
 
 @dataclass(frozen=True)

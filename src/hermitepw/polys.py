@@ -5,7 +5,11 @@ zero polynomial canonically represented by an empty coefficient tuple.
 Everything here is exact: no floats enter at any point.  Multiplication
 switches to Kronecker substitution (packing coefficients into one big
 integer) once operands are large enough for CPython's native bignum
-multiply to beat the schoolbook loop.
+multiply to beat the schoolbook loop.  Packing and unpacking are linear in
+the total bit length: each coefficient becomes one byte-aligned word, the
+words are joined by one ``int.from_bytes``, and the product is read back by
+one ``int.to_bytes`` cut into word slices.  The word holds the product
+bound ``max|a| * max|b| * min(len a, len b)`` and the inputs themselves.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ __all__ = [
     "count_real_roots",
 ]
 
-# operand-size threshold (len(a)*len(b)) above which Kronecker packing wins
+# operand-size threshold (len(a)*len(b)) above which Kronecker packing wins;
+# packing and unpacking are linear in total bits, so above it the cost is
+# the one bignum multiply.  The crossover also depends on coefficient size.
 _KRONECKER_CUTOFF = 600
 
 
@@ -41,33 +47,41 @@ def _mul_schoolbook(a, b):
     return out
 
 
+def _word_bytes(bound):
+    """Bytes per Kronecker word: every value of absolute size <= bound
+    lies in [-half, half) with half = 2^(8 * bytes - 1)."""
+    return bound.bit_length() // 8 + 1
+
+
 def _mul_kronecker(a, b):
-    # Pack both factors into integers with word size w, multiply once,
-    # then read back balanced base-2^w digits.  Exact for any signs as
-    # long as every product coefficient fits in (-2^(w-1), 2^(w-1)).
+    # Pack both factors into integers with a byte-aligned word, multiply
+    # once, then read back balanced digits.  Biased by half, a coefficient
+    # is one unsigned word, so packing is one join and one from_bytes, and
+    # the packed bias is subtracted once.  Adding a packed half to the
+    # product makes every balanced digit a non-negative word, so unpacking
+    # is one to_bytes cut into word slices; it overflows when the product
+    # does not fit nout balanced digits.  The word holds the inputs as well
+    # as the product bound: an all-zero factor has bound 0.
     ma = max(abs(c) for c in a)
     mb = max(abs(c) for c in b)
     bound = ma * mb * min(len(a), len(b))
-    w = bound.bit_length() + 2
-    pa = 0
-    for c in reversed(a):
-        pa = (pa << w) + c
-    pb = 0
-    for c in reversed(b):
-        pb = (pb << w) + c
-    prod = pa * pb
+    nb = _word_bytes(max(bound, ma, mb))
+    half = 1 << (8 * nb - 1)
+    half_word = half.to_bytes(nb, "little")
+
+    def pack(p):
+        return int.from_bytes(b"".join((c + half).to_bytes(nb, "little") for c in p), "little")
+
+    def packed_half(n):
+        return int.from_bytes(half_word * n, "little")
+
     nout = len(a) + len(b) - 1
-    mask = (1 << w) - 1
-    half = 1 << (w - 1)
-    out = []
-    r = prod
-    for _ in range(nout):
-        d = ((r + half) & mask) - half
-        out.append(d)
-        r = (r - d) >> w
-    if r:
-        raise ArithmeticError("Kronecker unpacking left a carry: word size too small")
-    return out
+    prod = (pack(a) - packed_half(len(a))) * (pack(b) - packed_half(len(b)))
+    try:
+        raw = (prod + packed_half(nout)).to_bytes(nb * nout, "little")
+    except OverflowError:
+        raise ArithmeticError("Kronecker unpacking left a carry: word size too small") from None
+    return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, len(raw), nb)]
 
 
 class IntPoly:

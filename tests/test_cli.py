@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hermitepw
 from hermitepw.cli import main
 from hermitepw.maya import MayaDiagram
 from hermitepw.polys import IntPoly, RatFunc
@@ -148,3 +153,12 @@ def test_catalog_bytes_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "1ed2728f004fd8350ad54b78afaebc01ea8fb626d7f02a08d64f3e396c32b76b"
+
+
+def test_selftest_under_optimize():
+    # python -O strips assert statements; the embedded checks must still run
+    src = Path(hermitepw.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-m", "hermitepw.cli", "selftest"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

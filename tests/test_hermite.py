@@ -138,13 +138,15 @@ class TestPseudoWronskian:
         m = m.shift(k)
         assert pseudo_wronskian(m) == det_bareiss(pseudo_wronskian_matrix(m))
 
-    @given(diagrams)
-    def test_minimal_origin(self, m):
-        # 0 when the diagram is already minimal, else the smallest origin
+    @given(diagrams, st.integers(min_value=-6, max_value=6))
+    def test_minimal_origin(self, m, j):
+        # the smallest minimal-girth origin, even when m is already minimal,
+        # so every shift of m reaches the same minimal diagram
         r, origins = minimal_girth_of_diagram(m)
         k = _minimal_origin(m)
-        assert k == (0 if 0 in origins else origins[0])
+        assert k == origins[0]
         assert m.shift(-k).girth == r
+        assert m.shift(j).shift(-_minimal_origin(m.shift(j))) == m.shift(-k)
 
     def test_memo_keyed_by_minimal_diagram(self):
         m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
@@ -177,7 +179,48 @@ class TestPseudoWronskian:
             pure_conjugate_wronskian(MayaDiagram.parse("5|1"))
 
 
+def _equivalence_factor_oracle(m, k):
+    """(eps_product, gamma_product) straight from the window definitions,
+    with the holes below and the elements above rebuilt for every i."""
+    if k == 0:
+        return 1, 1
+    if k < 0:
+        eps, gamma = _equivalence_factor_oracle(m.shift(-k), -k)
+        return gamma, eps
+    holes = m.holes()
+    ray_start = m._hole_ray_start()
+    top = m.max_element()
+
+    def holes_below(i):
+        return [h for h in holes if h < i] + list(range(ray_start, max(ray_start, i)))
+
+    def elements_above(i):
+        return list(m.elements_down_to(i + 1)) if i < top else []
+
+    eps_prod = 1
+    for i in (i for i in range(k) if i in m):
+        term = (-1) ** len(holes_below(i))
+        for e in elements_above(i):
+            term *= 2 * e - 2 * i
+        eps_prod *= term
+    gamma_prod = 1
+    for i in (i for i in range(k) if i not in m):
+        term = (-1) ** len(elements_above(i))
+        for h in holes_below(i):
+            term *= 2 * h - 2 * i
+        gamma_prod *= term
+    return eps_prod, gamma_prod
+
+
 class TestEquivalence:
+    @given(diagrams, st.integers(min_value=-12, max_value=12))
+    def test_factor_matches_window_oracle(self, m, k):
+        fac = equivalence_factor(m, k)
+        assert (fac.eps_product, fac.gamma_product) == _equivalence_factor_oracle(m, k)
+        base = m if k >= 0 else m.shift(-k)
+        assert fac.filled_window == tuple(i for i in range(abs(k)) if i in base)
+        assert fac.hole_window == tuple(i for i in range(abs(k)) if i not in base)
+
     def test_factor_structure(self):
         m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
         fac = equivalence_factor(m, 6)

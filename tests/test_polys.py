@@ -1,10 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hermitepw.polys as polys
 from hermitepw.painleve import _at_t_over_sqrt3, _log_diff
 from hermitepw.polys import (
     IntPoly,
@@ -18,6 +20,26 @@ from hermitepw.polys import (
 from conftest import int_polys, nonzero_polys
 
 X = IntPoly((0, 1))
+
+TOP = 2 ** 1500 - 1
+
+
+@st.composite
+def kronecker_operands(draw):
+    """A raw coefficient tuple as _mul_kronecker sees it, up to 1500 bits:
+    mixed signs or bound-tight (every coefficient +-max), with a run of
+    zeros inside and zeros at either end.  0 bits gives an all-zero factor."""
+    top = 2 ** draw(st.integers(min_value=0, max_value=1500)) - 1
+    n = draw(st.integers(min_value=1, max_value=40))
+    if draw(st.booleans()):
+        body = draw(st.lists(st.sampled_from((-top, top)), min_size=n, max_size=n))
+    else:
+        coeff = st.integers(min_value=-top, max_value=top)
+        body = draw(st.lists(coeff, min_size=n, max_size=n))
+    zeros = st.integers(min_value=0, max_value=8).map(lambda z: [0] * z)
+    at = draw(st.integers(min_value=0, max_value=n))
+    body[at:at] = draw(zeros)
+    return tuple(draw(zeros) + body + draw(zeros))
 
 
 class TestIntPoly:
@@ -67,11 +89,37 @@ class TestIntPoly:
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
 
-    @given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=30),
-           st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=30))
+    @given(kronecker_operands(), kronecker_operands())
+    @example((0, 0, 0), (TOP, -TOP, TOP))               # all-zero factor
+    @example((-7,), (5,))                               # single coefficients
+    @example((3,), (0, 0, -TOP, 0, 0, 0, TOP, 0))       # zero runs at both ends
+    @example((TOP,) * 30, (TOP,) * 30)                  # product hits the bound
+    @example((-TOP,) * 30, (TOP,) * 25)
+    @settings(max_examples=150, deadline=None)
     def test_kronecker_matches_schoolbook(self, a, b):
-        a, b = tuple(a), tuple(b)
         assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+
+    def test_kronecker_carry_check(self, monkeypatch):
+        # one byte short: the inputs still pack, but the product overflows
+        word_bytes = polys._word_bytes
+        monkeypatch.setattr(polys, "_word_bytes", lambda bound: word_bytes(bound) - 1)
+        top = 2 ** 20 - 1
+        # the carry check itself, not a bare OverflowError from to_bytes
+        with pytest.raises(ArithmeticError, match="carry"):
+            _mul_kronecker((top,) * 3, (top,) * 3)
+
+    @pytest.mark.parametrize("la, lb, path", [(24, 25, "_mul_schoolbook"),
+                                              (25, 25, "_mul_kronecker")])
+    def test_mul_either_side_of_cutoff(self, monkeypatch, la, lb, path):
+        assert (la * lb > polys._KRONECKER_CUTOFF) == (path == "_mul_kronecker")
+        rng = random.Random(la * lb)
+        a = IntPoly([rng.randint(-2 ** 300, 2 ** 300) for _ in range(la - 1)] + [1])
+        b = IntPoly([rng.randint(-2 ** 300, 2 ** 300) for _ in range(lb - 1)] + [-1])
+        calls = []
+        real = getattr(polys, path)
+        monkeypatch.setattr(polys, path, lambda x, y: calls.append(path) or real(x, y))
+        assert (a * b).coeffs == tuple(_mul_schoolbook(a.coeffs, b.coeffs))
+        assert calls == [path]
 
     @given(int_polys, nonzero_polys)
     def test_divmod_round_trip(self, q, b):

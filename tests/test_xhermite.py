@@ -2,6 +2,7 @@ import pytest
 
 from hermitepw.determinant import det, det_bareiss
 from hermitepw.hermite import (
+    _minimal_determinant,
     conj_hermite_poly,
     hermite_poly,
     hermite_wronskian,
@@ -137,6 +138,18 @@ class TestMinOrderForm:
         assert form.order == 1 and form.origin == 6
         assert form.poly == conj_hermite_poly(2)
         assert form.scalar == 2 ** 12 * 720
+
+    def test_shares_memo_with_exceptional_hermite(self):
+        # for (2,1) the min_order_form origin is often not the one
+        # pseudo_wronskian reduces to, yet both reach the same minimal diagram
+        lam = Partition((2, 1))
+        fam = XHermiteFamily(lam)
+        high = next(n for n in range(304, 320) if fam.is_admissible(n))
+        for n in (6, high):
+            exceptional_hermite(lam, n)
+            misses = _minimal_determinant.cache_info().misses
+            min_order_form(lam, n)
+            assert _minimal_determinant.cache_info().misses == misses, n
 
     def test_json(self):
         blob = min_order_form(Partition((2, 2, 1, 1)), 8).to_json()
