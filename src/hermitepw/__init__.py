@@ -16,7 +16,6 @@ from .hermite import (
 from .maya import BentPoint, MayaDiagram, Partition, rim
 from .minorder import (
     durfee_symbol,
-    girth,
     inside_corners,
     min_order_after_insert,
     minimal_girth,
@@ -49,7 +48,7 @@ __all__ = [
     "BentPoint", "IntPoly", "MayaDiagram", "Partition", "RatFunc",
     "XHermiteFamily", "conj_hermite_poly", "count_real_roots", "det",
     "det_bareiss", "det_cofactor", "durfee_symbol", "eigen_check",
-    "equivalence_factor", "exceptional_hermite", "gh_maya", "girth",
+    "equivalence_factor", "exceptional_hermite", "gh_maya",
     "hermite_poly", "hermite_wronskian", "inside_corners",
     "min_order_after_insert", "min_order_form", "min_order_gh",
     "min_order_o", "minimal_girth", "o_maya", "piv_catalog",

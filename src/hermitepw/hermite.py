@@ -23,12 +23,15 @@ i.e. H_M = ratio * H_{M-k} with ratio = prod(eps) / prod(gamma).  The
 one-step constants are the classical Wronskian reduction factors.
 
 ``pseudo_wronskian`` uses the identity as its evaluation path: it takes
-the determinant at the smallest minimal-girth origin of M (memoised per
-minimal diagram, so one entry serves every shift of it) and rescales it
-exactly.  The checks ``verify_equivalence``,
-``one_step_shift_check`` and ``conjugate_wronskian_identity`` compute
-the defining determinants at their own orders instead, so the identity
-is always tested against determinants it did not produce.
+the determinant at the smallest origin found by
+``minorder.minimal_girth_of_diagram`` (memoised per minimal diagram, so
+one entry serves every shift of it) and rescales it exactly.
+``min_order_at`` checks a claimed minimal origin against the same search
+and returns the shifted diagram, the ratio and its polynomial.  The
+checks ``verify_equivalence``, ``one_step_shift_check`` and
+``conjugate_wronskian_identity`` compute the defining determinants at
+their own orders instead, so the identity is always tested against
+determinants it did not produce.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from fractions import Fraction
 
 from .determinant import det
 from .maya import MayaDiagram, Partition
+from .minorder import minimal_girth_of_diagram
 from .polys import IntPoly
 
 __all__ = [
@@ -52,6 +56,7 @@ __all__ = [
     "hermite_wronskian",
     "pseudo_wronskian_matrix",
     "pseudo_wronskian",
+    "min_order_at",
     "pure_conjugate_wronskian",
     "EquivalenceFactor",
     "equivalence_factor",
@@ -164,17 +169,6 @@ def _direct_pseudo_wronskian(m: MayaDiagram) -> IntPoly:
 _minimal_determinant = functools.lru_cache(maxsize=256)(_direct_pseudo_wronskian)
 
 
-def _minimal_origin(m: MayaDiagram) -> int:
-    """The smallest minimal-girth origin of m.  The origins of M - j are
-    those of M less j, so every shift of M reaches the same minimal
-    diagram and the memo keeps one entry per partition.  The walk falls
-    before min_hole and rises past max_element, so the minimum lies
-    between them."""
-    lo, hi = m.min_hole(), m.max_element() + 1
-    walk = m.girth_walk(lo, hi)
-    return lo + walk.index(min(walk))
-
-
 def pseudo_wronskian(m: MayaDiagram) -> IntPoly:
     """The exact pseudo-Wronskian polynomial of a labelled diagram.
 
@@ -183,7 +177,9 @@ def pseudo_wronskian(m: MayaDiagram) -> IntPoly:
     ``equivalence_factor``.  The empty diagram gives 1 (empty
     determinant).  Degree equals the size of the underlying partition.
     """
-    k = _minimal_origin(m)
+    # the smallest origin: those of M - j are those of M less j, so every
+    # shift of M reaches the same minimal diagram and memo entry
+    k = minimal_girth_of_diagram(m)[1][0]
     h = _minimal_determinant(m.shift(-k))
     if k == 0:
         return h
@@ -196,6 +192,18 @@ def pseudo_wronskian(m: MayaDiagram) -> IntPoly:
                                   f"is not integral")
         coeffs.append(q)
     return IntPoly(coeffs)
+
+
+def min_order_at(m: MayaDiagram, origin: int, order: int):
+    """(M - origin, ratio, H_{M-origin}) with H_M = ratio * H_{M-origin},
+    for a claimed minimal-girth ``origin`` of M at girth ``order``.  A
+    claim the minimal-girth search does not confirm raises."""
+    r, origins = minimal_girth_of_diagram(m)
+    if r != order or origin not in origins:
+        raise ArithmeticError(f"{m}: minimal girth {r} at origins {origins}, "
+                              f"not {order} at {origin}")
+    small = m.shift(-origin)
+    return small, equivalence_factor(m, origin).ratio, pseudo_wronskian(small)
 
 
 def pure_conjugate_wronskian(m: MayaDiagram) -> IntPoly:

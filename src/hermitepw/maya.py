@@ -151,9 +151,9 @@ class MayaDiagram:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_sets(cls, filled_nonneg, holes_below=()):
-        return cls(tuple(sorted(holes_below, reverse=True)),
-                   tuple(sorted(filled_nonneg, reverse=True)))
+    def from_sets(cls, filled_nonneg):
+        """No holes below the origin; filled at the given positions >= 0."""
+        return cls((), tuple(sorted(filled_nonneg, reverse=True)))
 
     @classmethod
     def from_partition(cls, p: Partition):
@@ -302,9 +302,6 @@ class MayaDiagram:
         return Partition(tuple(parts))
 
     # -- formatting --------------------------------------------------------
-
-    def frobenius(self):
-        return (self.s, self.t)
 
     def __str__(self):
         left = ",".join(str(v) for v in self.s)

@@ -6,9 +6,13 @@ g(k) = girth(M - k) = i_k + j_k in bent-diagram coordinates, rising by 1
 through holes and falling by 1 through filled boxes.  Valleys of the walk
 (k-1 filled, k empty) are the inside corners of the Ferrers diagram plus
 the two degenerate corners, and every minimal-girth origin is a valley.
-The walk itself is ``MayaDiagram.girth_walk``, one pass over a window;
-``hermite.pseudo_wronskian`` uses it too, to find the minimal order it
-evaluates at.
+Below min(Z \\ M) the walk only falls and past max(M) it only rises, so
+every valley lies in [min_hole, max_element + 1].
+
+``minimal_girth_of_diagram`` is the one minimal-girth search: a single
+``MayaDiagram.girth_walk`` over that window.  ``hermite.pseudo_wronskian``
+evaluates at its smallest origin, and ``hermite.min_order_at`` checks a
+claimed origin against it.
 
 Two views of the level sets are needed:
 
@@ -30,9 +34,6 @@ from typing import Optional
 from .maya import MayaDiagram, Partition
 
 __all__ = [
-    "girth",
-    "girth_of_shift",
-    "walk_window",
     "girth_level_set",
     "valleys_at_level",
     "corner_label",
@@ -49,38 +50,17 @@ __all__ = [
 ]
 
 
-def girth(m: MayaDiagram) -> int:
-    return m.girth
-
-
-def girth_of_shift(m: MayaDiagram, k: int) -> int:
-    """girth(M - k) = i_k + j_k, the bent-diagram coordinates of M at k."""
-    return m.girth_walk(k, k)[0]
-
-
-def walk_window(m: MayaDiagram, slack: int = 0):
-    """Window [lo, hi] outside which the girth walk is strictly monotone.
-
-    All valleys lie in [min_hole, max_element + 1]; widening by ``slack``
-    captures every k with g(k) <= min girth + slack.
-    """
-    lo = m.min_hole() - slack - 1
-    hi = m.max_element() + 1 + slack + 1
-    return lo, hi
-
-
-def _walk(m: MayaDiagram, slack):
-    lo, hi = walk_window(m, slack)
-    return lo, hi, dict(zip(range(lo, hi + 1), m.girth_walk(lo, hi)))
-
-
 def girth_level_set(m: MayaDiagram, r: int):
-    """All k with girth(M - k) = r, ascending."""
-    rmin = minimal_girth_of_diagram(m)[0]
-    if r < rmin:
-        return []
-    lo, hi, g = _walk(m, r - rmin + 1)
-    return [k for k in range(lo, hi + 1) if g[k] == r]
+    """All k with girth(M - k) = r, ascending.
+
+    Outside [min_hole, max_element + 1] the walk moves away from its
+    minimum by 1 per step, so that window widened by r on each side holds
+    every point of level r.
+    """
+    w = max(r, 0)
+    lo = m.min_hole() - w
+    walk = m.girth_walk(lo, m.max_element() + 1 + w)
+    return [k for k, g in enumerate(walk, lo) if g == r]
 
 
 def valleys_at_level(m: MayaDiagram, r: int):
@@ -96,9 +76,10 @@ def corner_label(m: MayaDiagram, r: int) -> Optional[int]:
 
 def minimal_girth_of_diagram(m: MayaDiagram):
     """(minimal girth, ascending list of all minimal-girth origins)."""
-    lo, hi, g = _walk(m, 0)
-    r = min(g.values())
-    return r, [k for k in range(lo, hi + 1) if g[k] == r]
+    lo = m.min_hole()
+    walk = m.girth_walk(lo, m.max_element() + 1)
+    r = min(walk)
+    return r, [k for k, g in enumerate(walk, lo) if g == r]
 
 
 @dataclass(frozen=True)
@@ -126,10 +107,10 @@ def minimal_girth(lam: Partition) -> CornerReport:
     if r != formula:
         raise ArithmeticError(f"minimal girth {r} of {lam} disagrees with the "
                               f"corner-distance formula {formula}")
-    # corner inventory: every valley of the walk
-    lo, hi, g = _walk(m, 0)
-    corners = tuple((k, g[k]) for k in range(lo + 1, hi + 1)
-                    if (k - 1) in m and k not in m)
+    # corner inventory: every valley of the walk, all inside its window
+    lo = m.min_hole()
+    walk = m.girth_walk(lo, m.max_element() + 1)
+    corners = tuple((k, g) for k, g in enumerate(walk, lo) if (k - 1) in m and k not in m)
     return CornerReport(r, tuple(origins), corners)
 
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .hermite import equivalence_factor, pseudo_wronskian
+from .hermite import min_order_at, pseudo_wronskian
 from .maya import MayaDiagram
-from .minorder import minimal_girth_of_diagram
 from .polys import IntPoly, RatFunc
 
 __all__ = [
@@ -321,15 +320,8 @@ class MinOrderSpec:
 
 
 def _min_order(m: MayaDiagram, order: int, origin: int) -> MinOrderSpec:
-    small = m.shift(-origin)
-    if small.girth != order:
-        raise ArithmeticError(f"{m} shifted by {-origin} has girth {small.girth}, not {order}")
-    r, origins = minimal_girth_of_diagram(m)
-    if r != order or origin not in origins:
-        raise ArithmeticError(f"{m}: minimal girth {r} at origins {origins}, "
-                              f"not {order} at {origin}")
-    constant = equivalence_factor(m, origin).ratio
-    return MinOrderSpec(order, origin, small, pseudo_wronskian(small), constant)
+    small, constant, poly = min_order_at(m, origin, order)
+    return MinOrderSpec(order, origin, small, poly, constant)
 
 
 def min_order_gh(m: int, ell: int) -> MinOrderSpec:

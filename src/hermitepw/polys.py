@@ -14,7 +14,6 @@ bound ``max|a| * max|b| * min(len a, len b)`` and the inputs themselves.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -98,12 +97,6 @@ class IntPoly:
     def const(cls, c):
         return cls((int(c),))
 
-    @classmethod
-    def monomial(cls, degree, c=1):
-        if c == 0:
-            return cls()
-        return cls((0,) * degree + (int(c),))
-
     # -- basic structure ----------------------------------------------
 
     @property
@@ -183,12 +176,6 @@ class IntPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return out
-
-    def shift_degree(self, k):
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
 
     def derivative(self, order=1):
         c = self.coeffs
@@ -302,9 +289,6 @@ class IntPoly:
     @classmethod
     def from_json(cls, obj):
         return cls(int(c) for c in obj["coeffs"])
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _pseudo_rem(a, b):

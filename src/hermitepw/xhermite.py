@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hermite import equivalence_factor, pseudo_wronskian
+from .hermite import min_order_at, pseudo_wronskian
 from .maya import MayaDiagram, Partition
 from .minorder import xhermite_min_origin
 from .polys import IntPoly, RatFunc, count_real_roots
@@ -38,6 +38,8 @@ __all__ = [
     "family_eigen_constant",
     "MinOrderForm",
     "min_order_form",
+    "NORM_TOLERANCE",
+    "NORM_DPS",
     "NormReport",
     "weight_and_norm_check",
 ]
@@ -158,10 +160,10 @@ def eigen_check(lam: Partition, n: int) -> EigenReport:
     return EigenReport(n, c, n + c / 2, residual_rf.num)
 
 
-def family_eigen_constant(lam: Partition, count: int = 4) -> Fraction:
-    """The common N across the first ``count`` admissible degrees (exact fit)."""
+def family_eigen_constant(lam: Partition) -> Fraction:
+    """The common N across the first four admissible degrees (exact fit)."""
     fam = XHermiteFamily(lam)
-    values = {eigen_check(lam, n).shifted_index for n in fam.admissible_degrees(count)}
+    values = {eigen_check(lam, n).shifted_index for n in fam.admissible_degrees(4)}
     if len(values) != 1:
         raise ArithmeticError(f"eigenvalues of {lam} do not fit 2(N - n): {values}")
     return values.pop()
@@ -191,13 +193,8 @@ def min_order_form(lam: Partition, n: int) -> MinOrderForm:
         raise ValueError(f"degree {n} is not admissible for {lam}")
     order, origin = xhermite_min_origin(lam, n)
     enlarged = fam.diagram.add(fam.insertion_position(n))
-    small = enlarged.shift(-origin)
-    if small.girth != order:
-        raise ArithmeticError(f"P_{n} of {lam} at origin {origin} has girth "
-                              f"{small.girth}, not {order}")
-    sign = insertion_sign(lam, n)
-    scalar = sign * equivalence_factor(enlarged, origin).ratio
-    return MinOrderForm(n, origin, small, order, scalar, pseudo_wronskian(small))
+    small, ratio, poly = min_order_at(enlarged, origin, order)
+    return MinOrderForm(n, origin, small, order, insertion_sign(lam, n) * ratio, poly)
 
 
 @dataclass(frozen=True)
@@ -215,34 +212,39 @@ class NormReport:
                 "ok": self.ok}
 
 
-def _tail_cutoff(total_degree, dps):
+# The one numerical check passes when its relative error is at most
+# NORM_TOLERANCE at NORM_DPS digits of working precision.
+NORM_TOLERANCE = 1e-10
+NORM_DPS = 50
+
+
+def _tail_cutoff(total_degree):
     """Smallest integer L with x^d * exp(-x^2) below the target at |x| >= L."""
-    target = -(dps * math.log(10) + 30)
+    target = -(NORM_DPS * math.log(10) + 30)
     L = 10
     while total_degree * math.log(L) - L * L > target:
         L += 1
     return L
 
 
-@functools.lru_cache(maxsize=4)
-def _mp_context(dps):
-    """A private mpmath context at ``dps`` digits, never changed after it is
-    made: the global ``mpmath.mp`` precision stays untouched, concurrent
-    callers cannot race on precision, and calls at one precision share its
-    cached quadrature nodes."""
+@functools.cache
+def _mp_context():
+    """A private mpmath context at NORM_DPS digits, never changed after it
+    is made: the global ``mpmath.mp`` precision stays untouched, concurrent
+    callers cannot race on precision, and every call shares its cached
+    quadrature nodes."""
     import mpmath
 
     mp = mpmath.MPContext()
-    mp.dps = dps
+    mp.dps = NORM_DPS
     return mp
 
 
-def weight_and_norm_check(lam: Partition, n: int, m: int,
-                          tolerance: float = 1e-10, dps: int = 50) -> NormReport:
+def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     """Numerical orthogonality check for an even partition.
 
     Integrates P_n P_m e^(-x^2)/W^2 over the real line with tanh-sinh
-    quadrature at ``dps`` digits and compares against
+    quadrature at NORM_DPS digits and compares against
     delta_{nm} sqrt(pi) 2^(j+ell) j! prod_i (j - m_i), j = n + ell - N,
     with N the family eigenvalue index.  The weight denominator W must
     have no real zeros; for even partitions it never does (checked
@@ -258,8 +260,8 @@ def weight_and_norm_check(lam: Partition, n: int, m: int,
     pm = pn if m == n else exceptional_hermite(lam, m)
     big_n = family_eigen_constant(lam)
 
-    mp = _mp_context(dps)
-    L = _tail_cutoff(n + m + 2 * max(w.degree, 1), dps)
+    mp = _mp_context()
+    L = _tail_cutoff(n + m + 2 * max(w.degree, 1))
     f = lambda x: (pn.eval_mpf(x, mp) * pm.eval_mpf(x, mp)
                    * mp.exp(-x * x) / w.eval_mpf(x, mp) ** 2)
     integral = mp.quad(f, [-L, 0, L])
@@ -273,7 +275,7 @@ def weight_and_norm_check(lam: Partition, n: int, m: int,
         for t in fam.diagram.t:
             expected *= j - t
         rel = abs(integral - expected) / abs(expected)
-        ok = rel <= tolerance
+        ok = rel <= NORM_TOLERANCE
     else:
         expected = mp.mpf(0)
         # scale of the diagonal norms at n, used as the relative yardstick
@@ -282,6 +284,6 @@ def weight_and_norm_check(lam: Partition, n: int, m: int,
         for t in fam.diagram.t:
             scale *= abs(j - t)
         rel = float(abs(integral) / scale)
-        ok = rel <= tolerance
+        ok = rel <= NORM_TOLERANCE
     return NormReport(n, m, mp.nstr(integral, 20), mp.nstr(expected, 20),
                       float(rel), bool(ok))

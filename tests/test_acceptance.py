@@ -26,7 +26,6 @@ from hermitepw.minorder import (
     min_order_after_insert,
     minimal_girth,
     minimal_girth_of_diagram,
-    walk_window,
 )
 from hermitepw.painleve import (
     min_order_gh,
@@ -36,8 +35,8 @@ from hermitepw.painleve import (
     piv_solution_o,
     verify_piv,
 )
-from hermitepw.xhermite import XHermiteFamily, eigen_check, exceptional_hermite, \
-    weight_and_norm_check
+from hermitepw.xhermite import NORM_DPS, NORM_TOLERANCE, XHermiteFamily, eigen_check, \
+    exceptional_hermite, weight_and_norm_check
 
 from conftest import random_diagram, random_partition
 
@@ -189,7 +188,7 @@ def test_criterion_7b_minimal_girth_exhaustive():
     t0 = time.perf_counter()
     for lam in all_partitions_up_to(12):
         m = MayaDiagram.from_partition(lam)
-        lo, hi = walk_window(m, 0)
+        lo, hi = m.min_hole() - 1, m.max_element() + 2
         vals = {k: m.shift(-k).girth for k in range(lo, hi + 1)}
         r = min(vals.values())
         origins = [k for k in range(lo, hi + 1) if vals[k] == r]
@@ -261,14 +260,16 @@ def test_criterion_7_total_budget():
 
 
 def test_criterion_8_orthogonality_quadrature():
+    # the tolerance and the working precision are pinned here
+    assert (NORM_TOLERANCE, NORM_DPS) == (1e-10, 50)
     t0 = time.perf_counter()
     for lam in (Partition((1, 1)), Partition((2, 2))):
         fam = XHermiteFamily(lam)
         degs = fam.admissible_degrees(4)
         for n in degs:
-            rep = weight_and_norm_check(lam, n, n, tolerance=1e-10, dps=50)
+            rep = weight_and_norm_check(lam, n, n)
             assert rep.ok, (lam, n, rep)
-        off = weight_and_norm_check(lam, degs[0], degs[2], tolerance=1e-10, dps=50)
+        off = weight_and_norm_check(lam, degs[0], degs[2])
         assert off.ok, (lam, off)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, elapsed

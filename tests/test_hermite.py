@@ -11,7 +11,6 @@ from hermitepw.hermite import (
     EquivalenceFactor,
     HermiteCache,
     _minimal_determinant,
-    _minimal_origin,
     conj_hermite_poly,
     conjugate_wronskian_identity,
     equivalence_factor,
@@ -143,10 +142,11 @@ class TestPseudoWronskian:
         # the smallest minimal-girth origin, even when m is already minimal,
         # so every shift of m reaches the same minimal diagram
         r, origins = minimal_girth_of_diagram(m)
-        k = _minimal_origin(m)
-        assert k == origins[0]
+        k = origins[0]
         assert m.shift(-k).girth == r
-        assert m.shift(j).shift(-_minimal_origin(m.shift(j))) == m.shift(-k)
+        assert all(m.shift(-i).girth > r for i in range(m.min_hole() - 1, k))
+        k_j = minimal_girth_of_diagram(m.shift(j))[1][0]
+        assert m.shift(j).shift(-k_j) == m.shift(-k)
 
     def test_memo_keyed_by_minimal_diagram(self):
         m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
@@ -155,6 +155,15 @@ class TestPseudoWronskian:
         pseudo_wronskian(m.shift(-6))   # the minimal form of m
         info = _minimal_determinant.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_memo_key_is_smallest_origin(self):
+        # (4,4,3,1,1) is minimal at origins 3 and 9; the memo holds the
+        # form at the smaller one
+        m = MayaDiagram.from_partition(Partition((4, 4, 3, 1, 1)))
+        _minimal_determinant.cache_clear()
+        pseudo_wronskian(m.shift(5))
+        _minimal_determinant(m.shift(-3))
+        assert _minimal_determinant.cache_info().hits == 1
 
     def test_inexact_rescale_raises(self, monkeypatch):
         import hermitepw.hermite as hermite

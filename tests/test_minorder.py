@@ -1,26 +1,26 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
 from hermitepw.minorder import (
     corner_label,
     durfee_symbol,
-    girth,
     girth_level_set,
-    girth_of_shift,
     inside_corners,
     min_order_after_insert,
     minimal_girth,
     minimal_girth_of_diagram,
     valleys_at_level,
-    walk_window,
     xhermite_min_origin,
 )
 
-from conftest import random_diagram, random_partition
+from conftest import diagrams, random_diagram, random_partition
 
 
 def brute_minimum(m):
-    lo, hi = walk_window(m, 0)
+    # one step wider than the library's search on each side
+    lo, hi = m.min_hole() - 1, m.max_element() + 2
     vals = {k: m.shift(-k).girth for k in range(lo, hi + 1)}
     r = min(vals.values())
     return r, [k for k in range(lo, hi + 1) if vals[k] == r]
@@ -28,15 +28,14 @@ def brute_minimum(m):
 
 class TestGirth:
     def test_examples(self):
-        assert girth(MayaDiagram.parse("5,2,1|2,1")) == 5
-        assert girth(MayaDiagram.parse("|")) == 0
-        assert girth(MayaDiagram.parse("5,2|")) == 2
+        assert MayaDiagram.parse("5,2,1|2,1").girth == 5
+        assert MayaDiagram.parse("|").girth == 0
+        assert MayaDiagram.parse("5,2|").girth == 2
 
     def test_walk_matches_shifted_girth(self, rng):
         for _ in range(50):
             m = random_diagram(rng, max_girth=5, max_val=9)
-            for k in range(-6, 7):
-                assert girth_of_shift(m, k) == m.shift(-k).girth
+            assert m.girth_walk(-6, 6) == [m.shift(-k).girth for k in range(-6, 7)]
 
 
 class TestMinimalGirth:
@@ -87,6 +86,20 @@ class TestLevelSets:
     def test_empty_level(self):
         m = MayaDiagram.parse("|")
         assert corner_label(m, 1) is None
+
+    @given(diagrams, st.integers(min_value=-6, max_value=6),
+           st.integers(min_value=0, max_value=13))
+    @example(MayaDiagram(), 0, 0)
+    @example(MayaDiagram(), 0, 5)
+    @example(MayaDiagram((), (7, 4, 2, 1)), 3, 1)     # below the minimum
+    @example(MayaDiagram((9, 4), (8, 1)), -5, 13)
+    @settings(max_examples=300, deadline=None)
+    def test_level_set_matches_brute_force(self, m, j, r):
+        # every level, below the minimum too, on shifted diagrams; the
+        # brute-force window is far wider than the library's
+        m = m.shift(j)
+        ks = range(m.min_hole() - 30, m.max_element() + 31)
+        assert girth_level_set(m, r) == [k for k in ks if m.shift(-k).girth == r]
 
 
 class TestInsideCorners:

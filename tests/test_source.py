@@ -1,17 +1,31 @@
 import ast
+import importlib
 from pathlib import Path
 
 import hermitepw
 
 SRC = Path(hermitepw.__file__).parent
 
+# Each module may import only from modules of an earlier layer.
+LAYERS = (
+    {"maya", "polys"},
+    {"minorder", "determinant"},
+    {"hermite"},
+    {"xhermite", "painleve"},
+    {"cli"},
+)
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
 
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, so a check that guards a result
     # must raise a real exception instead
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _modules():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert not found, found
@@ -24,3 +38,33 @@ def _raises_assertion_error(node):
         return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def _layer(name):
+    return next(i for i, layer in enumerate(LAYERS) if name in layer)
+
+
+def test_layer_order():
+    # the package __init__ re-exports every layer, so it is exempt
+    bad = []
+    for path, tree in _modules():
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            # "from .x import y" names x; "from . import x, y" names x and y
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            bad += [f"{path.stem} imports {t}" for t in targets
+                    if _layer(t) >= _layer(path.stem)]
+    assert not bad, bad
+
+
+def test_every_exported_name_resolves():
+    missing = []
+    for path, _ in _modules():
+        name = "hermitepw" if path.stem == "__init__" else f"hermitepw.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
+                    if not hasattr(module, n)]
+    assert not missing, missing

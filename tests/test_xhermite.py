@@ -151,6 +151,15 @@ class TestMinOrderForm:
             min_order_form(lam, n)
             assert _minimal_determinant.cache_info().misses == misses, n
 
+    def test_rejects_non_minimal_origin(self, monkeypatch):
+        # P_8 of (2,2,1,1) has minimal order 2 at origin 7; origin -3 has
+        # girth 8, so a claim of (8, -3) is consistent but not minimal
+        import hermitepw.xhermite as xhermite
+
+        monkeypatch.setattr(xhermite, "xhermite_min_origin", lambda lam, n: (8, -3))
+        with pytest.raises(ArithmeticError, match="minimal girth 2"):
+            min_order_form(Partition((2, 2, 1, 1)), 8)
+
     def test_json(self):
         blob = min_order_form(Partition((2, 2, 1, 1)), 8).to_json()
         assert blob["order"] == 2 and blob["origin"] == 7
