@@ -2,7 +2,7 @@
 shift-equivalence constants, minimal-order determinants, exceptional
 Hermite families, and rational Painleve IV solutions."""
 
-from .determinant import det, det_bareiss, det_cofactor
+from .determinant import det
 from .hermite import (
     conj_hermite_poly,
     equivalence_factor,
@@ -47,11 +47,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BentPoint", "IntPoly", "MayaDiagram", "Partition", "RatFunc",
     "XHermiteFamily", "conj_hermite_poly", "count_real_roots", "det",
-    "det_bareiss", "det_cofactor", "durfee_symbol", "eigen_check",
-    "equivalence_factor", "exceptional_hermite", "gh_maya",
-    "hermite_poly", "hermite_wronskian", "inside_corners",
-    "min_order_after_insert", "min_order_form", "min_order_gh",
-    "min_order_o", "minimal_girth", "o_maya", "piv_catalog",
+    "durfee_symbol", "eigen_check", "equivalence_factor",
+    "exceptional_hermite", "gh_maya", "hermite_poly", "hermite_wronskian",
+    "inside_corners", "min_order_after_insert", "min_order_form",
+    "min_order_gh", "min_order_o", "minimal_girth", "o_maya", "piv_catalog",
     "piv_solution_gh", "piv_solution_o", "poly_gcd", "potential",
     "pseudo_wronskian", "pure_conjugate_wronskian", "rim", "three_cycle",
     "verify_equivalence", "verify_piv", "weight_and_norm_check", "wronskian",

@@ -102,16 +102,18 @@ def minimal_girth(lam: Partition) -> CornerReport:
     corner-distance formula (j = 0..length).
     """
     m = MayaDiagram.from_partition(lam)
-    r, origins = minimal_girth_of_diagram(m)
+    # the search window holds every valley, so one walk gives r, its
+    # origins and the corners
+    lo = m.min_hole()
+    walk = m.girth_walk(lo, m.max_element() + 1)
+    r = min(walk)
     formula = min(lam.part(j + 1) + j for j in range(lam.length + 1))
     if r != formula:
         raise ArithmeticError(f"minimal girth {r} of {lam} disagrees with the "
                               f"corner-distance formula {formula}")
-    # corner inventory: every valley of the walk, all inside its window
-    lo = m.min_hole()
-    walk = m.girth_walk(lo, m.max_element() + 1)
+    origins = tuple(k for k, g in enumerate(walk, lo) if g == r)
     corners = tuple((k, g) for k, g in enumerate(walk, lo) if (k - 1) in m and k not in m)
-    return CornerReport(r, tuple(origins), corners)
+    return CornerReport(r, origins, corners)
 
 
 @dataclass(frozen=True)

@@ -111,13 +111,8 @@ def insertion_sign(lam: Partition, n: int) -> int:
     return (-1) ** sum(1 for t in fam.diagram.t if t > pos)
 
 
-def apply_T_lambda(lam: Partition, y: IntPoly) -> RatFunc:
-    """Second-order operator of the family applied to a polynomial:
-
-    T[y] = y'' - 2(x + W'/W) y' + (W''/W + 2x W'/W) y,   W = H_M.
-
-    Assembled over the single denominator W.
-    """
+def _t_numerator(lam: Partition, y: IntPoly):
+    """(num, W) with T[y] = num / W and W = H_M."""
     w = pseudo_wronskian(MayaDiagram.from_partition(lam))
     if w.is_zero():
         raise ZeroDivisionError("vanishing weight Wronskian")
@@ -125,7 +120,17 @@ def apply_T_lambda(lam: Partition, y: IntPoly) -> RatFunc:
     yp = y.derivative()
     wp = w.derivative()
     num = (y.derivative(2) - 2 * x * yp) * w - 2 * wp * yp + (wp.derivative() + 2 * x * wp) * y
-    return RatFunc(num, w)
+    return num, w
+
+
+def apply_T_lambda(lam: Partition, y: IntPoly) -> RatFunc:
+    """Second-order operator of the family applied to a polynomial:
+
+    T[y] = y'' - 2(x + W'/W) y' + (W''/W + 2x W'/W) y,   W = H_M.
+
+    Assembled over the single denominator W.
+    """
+    return RatFunc(*_t_numerator(lam, y))
 
 
 @dataclass(frozen=True)
@@ -149,15 +154,15 @@ def eigen_check(lam: Partition, n: int) -> EigenReport:
     non-constant ratio is a construction bug and raises.
     """
     y = exceptional_hermite(lam, n)
-    image = apply_T_lambda(lam, y)
-    ratio = image / RatFunc(y)
-    if not ratio.is_constant():
-        raise ArithmeticError(f"T[P_{n}] is not proportional to P_{n} for {lam}")
-    c = ratio.as_fraction()
-    residual_rf = image - c * RatFunc(y)
-    if not residual_rf.is_zero():
-        raise ArithmeticError(f"T[P_{n}] - {c} P_{n} is nonzero for {lam}")
-    return EigenReport(n, c, n + c / 2, residual_rf.num)
+    num, w = _t_numerator(lam, y)
+    yw = y * w
+    # T[y] = c y holds exactly when num = c y W in Z[x]; the leading
+    # coefficients fix c.
+    c = Fraction(num.leading, yw.leading)
+    residual = c.denominator * num - c.numerator * yw
+    if not residual.is_zero():
+        raise ArithmeticError(f"T[P_{n}] is not {c} P_{n} for {lam}")
+    return EigenReport(n, c, n + c / 2, residual)
 
 
 def family_eigen_constant(lam: Partition) -> Fraction:
@@ -248,7 +253,9 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     delta_{nm} sqrt(pi) 2^(j+ell) j! prod_i (j - m_i), j = n + ell - N,
     with N the family eigenvalue index.  The weight denominator W must
     have no real zeros; for even partitions it never does (checked
-    exactly by Sturm root counting before any numerics).
+    exactly by Sturm root counting before any numerics).  When n and m
+    have opposite parity the integrand is odd, so the integral is an
+    exact zero and no quadrature runs.
     """
     if not lam.is_even():
         raise ValueError(f"partition {lam} is not even")
@@ -258,6 +265,8 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
         raise ArithmeticError(f"weight denominator has a real zero for {lam}")
     pn = exceptional_hermite(lam, n)
     pm = pn if m == n else exceptional_hermite(lam, m)
+    if pn.parity() != pm.parity():
+        return NormReport(n, m, "0.0", "0.0", 0.0, True)
     big_n = family_eigen_constant(lam)
 
     mp = _mp_context()
@@ -269,21 +278,15 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     if j.denominator != 1:
         raise ArithmeticError(f"norm index j = {j} of {lam} is not an integer")
     j = int(j)
+    # diagonal norm at n; off the diagonal it is the relative yardstick
+    norm = mp.sqrt(mp.pi) * mp.mpf(2) ** (j + fam.ell) * mp.factorial(j)
+    for t in fam.diagram.t:
+        norm *= j - t
     if n == m:
-        expected = mp.sqrt(mp.pi) * mp.mpf(2) ** (j + fam.ell)
-        expected *= mp.factorial(j)
-        for t in fam.diagram.t:
-            expected *= j - t
+        expected = norm
         rel = abs(integral - expected) / abs(expected)
-        ok = rel <= NORM_TOLERANCE
     else:
         expected = mp.mpf(0)
-        # scale of the diagonal norms at n, used as the relative yardstick
-        scale = mp.sqrt(mp.pi) * mp.mpf(2) ** (j + fam.ell)
-        scale *= mp.factorial(j)
-        for t in fam.diagram.t:
-            scale *= abs(j - t)
-        rel = float(abs(integral) / scale)
-        ok = rel <= NORM_TOLERANCE
+        rel = abs(integral) / abs(norm)
     return NormReport(n, m, mp.nstr(integral, 20), mp.nstr(expected, 20),
-                      float(rel), bool(ok))
+                      float(rel), bool(rel <= NORM_TOLERANCE))

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from hermitepw.determinant import det, det_bareiss
+from hermitepw.determinant import det
 from hermitepw.hermite import (
     conj_hermite_poly,
     hermite_poly,
@@ -72,7 +72,7 @@ def test_criterion_2_five_box_constants():
     assert girth5 == MayaDiagram.parse("5,2,1|2,1")
     assert girth4 == MayaDiagram.parse("2|5,4,2")
 
-    h_std, h5, h4 = (det_bareiss(pseudo_wronskian_matrix(m)) for m in (std, girth5, girth4))
+    h_std, h5, h4 = (det(pseudo_wronskian_matrix(m)) for m in (std, girth5, girth4))
     # direct determinants: one unlabelled diagram, three proportional forms
     assert h_std == -483840 * h5
     assert h_std == -1935360 * h4
@@ -91,13 +91,13 @@ def test_criterion_2_five_box_constants():
 def test_criterion_3_four_box_constants():
     m1 = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
     assert pseudo_wronskian(m1) == hermite_wronskian([1, 2, 4, 5])
-    assert det_bareiss(pseudo_wronskian_matrix(m1)) == \
+    assert det(pseudo_wronskian_matrix(m1)) == \
         -(2 ** 5) * 24 * pseudo_wronskian(m1.shift(-6))
     assert verify_equivalence(m1, 6).constant == -768
 
     m2 = MayaDiagram.from_partition(Partition((4, 4, 1, 1)))
     assert pseudo_wronskian(m2) == hermite_wronskian([1, 2, 6, 7])
-    assert det_bareiss(pseudo_wronskian_matrix(m2)) == \
+    assert det(pseudo_wronskian_matrix(m2)) == \
         2 ** 5 * 600 * pseudo_wronskian(m2.shift(-3))
     assert verify_equivalence(m2, 3).constant == 19200
     _passed("criterion 3: four-box constants -768 and 19200")

@@ -162,3 +162,18 @@ def test_selftest_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-m", "hermitepw.cli", "selftest"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("script, arg, line, stream", [
+    ("shift_equivalence_demo.py", "4,4,3,1,1",
+     "origin   9  girth 4  (8,5,4,2 | )             H_std = 3360 * H_shifted   [ok]", "stdout"),
+    ("minimal_order_survey.py", "6", "biggest saving: (1,1,1,1,1,1) drops 5 orders", "stdout"),
+    ("piv_catalog_dump.py", "2", "38/38 solutions verified", "stderr"),
+], ids=["shift_equivalence_demo", "minimal_order_survey", "piv_catalog_dump"])
+def test_script_runs(script, arg, line, stream):
+    root = Path(hermitepw.__file__).resolve().parent.parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / script), arg],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert line in getattr(proc, stream).splitlines()

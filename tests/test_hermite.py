@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermitepw.determinant import det, det_bareiss
+from hermitepw.determinant import det
 from hermitepw.hermite import (
     EquivalenceFactor,
     HermiteCache,
@@ -135,7 +135,7 @@ class TestPseudoWronskian:
     def test_matches_direct_bareiss(self, m, k):
         # the minimal-order path against the defining determinant
         m = m.shift(k)
-        assert pseudo_wronskian(m) == det_bareiss(pseudo_wronskian_matrix(m))
+        assert pseudo_wronskian(m) == det(pseudo_wronskian_matrix(m))
 
     @given(diagrams, st.integers(min_value=-6, max_value=6))
     def test_minimal_origin(self, m, j):
@@ -241,7 +241,7 @@ class TestEquivalence:
         # the big-coefficient pure Wronskian sits on the plain side:
         # H_M = ratio * H_{M-k}
         m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
-        assert det_bareiss(pseudo_wronskian_matrix(m)) == -768 * pseudo_wronskian(m.shift(-6))
+        assert det(pseudo_wronskian_matrix(m)) == -768 * pseudo_wronskian(m.shift(-6))
 
     def test_k_zero_and_negative(self):
         m = MayaDiagram.parse("5,2,1|2,1")
@@ -281,7 +281,7 @@ class TestEquivalence:
             std, k = m.standardize()
             assert std.s == ()
             r = equivalence_factor(m, k).ratio
-            lhs = det_bareiss(pseudo_wronskian_matrix(m)) * r.denominator
+            lhs = det(pseudo_wronskian_matrix(m)) * r.denominator
             rhs = r.numerator * pseudo_wronskian(std)
             assert lhs == rhs, (m, k)
             assert pseudo_wronskian(std) == hermite_wronskian(sorted(std.t))

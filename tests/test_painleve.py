@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermitepw.determinant import det_bareiss
+from hermitepw.determinant import det
 from hermitepw.hermite import pseudo_wronskian, pseudo_wronskian_matrix
 from hermitepw.maya import MayaDiagram
 from hermitepw.minorder import minimal_girth_of_diagram
@@ -230,7 +230,7 @@ class TestMinOrder:
         spec = min_order_gh(2, 4)
         assert spec.order == 2 and spec.origin == 6
         assert spec.poly == -32 * IntPoly((45, 0, 0, 0, 120, 0, 64, 0, 16))
-        full = det_bareiss(pseudo_wronskian_matrix(gh_maya(2, 4)))
+        full = det(pseudo_wronskian_matrix(gh_maya(2, 4)))
         assert full * spec.constant.denominator == spec.constant.numerator * spec.poly
 
     def test_gh_other_members(self):
@@ -266,7 +266,7 @@ class TestMinOrder:
         spec = min_order_o(3, 5)
         assert spec.order == 5 and spec.origin == 9
         assert spec.constant == -54281409739125424128000
-        full = det_bareiss(pseudo_wronskian_matrix(o_maya(3, 5)))
+        full = det(pseudo_wronskian_matrix(o_maya(3, 5)))
         assert full == spec.constant.numerator * spec.poly
 
     def test_constants_reproduce_full_polynomial(self):
@@ -274,7 +274,7 @@ class TestMinOrder:
             for p2 in range(1, 6):
                 for maker, diagram in ((min_order_gh, gh_maya), (min_order_o, o_maya)):
                     spec = maker(p1, p2)
-                    full = det_bareiss(pseudo_wronskian_matrix(diagram(p1, p2)))
+                    full = det(pseudo_wronskian_matrix(diagram(p1, p2)))
                     assert full * spec.constant.denominator == \
                         spec.constant.numerator * spec.poly, (maker, p1, p2)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from hermitepw.determinant import det, det_bareiss
+from hermitepw.determinant import det
 from hermitepw.hermite import (
     _minimal_determinant,
     conj_hermite_poly,
@@ -73,7 +73,7 @@ class TestConstruction:
             enlarged = fam.diagram.add(fam.insertion_position(n))
             sign = insertion_sign(lam, n)
             assert exceptional_hermite(lam, n) == \
-                sign * det_bareiss(pseudo_wronskian_matrix(enlarged))
+                sign * det(pseudo_wronskian_matrix(enlarged))
 
     @pytest.mark.parametrize("parts", [(2, 2, 1, 1), (4, 4, 1, 1), (2, 1), (3, 1, 1)])
     def test_matches_defining_wronskian(self, parts):
@@ -120,6 +120,17 @@ class TestEigen:
         for lam in (Partition((2, 2, 1, 1)), Partition((4, 4, 1, 1)),
                     Partition((3, 1)), Partition()):
             assert family_eigen_constant(lam) == lam.size
+
+    @pytest.mark.parametrize("corrupt", [lambda y: y + 1, lambda y: IntPoly((0, 1)) * y],
+                             ids=["plus_one", "times_x"])
+    def test_non_eigenfunction_raises(self, monkeypatch, corrupt):
+        import hermitepw.xhermite as xhermite
+
+        real = xhermite.exceptional_hermite
+        monkeypatch.setattr(xhermite, "exceptional_hermite",
+                            lambda lam, n: corrupt(real(lam, n)))
+        with pytest.raises(ArithmeticError):
+            eigen_check(Partition((2, 2, 1, 1)), 5)
 
 
 class TestMinOrderForm:
@@ -213,6 +224,21 @@ class TestNorms:
         for n in degs:
             assert weight_and_norm_check(lam, n, n).ok
         assert weight_and_norm_check(lam, degs[0], degs[1]).ok
+        # same parity, so the quadrature runs and must come out near zero
+        rep = weight_and_norm_check(lam, 0, 4)
+        assert rep.ok and rep.integral != "0.0"
+
+    def test_opposite_parity_skips_quadrature(self, monkeypatch):
+        from hermitepw.xhermite import _mp_context
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("quadrature ran")
+
+        monkeypatch.setattr(_mp_context(), "quad", boom)
+        rep = weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 5)
+        assert (rep.integral, rep.expected, rep.rel_error, rep.ok) == ("0.0", "0.0", 0.0, True)
+        with pytest.raises(RuntimeError, match="quadrature ran"):
+            weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 8)
 
     def test_global_precision_untouched(self):
         import mpmath
