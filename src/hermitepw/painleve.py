@@ -14,7 +14,10 @@ Verification clears denominators and checks the residual polynomial
 
     2 y y'' - (y')^2 - 3 y^4 - 8 t y^3 - 4 (t^2 - a) y^2 - 2 b = 0
 
-identically, with no floating point anywhere.
+identically, with no floating point anywhere.  The residual is evaluated
+at one point t = 2^B, with B from a proven bound on its coefficients, so a
+zero value means the zero polynomial and a nonzero value is read back
+exactly as the residual polynomial.
 """
 
 from __future__ import annotations
@@ -184,8 +187,8 @@ class PivSolution:
 
 
 def _log_diff(h_num: IntPoly, h_den: IntPoly) -> RatFunc:
-    """(log(h_num/h_den))' as a reduced rational function."""
-    return RatFunc(h_num).log_derivative() - RatFunc(h_den).log_derivative()
+    """(log(h_num/h_den))' as a reduced rational function, reduced once."""
+    return RatFunc(h_num.derivative() * h_den - h_num * h_den.derivative(), h_num * h_den)
 
 
 def _at_t_over_sqrt3(h: IntPoly) -> IntPoly:
@@ -259,30 +262,58 @@ class PivReport:
         return {"ok": self.ok, "residual": self.residual.to_json(var="t")}
 
 
+def _norm1(p: IntPoly) -> int:
+    return sum(map(abs, p.coeffs))
+
+
 def verify_piv(sol: PivSolution) -> PivReport:
     """Exact check of the denominator-cleared equation
 
     2 y y'' - (y')^2 - 3 y^4 - 8 t y^3 - 4 (t^2 - a) y^2 - 2 b = 0.
+
+    With y = n/d, w = n'd - nd' and a, b scaled to integers by s, the
+    residual is
+
+        n (2s((n''d - nd'')d - 2d'w) - n q) - s w^2 - 2b d^4,
+        q = 3s n^2 + 8st nd + 4(st^2 - a) d^2.
+
+    It is evaluated once at t = xi = 2^(8 nb), where multiplying by t is a
+    shift by one word.  The 1-norm of a product is at most the product of
+    the 1-norms, so summing that bound over the terms bounds every residual
+    coefficient; the word holds it, so the value at xi is zero exactly when
+    the residual is, and a nonzero value is read back as the residual.
     """
     n, d = sol.y.num, sol.y.den
     if n.is_zero():
         raise ValueError("y must be nonzero")
     np_, dp = n.derivative(), d.derivative()
     npp, dpp = np_.derivative(), dp.derivative()
-    t = IntPoly((0, 1))
     scale = lcm(sol.a.denominator, sol.b.denominator)
     ia = sol.a.numerator * (scale // sol.a.denominator)
     ib = sol.b.numerator * (scale // sol.b.denominator)
 
-    t1 = 2 * n * (npp * d * d - n * dpp * d - 2 * np_ * dp * d + 2 * n * dp * dp)
-    t2 = (np_ * d - n * dp) ** 2
-    t3 = 3 * n ** 2 * n ** 2
-    t4 = 8 * t * n * n * n * d
-    n2d2 = n * n * d * d
-    residual = (scale * (t1 - t2 - t3 - t4)
-                - 4 * (scale * (t * t * n2d2) - ia * n2d2)
-                - 2 * ib * d ** 4)
-    return PivReport(residual.is_zero(), residual)
+    a0, a1, a2, b0, b1, b2 = map(_norm1, (n, np_, npp, d, dp, dpp))
+    w_norm = a1 * b0 + a0 * b1
+    bound = (scale * (2 * a0 * ((a2 * b0 + a0 * b2) * b0 + 2 * b1 * w_norm) + w_norm ** 2)
+             + a0 ** 2 * (3 * scale * a0 ** 2 + 8 * scale * a0 * b0
+                          + 4 * (scale + abs(ia)) * b0 ** 2)
+             + 2 * abs(ib) * b0 ** 4)
+    # n, d != 0, so the bound is at least each of the six 1-norms: the word
+    # holds every input coefficient too
+    nb = IntPoly.word_bytes(bound)
+    word = 8 * nb
+    N, N1, N2, D, D1, D2 = (p.pack(nb) for p in (n, np_, npp, d, dp, dpp))
+
+    w = N1 * D - N * D1
+    nn, nd, dd = N * N, N * D, D * D
+    quartic = (3 * scale * nn + ((8 * scale * nd) << word)
+               + 4 * (((scale * dd) << (2 * word)) - ia * dd))
+    value = (N * (2 * scale * ((N2 * D - N * D2) * D - 2 * D1 * w) - N * quartic)
+             - scale * w * w - 2 * ib * dd * dd)
+    if value == 0:
+        return PivReport(True, IntPoly())
+    # every term has degree at most 4 max(deg n, deg d) + 2
+    return PivReport(False, IntPoly.unpack(value, nb, 4 * max(n.degree, d.degree) + 3))
 
 
 def piv_catalog(max_param: int):

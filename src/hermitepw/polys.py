@@ -2,14 +2,29 @@
 
 Polynomials are dense integer-coefficient lists, index = degree, with the
 zero polynomial canonically represented by an empty coefficient tuple.
-Everything here is exact: no floats enter at any point.  Multiplication
-switches to Kronecker substitution (packing coefficients into one big
-integer) once operands are large enough for CPython's native bignum
-multiply to beat the schoolbook loop.  Packing and unpacking are linear in
-the total bit length: each coefficient becomes one byte-aligned word, the
-words are joined by one ``int.from_bytes``, and the product is read back by
-one ``int.to_bytes`` cut into word slices.  The word holds the product
-bound ``max|a| * max|b| * min(len a, len b)`` and the inputs themselves.
+Everything here is exact: no floats enter at any point.
+
+One Kronecker point serves three jobs.  A polynomial whose coefficients
+are balanced digits, each of absolute size below ``xi / 2``, is packed into
+its value at ``xi = 2^(8 * nb)`` and read back from it exactly
+(``IntPoly.pack`` / ``IntPoly.unpack``).  Packing and unpacking are linear
+in the total bit length: each coefficient becomes one byte-aligned word,
+the words are joined by one ``int.from_bytes``, and a value is read back by
+one ``int.to_bytes`` cut into word slices.
+
+* Multiplication switches to Kronecker substitution once operands are
+  large enough for CPython's native bignum multiply to beat the schoolbook
+  loop; the word holds the product bound ``max|a| * max|b| * min(len a,
+  len b)`` and the inputs themselves.
+* ``poly_gcd`` is GCDHEU (Char, Geddes & Gonnet 1989): one integer gcd of
+  the two values at ``xi``, read back as a candidate that is accepted only
+  after it divides both inputs exactly.  The primitive polynomial remainder
+  sequence is the fallback when a few growing ``xi`` all fail.
+* ``painleve.verify_piv`` evaluates its whole residual at one point and
+  reads a nonzero value back as the residual polynomial.
+
+Division that does not come out exact raises ``InexactDivisionError``, an
+``ArithmeticError``: it signals a broken invariant, never bad input.
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ import math
 from fractions import Fraction
 
 __all__ = [
+    "InexactDivisionError",
     "IntPoly",
     "RatFunc",
     "poly_gcd",
@@ -52,35 +68,45 @@ def _word_bytes(bound):
     return bound.bit_length() // 8 + 1
 
 
-def _mul_kronecker(a, b):
-    # Pack both factors into integers with a byte-aligned word, multiply
-    # once, then read back balanced digits.  Biased by half, a coefficient
-    # is one unsigned word, so packing is one join and one from_bytes, and
-    # the packed bias is subtracted once.  Adding a packed half to the
-    # product makes every balanced digit a non-negative word, so unpacking
-    # is one to_bytes cut into word slices; it overflows when the product
-    # does not fit nout balanced digits.  The word holds the inputs as well
-    # as the product bound: an all-zero factor has bound 0.
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    bound = ma * mb * min(len(a), len(b))
-    nb = _word_bytes(max(bound, ma, mb))
+def _packed_half(nb, n):
     half = 1 << (8 * nb - 1)
-    half_word = half.to_bytes(nb, "little")
+    return int.from_bytes(half.to_bytes(nb, "little") * n, "little")
 
-    def pack(p):
-        return int.from_bytes(b"".join((c + half).to_bytes(nb, "little") for c in p), "little")
 
-    def packed_half(n):
-        return int.from_bytes(half_word * n, "little")
+def _pack(coeffs, nb):
+    # Biased by half, a coefficient in [-half, half) is one unsigned word,
+    # so packing is one join and one from_bytes; the packed bias is then
+    # subtracted once.
+    half = 1 << (8 * nb - 1)
+    words = b"".join((c + half).to_bytes(nb, "little") for c in coeffs)
+    return int.from_bytes(words, "little") - _packed_half(nb, len(coeffs))
 
-    nout = len(a) + len(b) - 1
-    prod = (pack(a) - packed_half(len(a))) * (pack(b) - packed_half(len(b)))
+
+def _unpack(value, nb, n):
+    # Adding a packed half makes every balanced digit a non-negative word,
+    # so unpacking is one to_bytes cut into word slices.  It overflows
+    # exactly when value has no n-digit balanced expansion.
+    half = 1 << (8 * nb - 1)
     try:
-        raw = (prod + packed_half(nout)).to_bytes(nb * nout, "little")
+        raw = (value + _packed_half(nb, n)).to_bytes(nb * n, "little")
     except OverflowError:
         raise ArithmeticError("Kronecker unpacking left a carry: word size too small") from None
     return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, len(raw), nb)]
+
+
+def _mul_kronecker(a, b):
+    # Pack both factors with one byte-aligned word, multiply once, read back
+    # the balanced digits of the product.  The word holds the inputs as well
+    # as the product bound: an all-zero factor has bound 0.
+    ma = max(abs(c) for c in a)
+    mb = max(abs(c) for c in b)
+    nb = _word_bytes(max(ma * mb * min(len(a), len(b)), ma, mb))
+    return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1)
+
+
+class InexactDivisionError(ArithmeticError):
+    """An exact division over Z[x] left a remainder or a fractional
+    quotient coefficient."""
 
 
 class IntPoly:
@@ -201,7 +227,7 @@ class IntPoly:
                 continue
             c, rem = divmod(a[i], lead)
             if rem:
-                raise ValueError("inexact polynomial division over Z")
+                raise InexactDivisionError("inexact polynomial division over Z")
             q[i - db] = c
             for j in range(db + 1):
                 a[i - db + j] -= c * b[j]
@@ -210,7 +236,7 @@ class IntPoly:
     def divexact(self, other):
         q, r = self.divmod(other)
         if not r.is_zero():
-            raise ValueError("polynomial division left a remainder")
+            raise InexactDivisionError("polynomial division left a remainder")
         return q
 
     # -- content, gcd helpers ------------------------------------------
@@ -247,6 +273,21 @@ class IntPoly:
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
+
+    # bytes per Kronecker word that hold every value of absolute size <= bound
+    word_bytes = staticmethod(_word_bytes)
+
+    def pack(self, nb):
+        """Value at x = 2^(8 * nb); every coefficient must lie in
+        [-2^(8 * nb - 1), 2^(8 * nb - 1))."""
+        return _pack(self.coeffs, nb)
+
+    @classmethod
+    def unpack(cls, value, nb, n):
+        """The polynomial of n balanced digits in [-2^(8 * nb - 1), 2^(8 * nb - 1))
+        whose value at x = 2^(8 * nb) is value; ArithmeticError when there
+        is none."""
+        return cls(_unpack(value, nb, n))
 
     def parity(self):
         """0 if even, 1 if odd, None if mixed (zero counts as even)."""
@@ -300,21 +341,64 @@ def _pseudo_rem(a, b):
     return rem
 
 
-def poly_gcd(a, b):
-    """gcd over Z[x] via the primitive polynomial remainder sequence."""
-    if a.is_zero():
-        return b.primitive() if not b.is_zero() else IntPoly()
-    if b.is_zero():
-        return a.primitive()
-    ca, cb = a.content(), b.content()
-    cg = math.gcd(ca, cb)
-    a, b = a.primitive(), b.primitive()
+# GCDHEU evaluation points tried before the remainder sequence takes over;
+# each try doubles the word, so a spurious integer factor of the two values
+# becomes ever smaller against xi
+_GCDHEU_TRIES = 3
+
+
+def _divides(h, p):
+    try:
+        return p.divmod(h)[1].is_zero()
+    except InexactDivisionError:
+        return False
+
+
+def _gcdheu(a, b):
+    """gcd of primitive a, b by GCDHEU, or None when every try fails.
+
+    At xi >= 2 * min(|a|_inf, |b|_inf) + 2 the primitive part h of the
+    balanced xi-adic digits of gcd(a(xi), b(xi)) is gcd(a, b) if and only
+    if h divides both a and b (Char, Geddes & Gonnet 1989).  The word holds
+    both inputs, so xi = 2^(8 * nb) is at least twice the larger norm plus
+    2; the balanced digits of a value fit in n words once xi^n >= 4 * value.
+    """
+    nb = _word_bytes(max(map(abs, a.coeffs + b.coeffs)))
+    for _ in range(_GCDHEU_TRIES):
+        value = math.gcd(a.pack(nb), b.pack(nb))
+        h = IntPoly.unpack(value, nb, (value.bit_length() + 1) // (8 * nb) + 1).primitive()
+        if h.degree <= 0:
+            return IntPoly.const(1)
+        if _divides(h, a) and _divides(h, b):
+            return h
+        nb *= 2
+    return None
+
+
+def _prs_gcd(a, b):
+    """gcd of primitive a, b via the primitive polynomial remainder sequence."""
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero():
         r = _pseudo_rem(a, b)
         a, b = b, r.primitive()
-    return a.primitive() * cg
+    return a.primitive()
+
+
+def poly_gcd(a, b):
+    """gcd over Z[x]: GCDHEU on the primitive parts, the primitive remainder
+    sequence when the heuristic fails; positive leading coefficient, times
+    the gcd of the contents."""
+    if a.is_zero():
+        return b.primitive() if not b.is_zero() else IntPoly()
+    if b.is_zero():
+        return a.primitive()
+    cg = math.gcd(a.content(), b.content())
+    a, b = a.primitive(), b.primitive()
+    g = _gcdheu(a, b)
+    if g is None:
+        g = _prs_gcd(a, b)
+    return g * cg
 
 
 def _sign_changes(signs):

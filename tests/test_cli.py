@@ -148,6 +148,16 @@ def test_invalid_input_exit_code(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_internal_fault_is_not_bad_input(capsys, monkeypatch):
+    # exit 2 means bad input; a division that breaks an invariant must not map to it
+    import hermitepw.polys as polys
+    real = polys.poly_gcd
+    monkeypatch.setattr(polys, "poly_gcd", lambda a, b: real(a, b) * IntPoly((1, 1)))
+    with pytest.raises(ArithmeticError):
+        main(["piv", "--class", "gh", "--m", "2", "--ell", "4", "--branch", "1"])
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_catalog_bytes_pinned(capsys):
     code, out = run(capsys, "--format", "json", "piv", "catalog", "--max", "4")
     assert code == 0

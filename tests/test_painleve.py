@@ -1,13 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import hermitepw.polys as polys
 from hermitepw.determinant import det
 from hermitepw.hermite import pseudo_wronskian, pseudo_wronskian_matrix
 from hermitepw.maya import MayaDiagram
 from hermitepw.minorder import minimal_girth_of_diagram
 from hermitepw.painleve import (
     ChainStep,
+    PivSolution,
     _min_order,
     chain_step_verify,
     gh_maya,
@@ -217,6 +223,80 @@ class TestSolutions:
         blob = piv_solution_o(1, 2, 1).to_json()
         assert blob["family"] == "o" and blob["a"] == "3" and blob["b"] == "-32/9"
         assert blob["y"]["num"]["var"] == "t"
+
+
+def residual_oracle(sol):
+    """The residual of verify_piv multiplied out in Z[t], term by term."""
+    n, d = sol.y.num, sol.y.den
+    np_, dp = n.derivative(), d.derivative()
+    npp, dpp = np_.derivative(), dp.derivative()
+    scale = lcm(sol.a.denominator, sol.b.denominator)
+    ia = sol.a.numerator * (scale // sol.a.denominator)
+    ib = sol.b.numerator * (scale // sol.b.denominator)
+    t1 = 2 * n * (npp * d * d - n * dpp * d - 2 * np_ * dp * d + 2 * n * dp * dp)
+    t2 = (np_ * d - n * dp) ** 2
+    t3 = 3 * n ** 2 * n ** 2
+    t4 = 8 * T * n * n * n * d
+    n2d2 = n * n * d * d
+    return (scale * (t1 - t2 - t3 - t4)
+            - 4 * (scale * (T * T * n2d2) - ia * n2d2)
+            - 2 * ib * d ** 4)
+
+
+def mutants(sol):
+    """A wrong a, a wrong b, the linear term flipped, and y + 1."""
+    linear = RatFunc(IntPoly((0, -2)), IntPoly.const(1 if sol.family == "gh" else 3))
+    yield replace(sol, a=sol.a + 1)
+    yield replace(sol, b=sol.b - Fraction(1, 3))
+    yield replace(sol, y=sol.y - 2 * linear)
+    yield replace(sol, y=sol.y + 1)
+
+
+TOP = 2 ** 160 - 1
+wide_polys = st.lists(st.integers(min_value=-TOP, max_value=TOP) | st.integers(-9, 9),
+                      min_size=1, max_size=6).map(IntPoly).filter(lambda p: not p.is_zero())
+wide_fractions = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 30))
+
+
+@pytest.fixture(scope="module")
+def catalogs():
+    return [piv_catalog(n) for n in range(7)]
+
+
+class TestVerifyPivResidual:
+    """verify_piv reads its residual back from one Kronecker point."""
+
+    def test_catalog_and_mutants_match_oracle(self, catalogs):
+        for sol, rep in catalogs[4]:
+            assert rep.ok and rep.residual == residual_oracle(sol) == IntPoly()
+            for bad in mutants(sol):
+                want = residual_oracle(bad)
+                got = verify_piv(bad)
+                assert got.residual == want, (sol.family, sol.params, sol.branch)
+                assert not got.ok and not want.is_zero()
+
+    @given(wide_polys, wide_polys, wide_fractions, wide_fractions)
+    @example(IntPoly((TOP,) * 6), IntPoly((-TOP,) * 6), Fraction(-2 ** 70), Fraction(2 ** 70))
+    @example(IntPoly((TOP, 0, -TOP)), IntPoly((1,)), Fraction(1, 3), Fraction(0))
+    @example(IntPoly((0, -2)), IntPoly((3,)), Fraction(0), Fraction(0))
+    @settings(max_examples=120, deadline=None)
+    def test_random_y_matches_oracle(self, num, den, a, b):
+        sol = PivSolution("gh", (0, 0), 1, RatFunc(num, den), a, b)
+        want = residual_oracle(sol)
+        rep = verify_piv(sol)
+        assert rep.residual == want and rep.ok is want.is_zero()
+
+    def test_catalog_sizes(self, catalogs):
+        # a fault that raised ValueError used to drop entries as undefined
+        assert [len(c) for c in catalogs] == [2, 14, 38, 74, 122, 182, 254]
+
+    def test_wrong_gcd_is_not_skipped_as_undefined(self, monkeypatch):
+        # a gcd that does not divide must surface, not read as a ValueError
+        # that piv_catalog skips as undefined parameters
+        real = polys.poly_gcd
+        monkeypatch.setattr(polys, "poly_gcd", lambda a, b: real(a, b) * IntPoly((1, 1)))
+        with pytest.raises(ArithmeticError):
+            piv_catalog(3)
 
 
 class TestMinOrder:

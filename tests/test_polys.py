@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import hermitepw.polys as polys
 from hermitepw.painleve import _at_t_over_sqrt3, _log_diff
 from hermitepw.polys import (
+    InexactDivisionError,
     IntPoly,
     RatFunc,
     _mul_kronecker,
@@ -99,6 +101,18 @@ class TestIntPoly:
     def test_kronecker_matches_schoolbook(self, a, b):
         assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
 
+    @given(kronecker_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_pack_unpack_round_trip(self, coeffs):
+        p = IntPoly(coeffs)
+        nb = IntPoly.word_bytes(max(map(abs, coeffs)))
+        assert IntPoly.unpack(p.pack(nb), nb, len(coeffs)) == p
+        assert p.pack(nb) == p.eval_at(2 ** (8 * nb))
+        if p.degree > 0:
+            # one digit short: the value has no balanced expansion that fits
+            with pytest.raises(ArithmeticError, match="carry"):
+                IntPoly.unpack(p.pack(nb), nb, p.degree)
+
     def test_kronecker_carry_check(self, monkeypatch):
         # one byte short: the inputs still pack, but the product overflows
         word_bytes = polys._word_bytes
@@ -128,11 +142,88 @@ class TestIntPoly:
         assert got_q == q and got_r.is_zero()
 
     def test_inexact_division_raises(self):
-        with pytest.raises(ValueError):
+        # a broken invariant, not bad input: callers that skip ValueError
+        # as "undefined parameters" must not swallow it
+        assert not issubclass(InexactDivisionError, ValueError)
+        with pytest.raises(InexactDivisionError):
             IntPoly((1, 1)).divexact(IntPoly((0, 2)))
+        with pytest.raises(InexactDivisionError):
+            IntPoly((1, 0, 1)).divexact(IntPoly((1, 1)))
+
+
+def prs_gcd(a, b):
+    """poly_gcd of two nonzero inputs by the primitive remainder sequence alone."""
+    return polys._prs_gcd(a.primitive(), b.primitive()) * math.gcd(a.content(), b.content())
+
+
+wide_coeffs = st.integers(min_value=-2 ** 12, max_value=2 ** 12) | \
+    st.integers(min_value=-2 ** 90, max_value=2 ** 90)
+
+
+def gcd_factors(max_size):
+    return st.lists(wide_coeffs, min_size=1, max_size=max_size).map(IntPoly).filter(
+        lambda p: not p.is_zero())
+
+
+@st.composite
+def gcd_pairs(draw):
+    """f = ca * a * g and h = cb * b * g: a common factor g (constant or not),
+    contents ca, cb of either sign, and b constant now and then."""
+    g = draw(gcd_factors(5))
+    a = draw(gcd_factors(5))
+    b = draw(gcd_factors(1 if draw(st.integers(0, 5)) == 0 else 5))
+    ca, cb = draw(st.lists(st.integers(-60, 60).filter(bool), min_size=2, max_size=2))
+    return a * g * ca, b * g * cb
 
 
 class TestGcd:
+    @given(gcd_pairs())
+    @example((IntPoly((0, -2)), IntPoly((0, 0, -4))))                 # negative leads
+    @example((IntPoly((6,)), IntPoly((-6, 0, 6))))                    # constant input
+    @example((IntPoly((-4, 0, 4)) * 15, IntPoly((-1, 1)) ** 3 * 10))  # non-primitive
+    @settings(max_examples=120, deadline=None)
+    def test_matches_remainder_sequence(self, pair):
+        f, h = pair
+        got = poly_gcd(f, h)
+        assert got == prs_gcd(f, h)
+        assert got == poly_gcd(h, f)
+        assert f.divmod(got)[1].is_zero() and h.divmod(got)[1].is_zero()
+
+    @given(gcd_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy_heuristic_gcd(self, pair):
+        euclid = pytest.importorskip("sympy.polys.euclidtools")
+        zz = pytest.importorskip("sympy.polys.domains").ZZ
+        f, h = pair
+        want, _, _ = euclid.dup_zz_heu_gcd([zz(c) for c in reversed(f.coeffs)],
+                                           [zz(c) for c in reversed(h.coeffs)], zz)
+        assert poly_gcd(f, h) == IntPoly(int(c) for c in reversed(want))
+
+    def test_fallback_when_no_candidate_divides(self, monkeypatch):
+        fallback = []
+        prs = polys._prs_gcd
+        monkeypatch.setattr(polys, "_divides", lambda h, p: False)
+        monkeypatch.setattr(polys, "_prs_gcd", lambda a, b: fallback.append(1) or prs(a, b))
+        g = IntPoly((3, -1, 2))
+        f, h = IntPoly((1, 1)) * g * -4, IntPoly((-5, 0, 7)) * g * 6
+        assert poly_gcd(f, h) == g * 2
+        assert fallback == [1]
+
+    def test_spurious_first_candidate_is_rejected(self, monkeypatch):
+        # f = (x - 1)(x^2 - 12x - 6), h = (x - 1)(x^2 - 120x - 34).  At
+        # xi = 2^8 the integer gcd carries a spurious factor, and its digits
+        # give (x - 1)(x + 118), which divides neither; the doubled word
+        # finds x - 1 with no fallback
+        monkeypatch.setattr(polys, "_prs_gcd", lambda a, b: pytest.fail("fallback ran"))
+        f, h = IntPoly((6, 6, -13, 1)), IntPoly((34, 86, -121, 1))
+        assert poly_gcd(f, h) == IntPoly((-1, 1))
+
+    def test_heuristic_rejects_a_candidate_that_does_not_divide(self):
+        # inexact division is caught only inside the divisibility test
+        assert not polys._divides(IntPoly((0, 2)), IntPoly((1, 1)))
+        assert not polys._divides(IntPoly((1, 1)), IntPoly((1, 0, 1)))
+        assert polys._divides(IntPoly((1, 1)), IntPoly((-1, 0, 1)))
+
     @given(int_polys, int_polys, nonzero_polys)
     @settings(max_examples=60)
     def test_common_factor_detected(self, a, b, g):
