@@ -23,8 +23,13 @@ one ``int.to_bytes`` cut into word slices.
 * ``painleve.verify_piv`` evaluates its whole residual at one point and
   reads a nonzero value back as the residual polynomial.
 
-Division that does not come out exact raises ``InexactDivisionError``, an
-``ArithmeticError``: it signals a broken invariant, never bad input.
+Multiplication and division run on plain coefficient lists: one multiply
+dispatch and one division loop sit behind ``IntPoly.__mul__``, ``divmod``
+and ``divexact``, and ``determinant.det`` calls the same two kernels as
+``IntPoly.mul_coeffs`` and ``IntPoly.divexact_coeffs`` on its working
+matrix.  Division that does not come out exact raises
+``InexactDivisionError``, an ``ArithmeticError``: it signals a broken
+invariant, never bad input.
 """
 
 from __future__ import annotations
@@ -104,9 +109,50 @@ def _mul_kronecker(a, b):
     return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1)
 
 
+def _mul(a, b):
+    """Coefficient list of the product of two nonzero trimmed coefficient
+    sequences: schoolbook up to the cutoff, Kronecker above it."""
+    if len(a) * len(b) <= _KRONECKER_CUTOFF:
+        return _mul_schoolbook(a, b)
+    return _mul_kronecker(a, b)
+
+
 class InexactDivisionError(ArithmeticError):
     """An exact division over Z[x] left a remainder or a fractional
     quotient coefficient."""
+
+
+def _divmod(a, b):
+    """Quotient and remainder coefficient lists of a by the nonzero trimmed
+    b over Z; InexactDivisionError when a quotient coefficient is not an
+    integer.  The remainder is not trimmed."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    a = list(a)
+    lead = b[-1]
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = a[i + db]
+        if not c:
+            continue
+        c, rem = divmod(c, lead)
+        if rem:
+            raise InexactDivisionError("inexact polynomial division over Z")
+        q[i] = c
+        # a[i + db] cancels by construction; only the lower terms move
+        for j in range(db):
+            a[i + j] -= c * b[j]
+    return q, a[:db]
+
+
+def _divexact(a, b):
+    """Quotient coefficient list of a by the nonzero trimmed b, which must
+    divide a exactly over Z[x]; InexactDivisionError otherwise."""
+    q, r = _divmod(a, b)
+    if any(r):
+        raise InexactDivisionError("polynomial division left a remainder")
+    return q
 
 
 class IntPoly:
@@ -187,9 +233,7 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
-        if len(a) * len(b) <= _KRONECKER_CUTOFF:
-            return IntPoly(_mul_schoolbook(a, b))
-        return IntPoly(_mul_kronecker(a, b))
+        return IntPoly(_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -215,29 +259,18 @@ class IntPoly:
         """Euclidean division; requires the remainder steps to stay integral."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        a = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
-        lead = b[-1]
-        if len(a) - 1 < db:
-            return IntPoly(), self
-        q = [0] * (len(a) - db)
-        for i in range(len(a) - 1, db - 1, -1):
-            if a[i] == 0:
-                continue
-            c, rem = divmod(a[i], lead)
-            if rem:
-                raise InexactDivisionError("inexact polynomial division over Z")
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-        return IntPoly(q), IntPoly(a)
+        q, r = _divmod(self.coeffs, other.coeffs)
+        return IntPoly(q), IntPoly(r)
 
     def divexact(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise InexactDivisionError("polynomial division left a remainder")
-        return q
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        return IntPoly(_divexact(self.coeffs, other.coeffs))
+
+    # list-level kernels behind __mul__, divmod and divexact, for callers
+    # that keep coefficient lists between operations (determinant.det)
+    mul_coeffs = staticmethod(_mul)
+    divexact_coeffs = staticmethod(_divexact)
 
     # -- content, gcd helpers ------------------------------------------
 
@@ -417,12 +450,15 @@ def count_real_roots(p):
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         r = _pseudo_rem(chain[-2], chain[-1])
         # keep signs faithful: pseudo-remainder scales by lc^k which may
-        # flip sign when lc < 0 and k is odd; renormalize via primitive()
+        # flip sign when lc < 0 and k is odd
         lead = chain[-1].leading
         k = chain[-2].degree - chain[-1].degree + 1
         if lead < 0 and k % 2:
             r = -r
-        chain.append(-r)
+        # dividing by the positive content keeps every sign and stops the
+        # coefficients from growing exponentially along the chain
+        g = r.content()
+        chain.append(IntPoly(tuple(-c // g for c in r.coeffs)) if g else r)
     if chain[-1].is_zero():
         chain.pop()
     at_plus = [q.leading for q in chain]

@@ -4,8 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hermitepw.polys as polys
 from hermitepw.determinant import DimensionError, det
+from hermitepw.hermite import pseudo_wronskian_matrix
+from hermitepw.maya import MayaDiagram
 from hermitepw.polys import IntPoly
+
+from conftest import random_partition
 
 small_poly = st.lists(st.integers(min_value=-9, max_value=9), max_size=4).map(IntPoly)
 # About half the entries are the zero polynomial, so zero pivots, row swaps
@@ -35,6 +40,58 @@ def cofactor(rows):
         term = a * cofactor(minor)
         out = out - term if j % 2 else out + term
     return out
+
+
+def bareiss_intpoly(rows):
+    """Bareiss elimination on ``IntPoly`` objects, each update built from
+    ``IntPoly`` products, a difference and ``divexact``: the oracle for
+    ``det`` at orders the cofactor expansion cannot reach."""
+    n = len(rows)
+    if n == 0:
+        return IntPoly.const(1)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        pivot_row = None
+        best = None
+        for i in range(k, n):
+            e = m[i][k]
+            if not e.is_zero() and (best is None or e.degree < best):
+                best = e.degree
+                pivot_row = i
+        if pivot_row is None:
+            return IntPoly()
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        piv = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                e = piv * row_i[j] - lead * row_k[j]
+                row_i[j] = e if prev is None else e.divexact(prev)
+        prev = piv
+    d = m[n - 1][n - 1]
+    return d if sign > 0 else -d
+
+
+def raised_pseudo_wronskian_matrices(seed, per_order, orders=range(6, 15)):
+    """Defining matrices of random partitions of size 10-30 at raised
+    origins, per_order of each order in orders: the shift_sweep range."""
+    rng = random.Random(seed)
+    found = {n: [] for n in orders}
+    while any(len(v) < per_order for v in found.values()):
+        lam = random_partition(rng, 30)
+        if lam.size < 10:
+            continue
+        rows = pseudo_wronskian_matrix(MayaDiagram.from_partition(lam).shift(-rng.randint(-8, 16)))
+        same = found.get(len(rows))
+        if same is not None and len(same) < per_order:
+            same.append(rows)
+    return [rows for n in orders for rows in found[n]]
 
 
 def test_empty_matrix_is_one():
@@ -123,3 +180,64 @@ def test_zero_column_short_circuits():
     assert det(rows).is_zero()
     rows4 = [[z, one, one, one]] + [[z] * 4] * 3
     assert det(rows4).is_zero()
+
+
+def test_order_one_returns_its_entry():
+    p = IntPoly((3, 0, -2))
+    assert det([[p]]) is p
+
+
+def test_fused_matches_intpoly_bareiss_on_pseudo_wronskians():
+    for rows in raised_pseudo_wronskian_matrices(2024, 3):
+        assert det(rows) == bareiss_intpoly(rows)
+
+
+def test_fused_matches_intpoly_bareiss_on_zero_heavy_integer_matrices():
+    # constants, about two thirds of them zero: zero pivots, row swaps and
+    # singular matrices at orders the cofactor oracle does not reach
+    rng = random.Random(77)
+    for n in range(6, 13):
+        for _ in range(6):
+            rows = [[IntPoly.const(rng.randint(-9, 9) if rng.random() < 0.35 else 0)
+                     for _ in range(n)] for _ in range(n)]
+            assert det(rows) == bareiss_intpoly(rows)
+
+
+def test_fused_matches_intpoly_bareiss_on_zero_heavy_polynomial_matrices():
+    rng = random.Random(78)
+    for n in range(6, 10):
+        for _ in range(4):
+            rows = [[IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))])
+                     if rng.random() < 0.4 else IntPoly() for _ in range(n)] for _ in range(n)]
+            assert det(rows) == bareiss_intpoly(rows)
+
+
+def test_builds_one_intpoly_on_exit(monkeypatch):
+    # the elimination runs on coefficient lists: no IntPoly between entry
+    # and exit, and so no IntPoly.__mul__ or divmod either
+    rows, = raised_pseudo_wronskian_matrices(5, 1, orders=[12])
+    built = []
+    init = IntPoly.__init__
+    monkeypatch.setattr(IntPoly, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    d = det(rows)
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert d == bareiss_intpoly(rows)
+
+
+def test_shares_the_list_kernels_of_intpoly(monkeypatch):
+    # one multiply dispatch and one division loop: det reaches the same
+    # list-level helpers as IntPoly.__mul__, divmod and divexact
+    calls = []
+    for name in ("_mul_schoolbook", "_divmod"):
+        real = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    x1, x2 = IntPoly((1, 1)), IntPoly((2, 0, 1))
+    assert (x1 * x2).divexact(x2) == x1
+    assert (x1 * x2).divmod(x1)[0] == x2
+    assert calls == ["_mul_schoolbook", "_divmod", "_mul_schoolbook", "_divmod"]
+    calls.clear()
+    rows = [[x1, x2, _1], [x2, _1, x1], [_1, x1, x2]]
+    d = det(rows)
+    assert set(calls) == {"_mul_schoolbook", "_divmod"}
+    assert d == cofactor(rows)

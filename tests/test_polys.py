@@ -1,13 +1,19 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hermitepw
 import hermitepw.polys as polys
+from hermitepw.hermite import conj_hermite_poly, hermite_poly
 from hermitepw.painleve import _at_t_over_sqrt3, _log_diff
 from hermitepw.polys import (
     InexactDivisionError,
@@ -150,6 +156,43 @@ class TestIntPoly:
         with pytest.raises(InexactDivisionError):
             IntPoly((1, 0, 1)).divexact(IntPoly((1, 1)))
 
+    def test_divmod_returns_integral_remainder(self):
+        # divmod shares the division loop of divexact but keeps the remainder:
+        # x^2 + 1 = (x - 1)(x + 1) + 2
+        assert IntPoly((1, 0, 1)).divmod(IntPoly((1, 1))) == (IntPoly((-1, 1)), IntPoly((2,)))
+        assert IntPoly((3,)).divmod(IntPoly((1, 1))) == (IntPoly(), IntPoly((3,)))
+
+
+# Exact divisions that must fail: each pair is (dividend, divisor).
+INEXACT_DIVISIONS = {
+    "remainder": ((1, 0, 1), (1, 1)),   # integral quotient x - 1, remainder 2
+    "fraction": ((0, 0, 3), (0, 2)),    # quotient 3x/2, every remainder term zero
+    "low_degree": ((3,), (1, 1)),       # nonzero dividend below the divisor's degree
+}
+
+
+@pytest.mark.parametrize("a, b", INEXACT_DIVISIONS.values(), ids=INEXACT_DIVISIONS.keys())
+def test_list_divexact_fails_loudly(a, b):
+    with pytest.raises(InexactDivisionError):
+        IntPoly.divexact_coeffs(a, b)
+
+
+def test_list_divexact_fails_loudly_under_optimize():
+    # python -O strips assert statements; the division check must still raise
+    code = (
+        "from hermitepw.polys import InexactDivisionError, IntPoly\n"
+        f"for a, b in {list(INEXACT_DIVISIONS.values())!r}:\n"
+        "    try:\n"
+        "        IntPoly.divexact_coeffs(a, b)\n"
+        "    except InexactDivisionError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'{a} / {b} passed')\n")
+    src = Path(hermitepw.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
 
 def prs_gcd(a, b):
     """poly_gcd of two nonzero inputs by the primitive remainder sequence alone."""
@@ -243,7 +286,53 @@ class TestGcd:
         assert g.leading > 0
 
 
+def sturm_oracle(p):
+    """count_real_roots on the raw pseudo-remainder chain, whose coefficients
+    grow exponentially with the degree: the oracle for small inputs."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    p = p.divexact(poly_gcd(p, p.derivative())) if p.degree > 0 else p
+    if p.degree == 0:
+        return 0
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        r = polys._pseudo_rem(chain[-2], chain[-1])
+        lead = chain[-1].leading
+        k = chain[-2].degree - chain[-1].degree + 1
+        if lead < 0 and k % 2:
+            r = -r
+        chain.append(-r)
+    if chain[-1].is_zero():
+        chain.pop()
+    at_plus = [q.leading for q in chain]
+    at_minus = [q.leading * (-1) ** q.degree for q in chain]
+    return polys._sign_changes(at_minus) - polys._sign_changes(at_plus)
+
+
+small_factors = st.lists(st.integers(min_value=-20, max_value=20), min_size=1,
+                         max_size=4).map(IntPoly).filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def sturm_inputs(draw):
+    """A small polynomial times repeated linear factors and, now and then,
+    the square of another one: repeated real and complex roots."""
+    p = draw(small_factors)
+    for root in draw(st.lists(st.integers(min_value=-4, max_value=4), max_size=3)):
+        p = p * IntPoly((-root, 1)) ** draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        q = draw(small_factors)
+        p = p * q * q
+    return p
+
+
 class TestSturm:
+    @given(sturm_inputs())
+    @example(IntPoly((-1, 1)) ** 3 * IntPoly((1, 0, 1)) ** 2)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_raw_chain(self, p):
+        assert count_real_roots(p) == sturm_oracle(p)
+
     def test_no_real_roots(self):
         assert count_real_roots(IntPoly((1, 0, 1))) == 0
 
@@ -256,10 +345,16 @@ class TestSturm:
         assert count_real_roots(p) == 2
 
     def test_hermite_polynomials_fully_real(self):
-        from hermitepw.hermite import conj_hermite_poly, hermite_poly
         for n in range(1, 11):
             assert count_real_roots(hermite_poly(n)) == n
             # the conjugate family has at most the root at the origin
+            assert count_real_roots(conj_hermite_poly(n)) == n % 2
+
+    def test_hermite_root_counts_to_degree_40(self):
+        # the raw chain's coefficients grow exponentially with the degree:
+        # it took about a second at n = 14 and six at n = 15
+        for n in range(11, 41):
+            assert count_real_roots(hermite_poly(n)) == n
             assert count_real_roots(conj_hermite_poly(n)) == n % 2
 
 
