@@ -13,7 +13,11 @@ P_n equals a pseudo-Wronskian of M u {position} up to the explicit sign
 
 Everything here is exact except ``weight_and_norm_check``, the one
 numerical routine in the package, which is quarantined behind mpmath
-tanh-sinh quadrature at 50-digit working precision.
+tanh-sinh quadrature at 50-digit working precision.  Even there the
+rational part of the integrand is exact: every quadrature node is a dyadic
+rational, where ``IntPoly.eval_dyadic`` evaluates the numerator and the
+denominator exactly, so their quotient is rounded once.  The integrand of a
+same-parity pair is even, so only the half line [0, L] is integrated.
 """
 
 from __future__ import annotations
@@ -245,6 +249,28 @@ def _mp_context():
     return mp
 
 
+def _weighted_ratio(num: IntPoly, den: IntPoly, mp):
+    """The integrand x -> num(x) e^(-x^2) / den(x) in the context mp.
+
+    A quadrature node x is an mpf, so x = man * 2^e exactly and num(x),
+    den(x) are exact dyadic rationals (``IntPoly.eval_dyadic``).  Their
+    quotient is rounded once, at the working precision of the call, and
+    only the weight e^(-x^2) adds a second rounding.
+    """
+    from mpmath import libmp
+
+    def f(x):
+        sign, man, e, _ = x._mpf_
+        if sign:
+            man = -man
+        ratio = libmp.mpf_div(libmp.from_man_exp(*num.eval_dyadic(man, e)),
+                              libmp.from_man_exp(*den.eval_dyadic(man, e)),
+                              mp.prec, libmp.round_nearest)
+        return mp.make_mpf(ratio) * mp.exp(-x * x)
+
+    return f
+
+
 def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     """Numerical orthogonality check for an even partition.
 
@@ -255,7 +281,12 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     have no real zeros; for even partitions it never does (checked
     exactly by Sturm root counting before any numerics).  When n and m
     have opposite parity the integrand is odd, so the integral is an
-    exact zero and no quadrature runs.
+    exact zero and no quadrature runs.  Otherwise P_n P_m and W^2 are
+    even (W has definite parity), so the integrand is even and the
+    integral is twice its tanh-sinh value on [0, L]; an odd coefficient
+    in either polynomial raises ArithmeticError before any quadrature.
+    At each node P_n P_m and W^2 are evaluated exactly, and their
+    quotient is rounded once (``_weighted_ratio``).
     """
     if not lam.is_even():
         raise ValueError(f"partition {lam} is not even")
@@ -267,13 +298,16 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     pm = pn if m == n else exceptional_hermite(lam, m)
     if pn.parity() != pm.parity():
         return NormReport(n, m, "0.0", "0.0", 0.0, True)
+    num = pn * pm
+    den = w * w
+    # the half-line quadrature below is right only for an even integrand
+    if num.parity() != 0 or den.parity() != 0:
+        raise ArithmeticError(f"integrand of ({n}, {m}) for {lam} is not even")
     big_n = family_eigen_constant(lam)
 
     mp = _mp_context()
     L = _tail_cutoff(n + m + 2 * max(w.degree, 1))
-    f = lambda x: (pn.eval_mpf(x, mp) * pm.eval_mpf(x, mp)
-                   * mp.exp(-x * x) / w.eval_mpf(x, mp) ** 2)
-    integral = mp.quad(f, [-L, 0, L])
+    integral = 2 * mp.quad(_weighted_ratio(num, den, mp), [0, L])
     j = n + fam.ell - big_n
     if j.denominator != 1:
         raise ArithmeticError(f"norm index j = {j} of {lam} is not an integer")

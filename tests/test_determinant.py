@@ -241,3 +241,22 @@ def test_shares_the_list_kernels_of_intpoly(monkeypatch):
     d = det(rows)
     assert set(calls) == {"_mul_schoolbook", "_divmod"}
     assert d == cofactor(rows)
+
+
+def test_pivot_is_lowest_degree_entry(monkeypatch):
+    # the determinant does not depend on the pivot, only the intermediate
+    # degrees do; the first exact division is by the first pivot, so its
+    # divisor shows which entry was chosen
+    X = IntPoly((0, 1))
+    cubic, const, linear = X ** 3 + 1, IntPoly.const(3), X - 2
+    rows = [[cubic, X, IntPoly.const(2)],
+            [const, X * X, X + 1],
+            [linear, IntPoly.const(5), X * X + X]]
+    divisors = []
+    divexact = IntPoly.divexact_coeffs
+    monkeypatch.setattr(IntPoly, "divexact_coeffs",
+                        staticmethod(lambda a, b: divisors.append(tuple(b)) or divexact(a, b)))
+    d = det(rows)
+    assert divisors and divisors[0] == const.coeffs
+    monkeypatch.undo()
+    assert d == cofactor(rows)

@@ -74,6 +74,19 @@ class TestIntPoly:
         assert IntPoly((-2, 0, 4)).eval_at(Fraction(1, 2)) == -1
         assert IntPoly((1, 1)).eval_at(3) == 4
 
+    @given(int_polys,
+           st.one_of(st.just(0), st.integers(min_value=-2 ** 200, max_value=2 ** 200)),
+           st.integers(min_value=-240, max_value=12))
+    @example(IntPoly((-2, 0, 4)), 1, -1)            # 4/4 - 2 = -1
+    @example(IntPoly((3, 0, -7)), 0, -60)           # the constant term at zero
+    @example(IntPoly((0, 5, 0, -1)), -3, 4)         # integer point, negative man
+    @example(IntPoly(), 7, -3)
+    @example(IntPoly((9,)), -5, -8)
+    @settings(max_examples=200, deadline=None)
+    def test_eval_dyadic_matches_eval_at(self, p, man, e):
+        v, exp2 = p.eval_dyadic(man, e)
+        assert Fraction(v) * Fraction(2) ** exp2 == p.eval_at(Fraction(man) * Fraction(2) ** e)
+
     def test_pretty(self):
         assert IntPoly((-2, 0, 4)).pretty() == "4x^2 - 2"
         assert IntPoly().pretty() == "0"

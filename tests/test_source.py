@@ -68,3 +68,28 @@ def test_every_exported_name_resolves():
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
                     if not hasattr(module, n)]
     assert not missing, missing
+
+
+def _imports_mpmath(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "mpmath" for a in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "mpmath")
+
+
+def test_numerics_quarantined_in_xhermite():
+    # the one quadrature check is the only floating-point code: mpmath is
+    # imported by xhermite alone, and the exact kernel of polys holds no
+    # float, no float literal and no mpf
+    bad = [f"{path.stem}:{node.lineno} imports mpmath" for path, tree in _modules()
+           if path.stem != "xhermite" for node in ast.walk(tree) if _imports_mpmath(node)]
+    tree = ast.parse((SRC / "polys.py").read_text())
+    for node in ast.walk(tree):
+        names = [getattr(node, attr, None) for attr in ("id", "attr", "name", "arg")]
+        if isinstance(node, ast.alias):
+            names.append(node.asname)
+        bad += [f"polys:{getattr(node, 'lineno', '?')} names {n}" for n in names
+                if isinstance(n, str) and (n == "float" or "mpf" in n.lower())]
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            bad.append(f"polys:{node.lineno} float literal {node.value!r}")
+    assert not bad, bad

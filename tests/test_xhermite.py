@@ -240,6 +240,50 @@ class TestNorms:
         with pytest.raises(RuntimeError, match="quadrature ran"):
             weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 8)
 
+    def test_integrand_matches_mpf_horner(self):
+        # the oracle is the integrand as it was evaluated before the exact
+        # dyadic kernel: mpf Horner, rounding at every step
+        from hermitepw.xhermite import _mp_context, _tail_cutoff, _weighted_ratio
+
+        mp = _mp_context()
+
+        def horner(p, x):
+            out = mp.mpf(0)
+            for c in reversed(p.coeffs):
+                out = out * x + c
+            return out
+
+        lam = Partition((2, 2, 1, 1))
+        w = pseudo_wronskian(MayaDiagram.from_partition(lam))
+        for n in (2, 5):
+            pn = exceptional_hermite(lam, n)
+            new = _weighted_ratio(pn * pn, w * w, mp)
+            old = lambda x: horner(pn, x) ** 2 * mp.exp(-x * x) / horner(w, x) ** 2
+            nodes = []
+            mp.quad(lambda x: nodes.append(x) or new(x), [0, _tail_cutoff(2 * n + 2 * w.degree)])
+            assert len(nodes) > 1000
+            points = nodes + [mp.mpf(0), mp.mpf(2), mp.mpf(-3), mp.mpf(1) / 3, mp.mpf(14)]
+            for x in points:
+                assert abs(new(x) - old(x)) <= abs(old(x)) * mp.ldexp(1, 8 - mp.prec), (n, x)
+
+    def test_mixed_parity_integrand_raises(self, monkeypatch):
+        # a mixed-parity member has parity None on both sides of the pair,
+        # so it passes the opposite-parity shortcut; its square is not
+        # even, and the half-line quadrature would be wrong for it
+        import hermitepw.xhermite as xh
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("quadrature ran")
+
+        mixed = IntPoly((1, 1, 0, 1))
+        assert mixed.parity() is None
+        monkeypatch.setattr(xh, "exceptional_hermite", lambda lam, n: mixed)
+        monkeypatch.setattr(xh._mp_context(), "quad", boom)
+        with pytest.raises(ArithmeticError, match="not even"):
+            weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 2)
+        with pytest.raises(ArithmeticError, match="not even"):
+            weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 5)
+
     def test_global_precision_untouched(self):
         import mpmath
 
