@@ -32,6 +32,11 @@ checks ``verify_equivalence``, ``one_step_shift_check`` and
 ``conjugate_wronskian_identity`` compute the defining determinants at
 their own orders instead, so the identity is always tested against
 determinants it did not produce.
+
+Flipping one element of M is one rational Darboux step.  ``hirota`` is its
+polynomial form B_eps(f, g) = (D^2 + 2 eps x D) f.g, and ``darboux_step``
+checks B_eps(H_M', H_M) = c H_M' H_M in Z[x] with eps, the eigenvalue and
+c in closed form.
 """
 
 from __future__ import annotations
@@ -64,6 +69,9 @@ __all__ = [
     "verify_equivalence",
     "conjugate_wronskian_identity",
     "one_step_shift_check",
+    "hirota",
+    "DarbouxStep",
+    "darboux_step",
 ]
 
 
@@ -325,7 +333,7 @@ def conjugate_wronskian_identity(lam: Partition):
     rhs = wronskian([conj_hermite_poly(i) for i in sorted(conj_std.t)])
 
     if lam.size == 0:
-        return True, Fraction(1), lhs, rhs
+        return lhs == rhs, Fraction(1), lhs, rhs
 
     k = m_std.max_element() + 1
     fac = equivalence_factor(m_std, k)
@@ -365,3 +373,53 @@ def one_step_shift_check(m: MayaDiagram, direction: str):
         raise ValueError(f"direction must be 'down' or 'up': {direction!r}")
     ok = _direct_pseudo_wronskian(m) == c * _direct_pseudo_wronskian(other)
     return ok, c
+
+
+# -- Darboux steps -----------------------------------------------------------
+
+
+def hirota(f: IntPoly, g: IntPoly, eps: int) -> IntPoly:
+    """B_eps(f, g) = (f'' + 2 eps x f') g - 2 f' g' + (g'' - 2 eps x g') f,
+    the Hirota form (D^2 + 2 eps x D) f.g of one Darboux step."""
+    fp, gp = f.derivative(), g.derivative()
+    x2 = IntPoly((0, 2 * eps))
+    return (fp.derivative() + x2 * fp) * g - 2 * fp * gp + (gp.derivative() - x2 * gp) * f
+
+
+@dataclass(frozen=True)
+class DarbouxStep:
+    """The flip M -> M' as a Darboux step: B_eps(H_M', H_M) = constant H_M' H_M."""
+
+    diagram: MayaDiagram
+    flip: int
+    eps: int            # +1 when flip leaves M, -1 when it joins M
+    eigenvalue: int     # 2 flip + 1
+    constant: int       # 2(|t| - |s|) - eps - eigenvalue, t and s of M
+    residual: IntPoly   # B_eps(H_M', H_M) - constant H_M' H_M
+
+    @property
+    def ok(self) -> bool:
+        return self.residual.is_zero()
+
+
+def darboux_step(m: MayaDiagram, flip: int) -> DarbouxStep:
+    """Verify that flipping ``flip`` in M is an exact Darboux step.
+
+    With U_M = x^2 - 2 (log H_M)'' + 2(|t| - |s|) and
+    f = eps x + (log H_M'/H_M)', the step is U_M = f' + f^2 + eigenvalue
+    (then U_M' = -f' + f^2 + eigenvalue, as the offsets differ by eps).
+    Cleared of denominators that is B_eps(H_M', H_M) = constant H_M' H_M;
+    a nonzero residual raises.
+    """
+    if flip in m:
+        eps, partner = 1, m.remove(flip)
+    else:
+        eps, partner = -1, m.add(flip)
+    eigenvalue = 2 * flip + 1
+    c = 2 * (len(m.t) - len(m.s)) - eps - eigenvalue
+    tau, tau2 = pseudo_wronskian(m), pseudo_wronskian(partner)
+    residual = hirota(tau2, tau, eps) - c * (tau2 * tau)
+    if not residual.is_zero():
+        raise ArithmeticError(f"flipping {flip} in {m} is not a Darboux step "
+                              f"with eps = {eps}, constant {c}")
+    return DarbouxStep(m, flip, eps, eigenvalue, c, residual)

@@ -5,8 +5,9 @@ equation
     y'' = (y')^2/(2y) + (3/2) y^3 + 4 t y^2 + 2 (t^2 - a) y + b / y.
 
 Each solution is a linear term plus log-derivatives of pseudo-Wronskians
-of the generalized-Hermite (GH) or Okamoto (O) diagram families.  The GH
-family substitutes x = t directly; the O family substitutes x = t/sqrt3.
+of the generalized-Hermite (GH) or Okamoto (O) diagram families, whose
+chains of flips (``three_cycle``) are Darboux steps (``hermite.darboux_step``).
+The GH family substitutes x = t; the O family substitutes x = t/sqrt3.
 Every pseudo-Wronskian h of degree d has the parity of d, so
 3^(d/2) h(t/sqrt3) has integer coefficients, and the scalar 3^(d/2)
 drops out of the log-derivative: no sqrt3 ever appears.
@@ -37,8 +38,6 @@ __all__ = [
     "three_cycle",
     "RationalPotential",
     "potential",
-    "ChainStep",
-    "chain_step_verify",
     "PivSolution",
     "piv_solution_gh",
     "piv_solution_o",
@@ -133,40 +132,6 @@ def potential(m: MayaDiagram) -> RationalPotential:
     h = pseudo_wronskian(m)
     log_part = -2 * RatFunc(h).log_derivative().derivative()
     return RationalPotential(log_part, 2 * (len(m.t) - len(m.s)))
-
-
-@dataclass(frozen=True)
-class ChainStep:
-    flip: int
-    sigma: int
-    eigenvalue: Fraction
-    factor: RatFunc      # f with U = f' + f^2 + eigenvalue
-    ok: bool
-
-
-def chain_step_verify(m: MayaDiagram, flip: int) -> ChainStep:
-    """Confirm one flip is an exact Darboux step between the two potentials.
-
-    Tries f = sigma*x + (log(H_M'/H_M))' for sigma = +-1, solves
-    f' + f^2 = U_M - lam for a constant lam, and requires
-    -f' + f^2 = U_M' - lam to hold identically.  Exactly one sigma works
-    for a genuine flip; failure of both signals a construction bug.
-    """
-    m2 = m.add(flip) if flip not in m else m.remove(flip)
-    u_lo = potential(m).as_ratfunc()
-    u_hi = potential(m2).as_ratfunc()
-    log_ratio = RatFunc(pseudo_wronskian(m2)).log_derivative() \
-        - RatFunc(pseudo_wronskian(m)).log_derivative()
-    x = RatFunc(IntPoly((0, 1)))
-    for sigma in (1, -1):
-        f = sigma * x + log_ratio
-        cand = u_lo - f.derivative() - f * f
-        if not cand.is_constant():
-            continue
-        lam = cand.as_fraction()
-        if (-f.derivative() + f * f) == u_hi - RatFunc.from_fraction(lam):
-            return ChainStep(flip, sigma, lam, f, True)
-    raise ArithmeticError(f"no Darboux factorization found for flip {flip} on {m}")
 
 
 @dataclass(frozen=True)

@@ -531,14 +531,6 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree <= 0
-
-    def as_fraction(self):
-        if not self.is_constant():
-            raise ValueError("not a constant rational function")
-        return Fraction(self.num[0] if self.num.coeffs else 0, self.den[0])
-
     def __eq__(self, other):
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den

@@ -11,6 +11,10 @@ n + ell - size is a hole of M; the excluded degrees number size(lam).
 P_n equals a pseudo-Wronskian of M u {position} up to the explicit sign
 (-1)^(number of m_i above the inserted position).
 
+T[P_n] = 2(size - n) P_n is the Darboux-step identity of adding the
+insertion position to M: B_-1(P_n, W) = 2(size - n) P_n W with W = H_M
+and B the form of ``hermite.hirota``.
+
 Everything here is exact except ``weight_and_norm_check``, the one
 numerical routine in the package, which is quarantined behind mpmath
 tanh-sinh quadrature at 50-digit working precision.  Even there the
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hermite import min_order_at, pseudo_wronskian
+from .hermite import hirota, min_order_at, pseudo_wronskian
 from .maya import MayaDiagram, Partition
 from .minorder import xhermite_min_origin
 from .polys import IntPoly, RatFunc, count_real_roots
@@ -39,7 +43,6 @@ __all__ = [
     "apply_T_lambda",
     "EigenReport",
     "eigen_check",
-    "family_eigen_constant",
     "MinOrderForm",
     "min_order_form",
     "NORM_TOLERANCE",
@@ -111,38 +114,36 @@ def insertion_sign(lam: Partition, n: int) -> int:
     """Sign relating the defining Wronskian to the pseudo-Wronskian of the
     enlarged diagram: (-1)^(count of diagram elements above the insertion)."""
     fam = XHermiteFamily(lam)
+    if not fam.is_admissible(n):
+        raise ValueError(f"degree {n} is not admissible for {lam}")
     pos = fam.insertion_position(n)
     return (-1) ** sum(1 for t in fam.diagram.t if t > pos)
 
 
-def _t_numerator(lam: Partition, y: IntPoly):
-    """(num, W) with T[y] = num / W and W = H_M."""
+def _weight(lam: Partition) -> IntPoly:
     w = pseudo_wronskian(MayaDiagram.from_partition(lam))
     if w.is_zero():
         raise ZeroDivisionError("vanishing weight Wronskian")
-    x = IntPoly((0, 1))
-    yp = y.derivative()
-    wp = w.derivative()
-    num = (y.derivative(2) - 2 * x * yp) * w - 2 * wp * yp + (wp.derivative() + 2 * x * wp) * y
-    return num, w
+    return w
 
 
 def apply_T_lambda(lam: Partition, y: IntPoly) -> RatFunc:
     """Second-order operator of the family applied to a polynomial:
 
-    T[y] = y'' - 2(x + W'/W) y' + (W''/W + 2x W'/W) y,   W = H_M.
+    T[y] = y'' - 2(x + W'/W) y' + (W''/W + 2x W'/W) y = B_-1(y, W) / W,
 
-    Assembled over the single denominator W.
+    with W = H_M and B the Hirota form of ``hermite.hirota``.
     """
-    return RatFunc(*_t_numerator(lam, y))
+    w = _weight(lam)
+    return RatFunc(hirota(y, w, -1), w)
 
 
 @dataclass(frozen=True)
 class EigenReport:
     n: int
-    eigenvalue: Fraction
-    shifted_index: Fraction     # N with eigenvalue = 2(N - n)
-    residual: IntPoly
+    eigenvalue: int         # 2(N - n)
+    shifted_index: int      # N = size(lam)
+    residual: IntPoly       # B_-1(P_n, W) - eigenvalue P_n W
 
     def to_json(self):
         return {"n": self.n, "eigenvalue": str(self.eigenvalue),
@@ -151,31 +152,16 @@ class EigenReport:
 
 
 def eigen_check(lam: Partition, n: int) -> EigenReport:
-    """Verify T[P_n] is an exact constant multiple of P_n.
-
-    The constant is 2(N - n) with N independent of n across the family
-    (N equals size(lam); asserted family-wide by the tests).  A
-    non-constant ratio is a construction bug and raises.
-    """
+    """Verify T[P_n] = 2(size - n) P_n exactly, as the Darboux-step
+    identity B_-1(P_n, W) = 2(size - n) P_n W in Z[x].  A nonzero residual
+    is a construction bug and raises."""
     y = exceptional_hermite(lam, n)
-    num, w = _t_numerator(lam, y)
-    yw = y * w
-    # T[y] = c y holds exactly when num = c y W in Z[x]; the leading
-    # coefficients fix c.
-    c = Fraction(num.leading, yw.leading)
-    residual = c.denominator * num - c.numerator * yw
+    w = _weight(lam)
+    c = 2 * (lam.size - n)
+    residual = hirota(y, w, -1) - c * (y * w)
     if not residual.is_zero():
         raise ArithmeticError(f"T[P_{n}] is not {c} P_{n} for {lam}")
-    return EigenReport(n, c, n + c / 2, residual)
-
-
-def family_eigen_constant(lam: Partition) -> Fraction:
-    """The common N across the first four admissible degrees (exact fit)."""
-    fam = XHermiteFamily(lam)
-    values = {eigen_check(lam, n).shifted_index for n in fam.admissible_degrees(4)}
-    if len(values) != 1:
-        raise ArithmeticError(f"eigenvalues of {lam} do not fit 2(N - n): {values}")
-    return values.pop()
+    return EigenReport(n, c, lam.size, residual)
 
 
 @dataclass(frozen=True)
@@ -277,8 +263,9 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     Integrates P_n P_m e^(-x^2)/W^2 over the real line with tanh-sinh
     quadrature at NORM_DPS digits and compares against
     delta_{nm} sqrt(pi) 2^(j+ell) j! prod_i (j - m_i), j = n + ell - N,
-    with N the family eigenvalue index.  The weight denominator W must
-    have no real zeros; for even partitions it never does (checked
+    with N = size(lam) the family eigenvalue index.  The weight
+    denominator W must have no real zeros; for even partitions it never
+    does (checked
     exactly by Sturm root counting before any numerics).  When n and m
     have opposite parity the integrand is odd, so the integral is an
     exact zero and no quadrature runs.  Otherwise P_n P_m and W^2 are
@@ -303,15 +290,10 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     # the half-line quadrature below is right only for an even integrand
     if num.parity() != 0 or den.parity() != 0:
         raise ArithmeticError(f"integrand of ({n}, {m}) for {lam} is not even")
-    big_n = family_eigen_constant(lam)
-
     mp = _mp_context()
     L = _tail_cutoff(n + m + 2 * max(w.degree, 1))
     integral = 2 * mp.quad(_weighted_ratio(num, den, mp), [0, L])
-    j = n + fam.ell - big_n
-    if j.denominator != 1:
-        raise ArithmeticError(f"norm index j = {j} of {lam} is not an integer")
-    j = int(j)
+    j = n + fam.ell - lam.size
     # diagonal norm at n; off the diagonal it is the relative yardstick
     norm = mp.sqrt(mp.pi) * mp.mpf(2) ** (j + fam.ell) * mp.factorial(j)
     for t in fam.diagram.t:

@@ -356,6 +356,15 @@ class TestConjugateIdentity:
             assert ok, lam
             assert lhs * c.denominator == rhs * c.numerator
 
+    def test_empty_partition_compares_both_sides(self, monkeypatch):
+        import hermitepw.hermite as hermite
+
+        ok, c, lhs, rhs = conjugate_wronskian_identity(Partition())
+        assert ok and c == 1 and lhs == rhs == 1
+        monkeypatch.setattr(hermite, "wronskian", lambda polys: IntPoly.const(2))
+        ok, _, _, _ = conjugate_wronskian_identity(Partition())
+        assert not ok
+
     def test_self_conjugate_constant_unity_scale(self):
         # a self-conjugate partition relates two equal-order Wronskians
         ok, c, lhs, rhs = conjugate_wronskian_identity(Partition((2, 1)))

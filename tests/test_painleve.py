@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 import hermitepw.polys as polys
 from hermitepw.determinant import det
-from hermitepw.hermite import pseudo_wronskian, pseudo_wronskian_matrix
+import hermitepw.hermite as hermite
+from hermitepw.hermite import darboux_step, pseudo_wronskian, pseudo_wronskian_matrix
 from hermitepw.maya import MayaDiagram
 from hermitepw.minorder import minimal_girth_of_diagram
 from hermitepw.painleve import (
-    ChainStep,
     PivSolution,
     _min_order,
-    chain_step_verify,
     gh_maya,
     min_order_gh,
     min_order_o,
@@ -108,31 +107,87 @@ class TestPotential:
             assert v.offset == u.offset + 2 * k
 
 
+def chain_step_oracle(m, flip):
+    """One flip as a Darboux step, found by search over rational functions.
+
+    Tries f = sigma*x + (log(H_M'/H_M))' for sigma = +-1, solves
+    f' + f^2 = U_M - lam for a constant lam, and requires
+    -f' + f^2 = U_M' - lam to hold identically.  Returns (sigma, lam, f);
+    a flip that fits neither sign raises.
+    """
+    m2 = m.add(flip) if flip not in m else m.remove(flip)
+    u_lo = potential(m).as_ratfunc()
+    u_hi = potential(m2).as_ratfunc()
+    log_ratio = RatFunc(pseudo_wronskian(m2)).log_derivative() \
+        - RatFunc(pseudo_wronskian(m)).log_derivative()
+    x = RatFunc(T)
+    for sigma in (1, -1):
+        f = sigma * x + log_ratio
+        cand = u_lo - f.derivative() - f * f
+        if cand.num.degree > 0 or cand.den.degree > 0:
+            continue
+        lam = cand.eval_at(0)
+        if (-f.derivative() + f * f) == u_hi - RatFunc.from_fraction(lam):
+            return sigma, lam, f
+    raise ArithmeticError(f"no Darboux factorization found for flip {flip} on {m}")
+
+
 class TestChainSteps:
     def test_ground_level(self):
-        step = chain_step_verify(MayaDiagram.parse("|"), 0)
-        assert isinstance(step, ChainStep)
-        assert step.sigma == -1 and step.eigenvalue == 1 and step.ok
+        step = darboux_step(MayaDiagram.parse("|"), 0)
+        assert (step.eps, step.eigenvalue, step.constant) == (-1, 1, 0)
+        assert step.ok and step.residual.is_zero()
 
     def test_add_then_remove_is_inverse(self):
         m = gh_maya(2, 3)
-        fwd = chain_step_verify(m, 6)
-        back = chain_step_verify(m.add(6), 6)
+        fwd = darboux_step(m, 6)
+        back = darboux_step(m.add(6), 6)
+        assert fwd.eps == -back.eps
         assert fwd.eigenvalue == back.eigenvalue
-        assert fwd.factor == -1 * back.factor
+
+    def _agrees_with_oracle(self, m, flip):
+        sigma, lam, _ = chain_step_oracle(m, flip)
+        step = darboux_step(m, flip)
+        assert (step.eps, step.eigenvalue) == (sigma, lam), (m, flip)
+
+    def test_three_cycles_match_oracle(self):
+        # every step of every cycle with parameters <= 4: 150 steps
+        for family in ("gh", "o"):
+            for p1 in range(5):
+                for p2 in range(5):
+                    chain = three_cycle(family, (p1, p2))
+                    for d, f in zip(chain.diagrams, chain.flips):
+                        self._agrees_with_oracle(d, f)
+
+    def test_random_flips_match_oracle(self, rng):
+        from conftest import random_diagram
+        for _ in range(100):
+            m = random_diagram(rng, max_girth=4, max_val=8)
+            self._agrees_with_oracle(m, rng.randint(-8, 10))
+
+    def test_corrupted_partner_raises(self, monkeypatch):
+        m = gh_maya(2, 3)
+        partner = m.add(6)
+        step = darboux_step(m, 6)
+        assert step.ok
+        assert not replace(step, residual=IntPoly((1, 1))).ok
+        real = hermite.pseudo_wronskian
+        monkeypatch.setattr(hermite, "pseudo_wronskian",
+                            lambda d: real(d) * IntPoly((1, 1)) if d == partner else real(d))
+        with pytest.raises(ArithmeticError):
+            darboux_step(m, 6)
 
     def _alpha_chain(self, family, params):
         chain = three_cycle(family, params)
-        steps = [chain_step_verify(d, f) for d, f in zip(chain.diagrams, chain.flips)]
-        f1, f2, f3 = (s.factor for s in steps)
-        l1, l2, l3 = (s.eigenvalue for s in steps)
+        steps = [chain_step_oracle(d, f) for d, f in zip(chain.diagrams, chain.flips)]
+        l1, l2, l3 = (lam for _, lam, _ in steps)
+        f1, f2, f3 = (f for _, _, f in steps)
         delta = Fraction(2 * chain.shift)
         alphas = (l1 - l2, l2 - l3, l3 - l1 - delta)
         # the three coupled first-order relations of the cycle
         assert (f1 + f2).derivative() + f2 * f2 - f1 * f1 == RatFunc.from_fraction(alphas[0])
         assert (f2 + f3).derivative() + f3 * f3 - f2 * f2 == RatFunc.from_fraction(alphas[1])
         assert (f3 + f1).derivative() + f1 * f1 - f3 * f3 == RatFunc.from_fraction(alphas[2])
-        assert sum(alphas) == -delta
 
     def test_gh_cycle_alphas(self):
         self._alpha_chain("gh", (2, 4))

@@ -93,3 +93,16 @@ def test_numerics_quarantined_in_xhermite():
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             bad.append(f"polys:{node.lineno} float literal {node.value!r}")
     assert not bad, bad
+
+
+def test_hermite_stays_in_integer_polynomials():
+    # Darboux steps are checked as identities in Z[x]: hermite never
+    # builds a rational function
+    tree = ast.parse((SRC / "hermite.py").read_text())
+    bad = [f"hermite:{node.lineno} imports RatFunc" for node in ast.walk(tree)
+           if isinstance(node, (ast.Import, ast.ImportFrom))
+           and any(a.name.split(".")[-1] == "RatFunc" for a in node.names)]
+    bad += [f"hermite:{node.lineno} names RatFunc" for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "RatFunc")
+            or (isinstance(node, ast.Attribute) and node.attr == "RatFunc")]
+    assert not bad, bad

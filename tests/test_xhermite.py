@@ -17,7 +17,6 @@ from hermitepw.xhermite import (
     apply_T_lambda,
     eigen_check,
     exceptional_hermite,
-    family_eigen_constant,
     insertion_sign,
     min_order_form,
     weight_and_norm_check,
@@ -90,6 +89,11 @@ class TestConstruction:
         assert insertion_sign(Partition((1,)), 0) == -1
         assert insertion_sign(Partition((1,)), 2) == 1
 
+    def test_sign_of_inadmissible_degree_raises(self):
+        # position 1 of (2,1) is filled: no family member has degree 2
+        with pytest.raises(ValueError):
+            insertion_sign(Partition((2, 1)), 2)
+
 
 class TestEigen:
     def test_classical_case(self):
@@ -106,7 +110,7 @@ class TestEigen:
         for n in (2, 3, 4):
             rep = eigen_check(Partition((1,)), n)
             assert rep.eigenvalue == 2 * (1 - n)
-        assert family_eigen_constant(Partition((1,))) == 1
+            assert rep.shifted_index == 1
 
     def test_slope_minus_two(self):
         lam = Partition((2, 2, 1, 1))
@@ -119,7 +123,8 @@ class TestEigen:
     def test_index_equals_partition_size(self):
         for lam in (Partition((2, 2, 1, 1)), Partition((4, 4, 1, 1)),
                     Partition((3, 1)), Partition()):
-            assert family_eigen_constant(lam) == lam.size
+            for n in XHermiteFamily(lam).admissible_degrees(4):
+                assert eigen_check(lam, n).shifted_index == lam.size
 
     @pytest.mark.parametrize("corrupt", [lambda y: y + 1, lambda y: IntPoly((0, 1)) * y],
                              ids=["plus_one", "times_x"])
