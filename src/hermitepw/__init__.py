@@ -29,7 +29,6 @@ from .painleve import (
     piv_catalog,
     piv_solution_gh,
     piv_solution_o,
-    potential,
     three_cycle,
     verify_piv,
 )
@@ -51,7 +50,7 @@ __all__ = [
     "exceptional_hermite", "gh_maya", "hermite_poly", "hermite_wronskian",
     "inside_corners", "min_order_after_insert", "min_order_form",
     "min_order_gh", "min_order_o", "minimal_girth", "o_maya", "piv_catalog",
-    "piv_solution_gh", "piv_solution_o", "poly_gcd", "potential",
+    "piv_solution_gh", "piv_solution_o", "poly_gcd",
     "pseudo_wronskian", "pure_conjugate_wronskian", "rim", "three_cycle",
     "verify_equivalence", "verify_piv", "weight_and_norm_check", "wronskian",
     "xhermite_min_origin",

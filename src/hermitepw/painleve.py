@@ -1,6 +1,5 @@
-"""Rational extensions of the harmonic oscillator, Maya-diagram chains,
-and the two families of rational solutions of the fourth Painleve
-equation
+"""Maya-diagram chains and the two families of rational solutions of the
+fourth Painleve equation
 
     y'' = (y')^2/(2y) + (3/2) y^3 + 4 t y^2 + 2 (t^2 - a) y + b / y.
 
@@ -36,8 +35,6 @@ __all__ = [
     "o_maya",
     "MayaChain",
     "three_cycle",
-    "RationalPotential",
-    "potential",
     "PivSolution",
     "piv_solution_gh",
     "piv_solution_o",
@@ -115,23 +112,6 @@ def three_cycle(family: str, params) -> MayaChain:
         cur = diagrams[-1]
         diagrams.append(cur.add(f) if f not in cur else cur.remove(f))
     return MayaChain(tuple(diagrams), flips, k)
-
-
-@dataclass(frozen=True)
-class RationalPotential:
-    """x^2 + log_part + offset with log_part = -2 (log H_M)''."""
-
-    log_part: RatFunc
-    offset: int
-
-    def as_ratfunc(self) -> RatFunc:
-        return RatFunc(IntPoly((0, 0, 1))) + self.log_part + RatFunc.from_fraction(self.offset)
-
-
-def potential(m: MayaDiagram) -> RationalPotential:
-    h = pseudo_wronskian(m)
-    log_part = -2 * RatFunc(h).log_derivative().derivative()
-    return RationalPotential(log_part, 2 * (len(m.t) - len(m.s)))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,14 @@ in the total bit length: each coefficient becomes one byte-aligned word,
 the words are joined by one ``int.from_bytes``, and a value is read back by
 one ``int.to_bytes`` cut into word slices.
 
-* Multiplication switches to Kronecker substitution once operands are
-  large enough for CPython's native bignum multiply to beat the schoolbook
-  loop; the word holds the product bound ``max|a| * max|b| * min(len a,
-  len b)`` and the inputs themselves.
+* Multiplication takes Kronecker substitution when an integer cost
+  estimate says CPython's native bignum multiply of the packed operands
+  beats the schoolbook loop.  The estimate reads both lengths and the
+  coefficient bit sizes, because the word holds the product bound
+  ``max|a| * max|b| * min(len a, len b)`` and the inputs themselves: every
+  coefficient is padded to it, so a high-degree Hermite polynomial of
+  1.4 kbit coefficients times a short factor of small ones stays
+  schoolbook.
 * ``poly_gcd`` is GCDHEU (Char, Geddes & Gonnet 1989): one integer gcd of
   the two values at ``xi``, read back as a candidate that is accepted only
   after it divides both inputs exactly.  The primitive polynomial remainder
@@ -48,10 +52,19 @@ __all__ = [
     "count_real_roots",
 ]
 
-# operand-size threshold (len(a)*len(b)) above which Kronecker packing wins;
-# packing and unpacking are linear in total bits, so above it the cost is
-# the one bignum multiply.  The crossover also depends on coefficient size.
-_KRONECKER_CUTOFF = 600
+# Products of at most this many coefficient pairs run schoolbook without
+# reading a bit length: the small products of the determinants are most of
+# all products, and the cost rule would spend its O(len) scan on them.
+_SCHOOLBOOK_PAIRS = 600
+
+# Weights of the cost rule in _schoolbook_cheaper, fitted to best-of-10
+# timings of both paths on the products of the benchmark workloads and a
+# grid of synthetic shapes (CPython 3.11, x86-64; the shape table is
+# scripts/mul_crossover.py).  Only their ratios matter.
+_PAIR_COST = 1000       # interpreter cost of one schoolbook coefficient pair
+_LIMB_COST = 146        # one 30-bit limb product inside a schoolbook pair
+_PACK_COST = 10         # one limb of a Kronecker word packed or unpacked
+_KARATSUBA_COST = 1000  # the packed multiply, per limb^1.5
 
 
 def _trim(coeffs):
@@ -112,10 +125,41 @@ def _mul_kronecker(a, b):
     return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1)
 
 
+def _limb_profile(coeffs):
+    """(limbs, largest bit length) of a coefficient sequence; the limbs
+    are its total bit length over 30 plus one per coefficient."""
+    bits = list(map(int.bit_length, coeffs))
+    return sum(bits) // 30 + len(bits), max(bits)
+
+
+def _schoolbook_cheaper(a, b):
+    """Whether the schoolbook loop is estimated no dearer than Kronecker.
+
+    With la <= lb the lengths, sa, sb the limb counts and w the limbs of
+    one Kronecker word, schoolbook costs a term per coefficient pair plus
+    the sum of the limb products of all pairs,
+    _PAIR_COST * la * lb + _LIMB_COST * sa * sb.  Kronecker packs and
+    unpacks (la + lb) words and multiplies an la*w-limb integer by an
+    lb*w-limb one, which CPython cuts into lb / la balanced Karatsuba
+    products of la*w limbs each; n * isqrt(n) stands in for n^1.585, giving
+    _PACK_COST * (la + lb) * w + _KARATSUBA_COST * lb * w * isqrt(la * w).
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    la, lb = len(a), len(b)
+    sa, ma = _limb_profile(a)
+    sb, mb = _limb_profile(b)
+    w = (ma + mb + la.bit_length()) // 30 + 1
+    school = _PAIR_COST * la * lb + _LIMB_COST * sa * sb
+    kron = _PACK_COST * (la + lb) * w + _KARATSUBA_COST * lb * w * math.isqrt(la * w)
+    return school <= kron
+
+
 def _mul(a, b):
     """Coefficient list of the product of two nonzero trimmed coefficient
-    sequences: schoolbook up to the cutoff, Kronecker above it."""
-    if len(a) * len(b) <= _KRONECKER_CUTOFF:
+    sequences: schoolbook for small or lopsided products, Kronecker where
+    the cost rule expects the packed bignum multiply to win."""
+    if len(a) * len(b) <= _SCHOOLBOOK_PAIRS or _schoolbook_cheaper(a, b):
         return _mul_schoolbook(a, b)
     return _mul_kronecker(a, b)
 
@@ -241,6 +285,8 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative exponent of a polynomial")
         out = IntPoly.const(1)
         base = self
         while n:

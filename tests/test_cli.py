@@ -179,7 +179,8 @@ def test_selftest_under_optimize():
      "origin   9  girth 4  (8,5,4,2 | )             H_std = 3360 * H_shifted   [ok]", "stdout"),
     ("minimal_order_survey.py", "6", "biggest saving: (1,1,1,1,1,1) drops 5 orders", "stdout"),
     ("piv_catalog_dump.py", "2", "38/38 solutions verified", "stderr"),
-], ids=["shift_equivalence_demo", "minimal_order_survey", "piv_catalog_dump"])
+    ("mul_crossover.py", "1000", "rule: schoolbook on 7, kronecker on 4 of 11 shapes", "stdout"),
+], ids=["shift_equivalence_demo", "minimal_order_survey", "piv_catalog_dump", "mul_crossover"])
 def test_script_runs(script, arg, line, stream):
     root = Path(hermitepw.__file__).resolve().parent.parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -22,13 +22,31 @@ from hermitepw.painleve import (
     piv_catalog,
     piv_solution_gh,
     piv_solution_o,
-    potential,
     three_cycle,
     verify_piv,
 )
 from hermitepw.polys import IntPoly, RatFunc
 
 T = IntPoly((0, 1))
+
+
+@dataclass(frozen=True)
+class RationalPotential:
+    """x^2 + log_part + offset with log_part = -2 (log H_M)'': the rational
+    extension of the harmonic oscillator, whose Darboux steps
+    chain_step_oracle searches for."""
+
+    log_part: RatFunc
+    offset: int
+
+    def as_ratfunc(self) -> RatFunc:
+        return RatFunc(IntPoly((0, 0, 1))) + self.log_part + RatFunc.from_fraction(self.offset)
+
+
+def potential(m: MayaDiagram) -> RationalPotential:
+    h = pseudo_wronskian(m)
+    log_part = -2 * RatFunc(h).log_derivative().derivative()
+    return RationalPotential(log_part, 2 * (len(m.t) - len(m.s)))
 
 
 class TestDiagramFamilies:

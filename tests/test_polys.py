@@ -19,6 +19,7 @@ from hermitepw.polys import (
     InexactDivisionError,
     IntPoly,
     RatFunc,
+    _mul,
     _mul_kronecker,
     _mul_schoolbook,
     count_real_roots,
@@ -48,6 +49,39 @@ def kronecker_operands(draw):
     at = draw(st.integers(min_value=0, max_value=n))
     body[at:at] = draw(zeros)
     return tuple(draw(zeros) + body + draw(zeros))
+
+
+@st.composite
+def mul_operands(draw):
+    """Two nonzero trimmed coefficient tuples as _mul sees them, of 1..400
+    and 1..40 coefficients, up to 1 + 1500 bits each.  The bit sizes are
+    drawn apart or shared, and a body is arbitrary (mostly small
+    coefficients under a large lead: schoolbook) or full-size (Kronecker
+    once both lengths are large enough)."""
+    bits_a = draw(st.integers(min_value=1, max_value=1500))
+    bits_b = draw(st.one_of(st.just(bits_a), st.integers(min_value=1, max_value=1500)))
+
+    def operand(max_len, bits):
+        top = 2 ** bits
+        n = draw(st.integers(min_value=1, max_value=max_len))
+        if draw(st.booleans()):
+            coeff = st.sampled_from((-top, top - 1))
+        else:
+            coeff = st.integers(min_value=-top, max_value=top)
+        body = draw(st.lists(coeff, min_size=n - 1, max_size=n - 1))
+        lead = draw(st.integers(min_value=1, max_value=top)) * draw(st.sampled_from((1, -1)))
+        return tuple(body) + (lead,)
+
+    return operand(400, bits_a), operand(40, bits_b)
+
+
+def rule_operand(spec, rng):
+    """hermite_poly(n) for ("H", n), else len random coefficients of the
+    given bit size with a leading +-2^bits."""
+    if spec[0] == "H":
+        return hermite_poly(spec[1]).coeffs
+    n, bits = spec
+    return tuple(rng.randint(-2 ** bits, 2 ** bits) for _ in range(n - 1)) + (2 ** bits,)
 
 
 class TestIntPoly:
@@ -141,18 +175,40 @@ class TestIntPoly:
         with pytest.raises(ArithmeticError, match="carry"):
             _mul_kronecker((top,) * 3, (top,) * 3)
 
-    @pytest.mark.parametrize("la, lb, path", [(24, 25, "_mul_schoolbook"),
-                                              (25, 25, "_mul_kronecker")])
-    def test_mul_either_side_of_cutoff(self, monkeypatch, la, lb, path):
-        assert (la * lb > polys._KRONECKER_CUTOFF) == (path == "_mul_kronecker")
-        rng = random.Random(la * lb)
-        a = IntPoly([rng.randint(-2 ** 300, 2 ** 300) for _ in range(la - 1)] + [1])
-        b = IntPoly([rng.randint(-2 ** 300, 2 ** 300) for _ in range(lb - 1)] + [-1])
+    @given(mul_operands())
+    @example(((1,) * 331, (3, 0, -(2 ** 20))))               # lopsided: schoolbook
+    @example(((2 ** 16 - 1,) * 40, (-(2 ** 16),) * 40))      # square, small words: Kronecker
+    @settings(max_examples=80, deadline=None)
+    def test_mul_matches_schoolbook(self, ab):
+        a, b = ab
+        # both argument orders: the rule puts the shorter factor first itself
+        assert _mul(a, b) == _mul_schoolbook(a, b)
+        assert _mul(b, a) == _mul_schoolbook(a, b)
+
+    @pytest.mark.parametrize("spec_a, spec_b, path", [
+        ((24, 300), (25, 300), "_mul_schoolbook"),   # within the pair guard
+        ((300, 1400), (12, 20), "_mul_schoolbook"),  # lopsided: the word pads the short factor
+        (("H", 330), (7, 20), "_mul_schoolbook"),    # P_n * W of the xh_ladder rungs
+        ((80, 16), (80, 16), "_mul_kronecker"),      # square, small coefficients
+        ((330, 16), (330, 16), "_mul_kronecker"),
+    ], ids=["guard", "lopsided", "hermite_330_x_7", "square", "square_330"])
+    def test_mul_either_side_of_cutoff(self, monkeypatch, spec_a, spec_b, path):
+        # one shape inside the pair guard, the others well away from the
+        # cost rule's boundary: at each, the path taken measured at least 5x
+        # faster than the other (scripts/mul_crossover.py)
+        rng = random.Random(repr((spec_a, spec_b)))
+        a, b = IntPoly(rule_operand(spec_a, rng)), IntPoly(rule_operand(spec_b, rng))
+        assert (len(a.coeffs) * len(b.coeffs) <= polys._SCHOOLBOOK_PAIRS) == (spec_a == (24, 300))
         calls = []
         real = getattr(polys, path)
         monkeypatch.setattr(polys, path, lambda x, y: calls.append(path) or real(x, y))
         assert (a * b).coeffs == tuple(_mul_schoolbook(a.coeffs, b.coeffs))
         assert calls == [path]
+
+    def test_negative_pow_raises(self):
+        # n >>= 1 keeps -1 at -1: a negative exponent used to loop forever
+        with pytest.raises(ValueError, match="negative"):
+            IntPoly((1, 1)) ** -1
 
     @given(int_polys, nonzero_polys)
     def test_divmod_round_trip(self, q, b):
