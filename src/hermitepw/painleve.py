@@ -17,7 +17,10 @@ Verification clears denominators and checks the residual polynomial
 identically, with no floating point anywhere.  The residual is evaluated
 at one point t = 2^B, with B from a proven bound on its coefficients, so a
 zero value means the zero polynomial and a nonzero value is read back
-exactly as the residual polynomial.
+exactly as the residual polynomial.  Every solution built here is odd: its
+log-derivatives are quotients of definite-parity pseudo-Wronskians and its
+linear term is odd.  The residual of an odd y has only even powers of t,
+so it is a polynomial in t^2 and B needs only half the bits of the bound.
 """
 
 from __future__ import annotations
@@ -222,11 +225,20 @@ def verify_piv(sol: PivSolution) -> PivReport:
         n (2s((n''d - nd'')d - 2d'w) - n q) - s w^2 - 2b d^4,
         q = 3s n^2 + 8st nd + 4(st^2 - a) d^2.
 
-    It is evaluated once at t = xi = 2^(8 nb), where multiplying by t is a
-    shift by one word.  The 1-norm of a product is at most the product of
-    the 1-norms, so summing that bound over the terms bounds every residual
-    coefficient; the word holds it, so the value at xi is zero exactly when
-    the residual is, and a nonzero value is read back as the residual.
+    It is evaluated once at t = xi = 2^(8 h), where multiplying by t is a
+    shift by one word of h bytes.  The 1-norm of a product is at most the
+    product of the 1-norms, so summing that bound over the terms bounds
+    every residual coefficient; it fits in a word of nb bytes.
+
+    When n and d have definite, opposite parities, y is odd: y y'', y'^2,
+    y^4, t y^3 and t^2 y^2 are even, and so is d^4, so the residual is
+    R(t) = sum_j r_2j t^(2j) and R(xi) = sum_j r_2j (2^(16 h))^j.  Its
+    digits are then words of 2h bytes, and h = ceil(nb / 2) suffices for
+    them; h is raised when needed so that every input coefficient, each
+    bounded by its 1-norm, packs into one word.  Any other y keeps h = nb
+    and words of h bytes.  Either way each readback word holds every
+    residual coefficient, so the value at xi is zero exactly when the
+    residual is, and a nonzero value is read back as the residual.
     """
     n, d = sol.y.num, sol.y.den
     if n.is_zero():
@@ -243,11 +255,14 @@ def verify_piv(sol: PivSolution) -> PivReport:
              + a0 ** 2 * (3 * scale * a0 ** 2 + 8 * scale * a0 * b0
                           + 4 * (scale + abs(ia)) * b0 ** 2)
              + 2 * abs(ib) * b0 ** 4)
-    # n, d != 0, so the bound is at least each of the six 1-norms: the word
-    # holds every input coefficient too
     nb = IntPoly.word_bytes(bound)
-    word = 8 * nb
-    N, N1, N2, D, D1, D2 = (p.pack(nb) for p in (n, np_, npp, d, dp, dpp))
+    # an odd y has an even residual, whose digits span two packing words
+    stride = 2 if {n.parity(), d.parity()} == {0, 1} else 1
+    # the packing word holds every input coefficient; n, d != 0, so the
+    # bound is at least each of the six 1-norms and stride 1 keeps h = nb
+    h = max(-(-nb // stride), IntPoly.word_bytes(max(a0, a1, a2, b0, b1, b2)))
+    word = 8 * h
+    N, N1, N2, D, D1, D2 = (p.pack(h) for p in (n, np_, npp, d, dp, dpp))
 
     w = N1 * D - N * D1
     nn, nd, dd = N * N, N * D, D * D
@@ -258,7 +273,10 @@ def verify_piv(sol: PivSolution) -> PivReport:
     if value == 0:
         return PivReport(True, IntPoly())
     # every term has degree at most 4 max(deg n, deg d) + 2
-    return PivReport(False, IntPoly.unpack(value, nb, 4 * max(n.degree, d.degree) + 3))
+    digits = IntPoly.unpack(value, stride * h, (4 * max(n.degree, d.degree) + 2) // stride + 1)
+    coeffs = [0] * (stride * len(digits.coeffs))
+    coeffs[::stride] = digits.coeffs
+    return PivReport(False, IntPoly(coeffs))
 
 
 def piv_catalog(max_param: int):

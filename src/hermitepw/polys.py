@@ -28,7 +28,10 @@ one ``int.to_bytes`` cut into word slices.
   after it divides both inputs exactly.  The primitive polynomial remainder
   sequence is the fallback when a few growing ``xi`` all fail.
 * ``painleve.verify_piv`` evaluates its whole residual at one point and
-  reads a nonzero value back as the residual polynomial.
+  reads a nonzero value back as the residual polynomial.  For an odd
+  solution the residual is even, so it packs at ``xi = 2^(8 * h)`` with
+  ``h`` about half the residual's word and reads the value back in words
+  of ``2 * h`` bytes, one per even coefficient.
 
 Multiplication and division run on plain coefficient lists: one multiply
 dispatch and one division loop sit behind ``IntPoly.__mul__``, ``divmod``

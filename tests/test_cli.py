@@ -165,6 +165,16 @@ def test_catalog_bytes_pinned(capsys):
         "1ed2728f004fd8350ad54b78afaebc01ea8fb626d7f02a08d64f3e396c32b76b"
 
 
+@pytest.mark.parametrize("max_param, digest", [
+    ("5", "edc43b19b22c0489c528280d2223d312915d8e72a06c30d78f3e9546a1b74c03"),
+    ("6", "8bc04ef6ec38398e5b7cdbcb3c07325709b339cd15f316e396a5e6d0b288b0cb"),
+])
+def test_larger_catalog_bytes_pinned(capsys, max_param, digest):
+    code, out = run(capsys, "--format", "json", "piv", "catalog", "--max", max_param)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_selftest_under_optimize():
     # python -O strips assert statements; the embedded checks must still run
     src = Path(hermitepw.__file__).resolve().parent.parent

@@ -326,9 +326,23 @@ def mutants(sol):
 
 
 TOP = 2 ** 160 - 1
-wide_polys = st.lists(st.integers(min_value=-TOP, max_value=TOP) | st.integers(-9, 9),
-                      min_size=1, max_size=6).map(IntPoly).filter(lambda p: not p.is_zero())
+wide_ints = st.integers(min_value=-TOP, max_value=TOP) | st.integers(-9, 9)
+wide_polys = st.lists(wide_ints, min_size=1, max_size=6).map(IntPoly).filter(
+    lambda p: not p.is_zero())
 wide_fractions = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 30))
+
+
+def parity_polys(parity):
+    """Nonzero wide polynomials whose terms all have degrees of the given parity."""
+    def spread(coeffs):
+        out = [0] * (2 * len(coeffs) + parity)
+        out[parity::2] = coeffs
+        return IntPoly(out)
+    return st.lists(wide_ints, min_size=1, max_size=4).map(spread).filter(
+        lambda p: not p.is_zero())
+
+
+odd_y = st.tuples(parity_polys(1), parity_polys(0)) | st.tuples(parity_polys(0), parity_polys(1))
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +372,24 @@ class TestVerifyPivResidual:
         want = residual_oracle(sol)
         rep = verify_piv(sol)
         assert rep.residual == want and rep.ok is want.is_zero()
+
+    @given(odd_y, wide_fractions, wide_fractions)
+    # the half word is set by the 1-norm 10100 of n'', not by the bound
+    @example((T ** 101, IntPoly.const(1)), Fraction(0), Fraction(0))
+    @example((IntPoly((TOP, 0, -TOP)), IntPoly((0, 1, 0, TOP))),
+             Fraction(-2 ** 70), Fraction(2 ** 70))
+    @settings(max_examples=120, deadline=None)
+    def test_odd_y_matches_oracle(self, y, a, b):
+        sol = PivSolution("gh", (0, 0), 1, RatFunc(*y), a, b)
+        # reduction keeps the parities opposite, so the even readback runs
+        assert {sol.y.num.parity(), sol.y.den.parity()} == {0, 1}
+        want = residual_oracle(sol)
+        rep = verify_piv(sol)
+        assert rep.residual == want and rep.ok is want.is_zero()
+
+    def test_catalog_solutions_are_odd(self, catalogs):
+        for sol, _ in catalogs[6]:
+            assert {sol.y.num.parity(), sol.y.den.parity()} == {0, 1}, (sol.family, sol.params)
 
     def test_catalog_sizes(self, catalogs):
         # a fault that raised ValueError used to drop entries as undefined
