@@ -1,6 +1,11 @@
 """Hermite and conjugate Hermite polynomials, pseudo-Wronskians, and the
 exact shift-equivalence constants between them.
 
+H_n and th_n = i^-n H_n(ix) are built from their closed form (DLMF
+18.5.13) by one generator behind a bounded memo keyed by (n, sign): a
+request builds only the index it asks for, with no table of the indices
+below it and no lock.
+
 The pseudo-Wronskian of a labelled diagram with Frobenius symbol
 (s_1..s_p | t_1..t_q), both descending, is the (p+q) x (p+q) determinant
 whose top block has rows (th_{s_i}, th_{s_i+1}, ..., th_{s_i+p+q-1}) for
@@ -43,7 +48,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,7 +57,6 @@ from .minorder import minimal_girth_of_diagram
 from .polys import IntPoly
 
 __all__ = [
-    "HermiteCache",
     "hermite_poly",
     "conj_hermite_poly",
     "hermite_derivative",
@@ -75,65 +78,47 @@ __all__ = [
 ]
 
 
-class HermiteCache:
-    """Append-only memo of H_n and of the conjugate family th_n = i^-n H_n(ix).
+@functools.lru_cache(maxsize=128)
+def _hermite(n, sign):
+    """H_n for sign = -1, th_n = i^-n H_n(ix) for sign = +1 (n >= 0).
 
-    Extension is serialized by a lock so concurrent readers can share one
-    instance.  Both families satisfy the three-term recurrences
-    H_{n+1} = 2x H_n - 2n H_{n-1} and th_{n+1} = 2x th_n + 2n th_{n-1};
-    each step is a coefficient shift plus a scaled add, linear in n.
+    Closed form (DLMF 18.5.13): the coefficient of x^(n-2m) is
+    sign^m n! 2^(n-2m) / (m! (n-2m)!).  From 2^n at the top, each next
+    coefficient is the last times sign (n-2m+2)(n-2m+1) / (4m), exactly.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._h = [IntPoly.const(1), IntPoly((0, 2))]
-        self._th = [IntPoly.const(1), IntPoly((0, 2))]
-
-    def _extend(self, attr, n, sign):
-        with self._lock:
-            seq = getattr(self, attr)
-            while len(seq) <= n:
-                c = sign * 2 * (len(seq) - 1)
-                nxt = [0] + [2 * a for a in seq[-1].coeffs]
-                for i, b in enumerate(seq[-2].coeffs):
-                    nxt[i] += c * b
-                seq.append(IntPoly(nxt))
-            return seq[n]
-
-    def hermite(self, n):
-        if n < 0:
-            raise ValueError(f"Hermite index must be non-negative: {n}")
-        h = self._h
-        return h[n] if n < len(h) else self._extend("_h", n, -1)
-
-    def conjugate(self, n):
-        if n < 0:
-            raise ValueError(f"conjugate Hermite index must be non-negative: {n}")
-        th = self._th
-        return th[n] if n < len(th) else self._extend("_th", n, +1)
-
-
-CACHE = HermiteCache()
+    coeffs = [0] * (n + 1)
+    c = coeffs[n] = 1 << n
+    for m in range(1, n // 2 + 1):
+        k = n - 2 * m
+        c = sign * c * (k + 2) * (k + 1) // (4 * m)
+        coeffs[k] = c
+    return IntPoly(coeffs)
 
 
 def hermite_poly(n):
     """H_n, degree n, leading coefficient 2^n."""
-    return CACHE.hermite(n)
+    if n < 0:
+        raise ValueError(f"Hermite index must be non-negative: {n}")
+    return _hermite(n, -1)
 
 
 def conj_hermite_poly(n):
     """th_n = i^-n H_n(ix): all coefficients non-negative."""
-    return CACHE.conjugate(n)
+    if n < 0:
+        raise ValueError(f"conjugate Hermite index must be non-negative: {n}")
+    return _hermite(n, +1)
 
 
 def hermite_derivative(n, order):
     """D^j H_n = 2^j * n(n-1)...(n-j+1) * H_{n-j}, zero once j exceeds n."""
+    if n < 0 or order < 0:
+        raise ValueError(f"Hermite index and derivative order must be non-negative: {n}, {order}")
     if order > n:
         return IntPoly()
     c = 1
     for i in range(order):
         c *= 2 * (n - i)
-    return c * CACHE.hermite(n - order)
+    return c * _hermite(n - order, -1)
 
 
 def wronskian(polys):

@@ -300,6 +300,8 @@ class IntPoly:
         return out
 
     def derivative(self, order=1):
+        if order < 0:
+            raise ValueError(f"derivative order must be non-negative: {order}")
         c = self.coeffs
         for _ in range(order):
             c = tuple(i * c[i] for i in range(1, len(c)))

@@ -1,3 +1,4 @@
+import sys
 import threading
 from fractions import Fraction
 from math import factorial
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hermitepw.determinant import det
 from hermitepw.hermite import (
     EquivalenceFactor,
-    HermiteCache,
+    _hermite,
     _minimal_determinant,
     conj_hermite_poly,
     conjugate_wronskian_identity,
@@ -31,6 +32,19 @@ from hermitepw.polys import IntPoly
 from conftest import diagrams, frobenius_sides, random_diagram
 
 X = IntPoly((0, 1))
+
+
+def _recurrence_oracle(n_max, sign):
+    """[P_0..P_{n_max}] from P_{n+1} = 2x P_n + sign 2n P_{n-1}: H_n for
+    sign = -1, th_n for sign = +1."""
+    seq = [(1,), (0, 2)]
+    while len(seq) <= n_max:
+        c = sign * 2 * (len(seq) - 1)
+        nxt = [0] + [2 * a for a in seq[-1]]
+        for i, b in enumerate(seq[-2]):
+            nxt[i] += c * b
+        seq.append(tuple(nxt))
+    return [IntPoly(c) for c in seq[:n_max + 1]]
 
 
 class TestHermiteFamilies:
@@ -67,20 +81,44 @@ class TestHermiteFamilies:
         with pytest.raises(ValueError):
             conj_hermite_poly(-2)
 
-    def test_cache_concurrent_extension(self):
-        cache = HermiteCache()
+    def test_negative_derivative_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            hermite_derivative(3, -1)
+        with pytest.raises(ValueError):
+            hermite_derivative(-1, 2)
+
+    @pytest.mark.parametrize("sign", [-1, +1], ids=["H", "th"])
+    def test_matches_recurrence(self, sign):
+        family = hermite_poly if sign < 0 else conj_hermite_poly
+        _hermite.cache_clear()
+        for n, want in enumerate(_recurrence_oracle(400, sign)):
+            assert family(n) == want, n
+
+    def test_memo_concurrent_calls(self):
+        _hermite.cache_clear()
         results = []
 
         def worker():
-            results.append(cache.hermite(80))
+            results.append((hermite_poly(80), conj_hermite_poly(80)))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(p == results[0] for p in results)
-        assert results[0] == hermite_poly(80)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(r == results[0] for r in results)
+        assert results[0] == (_recurrence_oracle(80, -1)[80], _recurrence_oracle(80, +1)[80])
+
+    def test_memo_is_bounded(self):
+        # an unbounded memo would keep every index ever requested
+        assert _hermite.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("n", list(range(41)) + list(range(301, 306)))
     def test_closed_form(self, n):

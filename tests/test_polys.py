@@ -100,6 +100,10 @@ class TestIntPoly:
         assert IntPoly((5,)).derivative() == IntPoly()
         assert IntPoly((0, 0, 0, 1)).derivative(3) == IntPoly((6,))
 
+    def test_negative_derivative_order_rejected(self):
+        with pytest.raises(ValueError):
+            IntPoly((1, 2, 3)).derivative(-1)
+
     def test_canonical_zero(self):
         assert IntPoly((0, 0)).coeffs == ()
         assert IntPoly().degree == -1
