@@ -3,9 +3,12 @@ fourth Painleve equation
 
     y'' = (y')^2/(2y) + (3/2) y^3 + 4 t y^2 + 2 (t^2 - a) y + b / y.
 
-Each solution is a linear term plus log-derivatives of pseudo-Wronskians
-of the generalized-Hermite (GH) or Okamoto (O) diagram families, whose
-chains of flips (``three_cycle``) are Darboux steps (``hermite.darboux_step``).
+Each solution is a linear term plus the log-derivative of a ratio h0/hp
+of two pseudo-Wronskians of the generalized-Hermite (GH) or Okamoto (O)
+diagram families, whose chains of flips (``three_cycle``) are Darboux
+steps (``hermite.darboux_step``).  That is one fraction in Z[t]: with
+N = h0' hp - h0 hp' and D = h0 hp, y is N/D, (N - 2tD)/D or
+(3N - 2tD)/(3D), built in Z[t] and reduced once into a ``RatFunc``.
 The GH family substitutes x = t; the O family substitutes x = t/sqrt3.
 Every pseudo-Wronskian h of degree d has the parity of d, so
 3^(d/2) h(t/sqrt3) has integer coefficients, and the scalar 3^(d/2)
@@ -134,9 +137,9 @@ class PivSolution:
                 "a": str(self.a), "b": str(self.b)}
 
 
-def _log_diff(h_num: IntPoly, h_den: IntPoly) -> RatFunc:
-    """(log(h_num/h_den))' as a reduced rational function, reduced once."""
-    return RatFunc(h_num.derivative() * h_den - h_num * h_den.derivative(), h_num * h_den)
+def _log_ratio(h0: IntPoly, hp: IntPoly) -> tuple:
+    """(N, D) = (h0' hp - h0 hp', h0 hp), unreduced: (log(h0/hp))' = N/D."""
+    return h0.derivative() * hp - h0 * hp.derivative(), h0 * hp
 
 
 def _at_t_over_sqrt3(h: IntPoly) -> IntPoly:
@@ -166,9 +169,10 @@ def piv_solution_gh(m: int, ell: int, branch: int) -> PivSolution:
     else:
         partner = gh_maya(m + 1, ell - 1)
         a, b = Fraction(ell - m - 1), Fraction(-2 * (m + ell) ** 2)
-    y = _log_diff(h0, pseudo_wronskian(partner))
+    n, d = _log_ratio(h0, pseudo_wronskian(partner))
     if branch == 3:
-        y = y - RatFunc(IntPoly((0, 2)))
+        n = n - IntPoly((0, 2)) * d
+    y = RatFunc(n, d)
     if y.is_zero():
         raise ValueError(f"degenerate parameters: gh({m},{ell}) branch {branch} gives y = 0")
     return PivSolution("gh", (m, ell), branch, y, a, b)
@@ -194,8 +198,8 @@ def piv_solution_o(ell1: int, ell2: int, branch: int) -> PivSolution:
         partner = o_maya(ell1, ell2 + 1)
         a = Fraction(-2 - 2 * ell2 + ell1)
         b = Fraction(-2, 9) * (1 + 3 * ell1) ** 2
-    y = RatFunc(IntPoly((0, -2)), IntPoly.const(3)) \
-        + _log_diff(_at_t_over_sqrt3(h0), _at_t_over_sqrt3(pseudo_wronskian(partner)))
+    n, d = _log_ratio(_at_t_over_sqrt3(h0), _at_t_over_sqrt3(pseudo_wronskian(partner)))
+    y = RatFunc(3 * n - IntPoly((0, 2)) * d, 3 * d)
     if y.is_zero():
         raise ValueError(f"degenerate parameters: o({ell1},{ell2}) branch {branch} gives y = 0")
     return PivSolution("o", (ell1, ell2), branch, y, a, b)
@@ -203,8 +207,11 @@ def piv_solution_o(ell1: int, ell2: int, branch: int) -> PivSolution:
 
 @dataclass(frozen=True)
 class PivReport:
-    ok: bool
     residual: IntPoly
+
+    @property
+    def ok(self) -> bool:
+        return self.residual.is_zero()
 
     def to_json(self):
         return {"ok": self.ok, "residual": self.residual.to_json(var="t")}
@@ -271,12 +278,12 @@ def verify_piv(sol: PivSolution) -> PivReport:
     value = (N * (2 * scale * ((N2 * D - N * D2) * D - 2 * D1 * w) - N * quartic)
              - scale * w * w - 2 * ib * dd * dd)
     if value == 0:
-        return PivReport(True, IntPoly())
+        return PivReport(IntPoly())
     # every term has degree at most 4 max(deg n, deg d) + 2
     digits = IntPoly.unpack(value, stride * h, (4 * max(n.degree, d.degree) + 2) // stride + 1)
     coeffs = [0] * (stride * len(digits.coeffs))
     coeffs[::stride] = digits.coeffs
-    return PivReport(False, IntPoly(coeffs))
+    return PivReport(IntPoly(coeffs))
 
 
 def piv_catalog(max_param: int):

@@ -10,7 +10,7 @@ import pytest
 import hermitepw
 from hermitepw.cli import main
 from hermitepw.maya import MayaDiagram
-from hermitepw.polys import IntPoly, RatFunc
+from hermitepw.polys import IntPoly, poly_gcd
 
 
 def run(capsys, *argv):
@@ -87,8 +87,9 @@ def test_piv_solve(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["a"] == "-11" and blob["b"] == "-8" and blob["verified"] is True
-    y = RatFunc.from_json(blob["y"])
-    assert not y.is_zero()
+    num, den = IntPoly.from_json(blob["y"]["num"]), IntPoly.from_json(blob["y"]["den"])
+    assert not num.is_zero()
+    assert poly_gcd(num, den) == 1 and den.leading > 0
 
 
 def test_piv_o_solve(capsys):

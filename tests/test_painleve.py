@@ -14,6 +14,7 @@ from hermitepw.maya import MayaDiagram
 from hermitepw.minorder import minimal_girth_of_diagram
 from hermitepw.painleve import (
     PivSolution,
+    _at_t_over_sqrt3,
     _min_order,
     gh_maya,
     min_order_gh,
@@ -27,6 +28,8 @@ from hermitepw.painleve import (
 )
 from hermitepw.polys import IntPoly, RatFunc
 
+from ratfield import Rat, log_diff
+
 T = IntPoly((0, 1))
 
 
@@ -36,16 +39,16 @@ class RationalPotential:
     extension of the harmonic oscillator, whose Darboux steps
     chain_step_oracle searches for."""
 
-    log_part: RatFunc
+    log_part: Rat
     offset: int
 
-    def as_ratfunc(self) -> RatFunc:
-        return RatFunc(IntPoly((0, 0, 1))) + self.log_part + RatFunc.from_fraction(self.offset)
+    def as_ratfunc(self) -> Rat:
+        return Rat(IntPoly((0, 0, 1))) + self.log_part + Rat.of(self.offset)
 
 
 def potential(m: MayaDiagram) -> RationalPotential:
     h = pseudo_wronskian(m)
-    log_part = -2 * RatFunc(h).log_derivative().derivative()
+    log_part = -2 * Rat(h).log_derivative().derivative()
     return RationalPotential(log_part, 2 * (len(m.t) - len(m.s)))
 
 
@@ -103,12 +106,12 @@ class TestPotential:
     def test_bare_oscillator(self):
         pot = potential(MayaDiagram.parse("|"))
         assert pot.log_part.is_zero() and pot.offset == 0
-        assert pot.as_ratfunc() == RatFunc(IntPoly((0, 0, 1)))
+        assert pot.as_ratfunc() == Rat(IntPoly((0, 0, 1)))
 
     def test_single_level(self):
         pot = potential(gh_maya(1, 1))
         assert pot.offset == 2
-        assert pot.log_part == RatFunc(IntPoly((2,)), IntPoly((0, 0, 1)))
+        assert pot.log_part == Rat(IntPoly((2,)), IntPoly((0, 0, 1)))
 
     def test_offset_example(self):
         m = MayaDiagram.parse("|1")   # -1 in M
@@ -136,16 +139,16 @@ def chain_step_oracle(m, flip):
     m2 = m.add(flip) if flip not in m else m.remove(flip)
     u_lo = potential(m).as_ratfunc()
     u_hi = potential(m2).as_ratfunc()
-    log_ratio = RatFunc(pseudo_wronskian(m2)).log_derivative() \
-        - RatFunc(pseudo_wronskian(m)).log_derivative()
-    x = RatFunc(T)
+    log_ratio = Rat(pseudo_wronskian(m2)).log_derivative() \
+        - Rat(pseudo_wronskian(m)).log_derivative()
+    x = Rat(T)
     for sigma in (1, -1):
         f = sigma * x + log_ratio
         cand = u_lo - f.derivative() - f * f
         if cand.num.degree > 0 or cand.den.degree > 0:
             continue
         lam = cand.eval_at(0)
-        if (-f.derivative() + f * f) == u_hi - RatFunc.from_fraction(lam):
+        if (-f.derivative() + f * f) == u_hi - Rat.of(lam):
             return sigma, lam, f
     raise ArithmeticError(f"no Darboux factorization found for flip {flip} on {m}")
 
@@ -203,9 +206,9 @@ class TestChainSteps:
         delta = Fraction(2 * chain.shift)
         alphas = (l1 - l2, l2 - l3, l3 - l1 - delta)
         # the three coupled first-order relations of the cycle
-        assert (f1 + f2).derivative() + f2 * f2 - f1 * f1 == RatFunc.from_fraction(alphas[0])
-        assert (f2 + f3).derivative() + f3 * f3 - f2 * f2 == RatFunc.from_fraction(alphas[1])
-        assert (f3 + f1).derivative() + f1 * f1 - f3 * f3 == RatFunc.from_fraction(alphas[2])
+        assert (f1 + f2).derivative() + f2 * f2 - f1 * f1 == Rat.of(alphas[0])
+        assert (f2 + f3).derivative() + f3 * f3 - f2 * f2 == Rat.of(alphas[1])
+        assert (f3 + f1).derivative() + f1 * f1 - f3 * f3 == Rat.of(alphas[2])
 
     def test_gh_cycle_alphas(self):
         self._alpha_chain("gh", (2, 4))
@@ -239,18 +242,18 @@ class TestSolutions:
 
     def test_gh_branch1_printed_form(self):
         sol = piv_solution_gh(2, 4, 1)
-        lhs = RatFunc(32 * IntPoly((0, 0, 0, 15, 0, 12, 0, 4)),
-                      IntPoly((45, 0, 0, 0, 120, 0, 64, 0, 16)))
-        rhs = RatFunc(20 * IntPoly((0, 45, 0, 120, 0, 216, 0, 96, 0, 16)),
-                      IntPoly((-225, 0, 450, 0, 600, 0, 720, 0, 240, 0, 32)))
+        lhs = Rat(32 * IntPoly((0, 0, 0, 15, 0, 12, 0, 4)),
+                  IntPoly((45, 0, 0, 0, 120, 0, 64, 0, 16)))
+        rhs = Rat(20 * IntPoly((0, 45, 0, 120, 0, 216, 0, 96, 0, 16)),
+                  IntPoly((-225, 0, 450, 0, 600, 0, 720, 0, 240, 0, 32)))
         assert sol.y == lhs - rhs
 
     def test_o_branch1_printed_form(self):
         sol = piv_solution_o(1, 2, 1)
-        expected = (RatFunc(IntPoly((0, -2)), IntPoly.const(3))
-                    + RatFunc(IntPoly((0, 0, 0, 16)), IntPoly((-45, 0, 0, 0, 4)))
-                    + RatFunc(IntPoly.const(1), T)
-                    + RatFunc(IntPoly((0, -4)), IntPoly((-3, 0, 2))))
+        expected = (Rat(IntPoly((0, -2)), IntPoly.const(3))
+                    + Rat(IntPoly((0, 0, 0, 16)), IntPoly((-45, 0, 0, 0, 4)))
+                    + Rat(IntPoly.const(1), T)
+                    + Rat(IntPoly((0, -4)), IntPoly((-3, 0, 2))))
         assert sol.y == expected
 
     def test_branch_preconditions(self):
@@ -268,6 +271,13 @@ class TestSolutions:
             piv_solution_gh(0, 2, 1)   # both sides collapse to constants
         with pytest.raises(ValueError):
             piv_solution_gh(1, 0, 2)
+
+    def test_report_verdict_follows_residual(self):
+        rep = verify_piv(piv_solution_gh(2, 4, 1))
+        assert rep.ok
+        assert rep.to_json() == {"ok": True, "residual": {"var": "t", "coeffs": []}}
+        bad = replace(rep, residual=IntPoly((0, 1)))
+        assert not bad.ok and bad.to_json()["ok"] is False
 
     def test_perturbed_parameter_fails(self):
         sol = piv_solution_gh(2, 4, 1)
@@ -318,11 +328,11 @@ def residual_oracle(sol):
 
 def mutants(sol):
     """A wrong a, a wrong b, the linear term flipped, and y + 1."""
-    linear = RatFunc(IntPoly((0, -2)), IntPoly.const(1 if sol.family == "gh" else 3))
+    linear = Rat(IntPoly((0, -2)), IntPoly.const(1 if sol.family == "gh" else 3))
     yield replace(sol, a=sol.a + 1)
     yield replace(sol, b=sol.b - Fraction(1, 3))
     yield replace(sol, y=sol.y - 2 * linear)
-    yield replace(sol, y=sol.y + 1)
+    yield replace(sol, y=Rat.of(sol.y) + 1)
 
 
 TOP = 2 ** 160 - 1
@@ -402,6 +412,38 @@ class TestVerifyPivResidual:
         monkeypatch.setattr(polys, "poly_gcd", lambda a, b: real(a, b) * IntPoly((1, 1)))
         with pytest.raises(ArithmeticError):
             piv_catalog(3)
+
+
+# (params of the partner) - (params of the seed) for each branch
+GH_PARTNER = {1: (0, 1), 2: (-1, 0), 3: (1, -1)}
+O_PARTNER = {1: (-1, -1), 2: (1, 0), 3: (0, 1)}
+
+
+def y_oracle(sol):
+    """y the long way: the log-derivative reduced on its own, then the
+    linear term added in the field and reduced again."""
+    diagram, step = (gh_maya, GH_PARTNER) if sol.family == "gh" else (o_maya, O_PARTNER)
+    partner = tuple(p + s for p, s in zip(sol.params, step[sol.branch]))
+    h0, hp = pseudo_wronskian(diagram(*sol.params)), pseudo_wronskian(diagram(*partner))
+    if sol.family == "gh":
+        y = log_diff(h0, hp)
+        return y - Rat(2 * T) if sol.branch == 3 else y
+    return Rat(-2 * T, IntPoly.const(3)) + log_diff(_at_t_over_sqrt3(h0), _at_t_over_sqrt3(hp))
+
+
+class TestOneReduction:
+    """Each solution is built in Z[t] and reduced once."""
+
+    def test_catalog_matches_field_oracle(self, catalogs):
+        for sol, _ in catalogs[6]:
+            assert sol.y == y_oracle(sol), (sol.family, sol.params, sol.branch)
+
+    def test_one_gcd_per_solution(self, monkeypatch):
+        calls = []
+        real = polys.poly_gcd
+        monkeypatch.setattr(polys, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+        assert len(piv_catalog(5)) == 182
+        assert len(calls) == 182
 
 
 class TestMinOrder:

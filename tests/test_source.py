@@ -106,3 +106,64 @@ def test_hermite_stays_in_integer_polynomials():
             if (isinstance(node, ast.Name) and node.id == "RatFunc")
             or (isinstance(node, ast.Attribute) and node.attr == "RatFunc")]
     assert not bad, bad
+
+
+# What polys.RatFunc may define: the reduced value, its printing, and the
+# subtraction and integer scaling of the xh_ladder benchmark check
+RATFUNC_NAMES = {
+    "__doc__", "__slots__", "__init__", "_reduce", "is_zero", "__eq__", "__hash__",
+    "__sub__", "__rmul__", "pretty", "__str__", "__repr__", "to_json",
+}
+
+
+def test_ratfunc_keeps_no_field_arithmetic():
+    # the field operations are the test oracle (tests/ratfield.py)
+    tree = ast.parse((SRC / "polys.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "RatFunc")
+    defined = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            defined.add("__doc__")
+        else:
+            defined.add(f"<{type(node).__name__} at line {node.lineno}>")
+    assert defined <= RATFUNC_NAMES, sorted(defined - RATFUNC_NAMES)
+
+
+def test_polys_imports_no_fraction():
+    tree = ast.parse((SRC / "polys.py").read_text())
+    bad = [f"polys:{node.lineno} imports fractions" for node in ast.walk(tree)
+           if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+           or (isinstance(node, ast.Import)
+               and any(a.name == "fractions" for a in node.names))]
+    bad += [f"polys:{node.lineno} names Fraction" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "Fraction"]
+    assert not bad, bad
+
+
+def test_painleve_builds_one_ratfunc_per_solution():
+    # y is built in Z[t] and reduced once: each solution builder calls
+    # RatFunc exactly once, and nothing else names it but the import and
+    # the annotation of PivSolution.y
+    tree = ast.parse((SRC / "painleve.py").read_text())
+    allowed, calls = set(), {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "PivSolution":
+            allowed.update(id(n) for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                           for n in ast.walk(stmt.annotation))
+        if isinstance(node, ast.FunctionDef):
+            found = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Name) and n.func.id == "RatFunc"]
+            if found:
+                calls[node.name] = len(found)
+                allowed.update(map(id, found))
+    assert calls == {"piv_solution_gh": 1, "piv_solution_o": 1}, calls
+    bad = [f"painleve:{node.lineno} names RatFunc" for node in ast.walk(tree)
+           if ((isinstance(node, ast.Name) and node.id == "RatFunc")
+               or (isinstance(node, ast.Attribute) and node.attr == "RatFunc"))
+           and id(node) not in allowed]
+    assert not bad, bad
