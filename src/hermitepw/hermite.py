@@ -2,9 +2,9 @@
 exact shift-equivalence constants between them.
 
 H_n and th_n = i^-n H_n(ix) are built from their closed form (DLMF
-18.5.13) by one generator behind a bounded memo keyed by (n, sign): a
-request builds only the index it asks for, with no table of the indices
-below it and no lock.
+18.5.13) by one generator, which gives each family its own bounded memo
+keyed by n alone: a request builds only the index it asks for, with no
+table of the indices below it and no lock.
 
 The pseudo-Wronskian of a labelled diagram with Frobenius symbol
 (s_1..s_p | t_1..t_q), both descending, is the (p+q) x (p+q) determinant
@@ -78,35 +78,43 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=128)
-def _hermite(n, sign):
-    """H_n for sign = -1, th_n = i^-n H_n(ix) for sign = +1 (n >= 0).
+def _hermite_memo(sign):
+    """A memo of H_n for sign = -1, of th_n = i^-n H_n(ix) for sign = +1
+    (n >= 0), keyed by n alone.
 
     Closed form (DLMF 18.5.13): the coefficient of x^(n-2m) is
     sign^m n! 2^(n-2m) / (m! (n-2m)!).  From 2^n at the top, each next
     coefficient is the last times sign (n-2m+2)(n-2m+1) / (4m), exactly.
     """
-    coeffs = [0] * (n + 1)
-    c = coeffs[n] = 1 << n
-    for m in range(1, n // 2 + 1):
-        k = n - 2 * m
-        c = sign * c * (k + 2) * (k + 1) // (4 * m)
-        coeffs[k] = c
-    return IntPoly(coeffs)
+    @functools.lru_cache(maxsize=128)
+    def family(n):
+        coeffs = [0] * (n + 1)
+        c = coeffs[n] = 1 << n
+        for m in range(1, n // 2 + 1):
+            k = n - 2 * m
+            c = sign * c * (k + 2) * (k + 1) // (4 * m)
+            coeffs[k] = c
+        return IntPoly(coeffs)
+
+    return family
+
+
+_hermite_h = _hermite_memo(-1)
+_hermite_th = _hermite_memo(+1)
 
 
 def hermite_poly(n):
     """H_n, degree n, leading coefficient 2^n."""
     if n < 0:
         raise ValueError(f"Hermite index must be non-negative: {n}")
-    return _hermite(n, -1)
+    return _hermite_h(n)
 
 
 def conj_hermite_poly(n):
     """th_n = i^-n H_n(ix): all coefficients non-negative."""
     if n < 0:
         raise ValueError(f"conjugate Hermite index must be non-negative: {n}")
-    return _hermite(n, +1)
+    return _hermite_th(n)
 
 
 def hermite_derivative(n, order):
@@ -118,7 +126,7 @@ def hermite_derivative(n, order):
     c = 1
     for i in range(order):
         c *= 2 * (n - i)
-    return c * _hermite(n - order, -1)
+    return c * _hermite_h(n - order)
 
 
 def wronskian(polys):

@@ -16,12 +16,14 @@ insertion position to M: B_-1(P_n, W) = 2(size - n) P_n W with W = H_M
 and B the form of ``hermite.hirota``.
 
 Everything here is exact except ``weight_and_norm_check``, the one
-numerical routine in the package, which is quarantined behind mpmath
-tanh-sinh quadrature at 50-digit working precision.  Even there the
-rational part of the integrand is exact: every quadrature node is a dyadic
-rational, where ``IntPoly.eval_dyadic`` evaluates the numerator and the
-denominator exactly, so their quotient is rounded once.  The integrand of a
-same-parity pair is even, so only the half line [0, L] is integrated.
+numerical routine in the package: a trapezoid rule in fixed-point integers
+at 50 digits plus guard bits.  The integrand P_n P_m e^(-x^2) / W^2 decays
+like a Gaussian and is analytic in a strip about the real line, so the
+rule converges geometrically as its step h = 2^-j halves.  Its nodes are
+dyadic rationals, where ``IntPoly.eval_dyadic`` evaluates the numerator and
+the denominator exactly, so each node value is rounded once.  The integrand
+of a same-parity pair is even, so only the nodes of the half line [0, L]
+are evaluated, and a sum that has not converged on the finest grid raises.
 """
 
 from __future__ import annotations
@@ -212,9 +214,18 @@ class NormReport:
 NORM_TOLERANCE = 1e-10
 NORM_DPS = 50
 
+# Fixed-point scale 2^-_NORM_BITS of the check: NORM_DPS digits, 32 guard bits
+_NORM_BITS = math.ceil(NORM_DPS * math.log2(10)) + 32
+# The finest grid the trapezoid rule refines to is h = 2^-_NORM_MAX_LEVEL
+_NORM_MAX_LEVEL = 12
+
 
 def _tail_cutoff(total_degree):
-    """Smallest integer L with x^d * exp(-x^2) below the target at |x| >= L."""
+    """Smallest integer L with x^d * exp(-x^2) below the target at |x| >= L.
+
+    The trapezoid sum takes only the nodes in [-L, L].  The target is
+    10^-NORM_DPS e^-30, so the tail left out lies far below the digits the
+    stopping rule asks for."""
     target = -(NORM_DPS * math.log(10) + 30)
     L = 10
     while total_degree * math.log(L) - L * L > target:
@@ -223,57 +234,170 @@ def _tail_cutoff(total_degree):
 
 
 @functools.cache
-def _mp_context():
-    """A private mpmath context at NORM_DPS digits, never changed after it
-    is made: the global ``mpmath.mp`` precision stays untouched, concurrent
-    callers cannot race on precision, and every call shares its cached
-    quadrature nodes."""
-    import mpmath
+def _sqrt_pi():
+    """sqrt(pi) at scale 2^-_NORM_BITS, rounded down.
 
-    mp = mpmath.MPContext()
-    mp.dps = NORM_DPS
-    return mp
-
-
-def _weighted_ratio(num: IntPoly, den: IntPoly, mp):
-    """The integrand x -> num(x) e^(-x^2) / den(x) in the context mp.
-
-    A quadrature node x is an mpf, so x = man * 2^e exactly and num(x),
-    den(x) are exact dyadic rationals (``IntPoly.eval_dyadic``).  Their
-    quotient is rounded once, at the working precision of the call, and
-    only the weight e^(-x^2) adds a second rounding.
+    pi comes from Machin's formula pi = 16 atan(1/5) - 4 atan(1/239) at
+    twice the scale plus 16 guard bits, and the root from ``math.isqrt``.
+    It is independent of the quadrature, so a scaling error there cannot
+    cancel out of the check.
     """
-    from mpmath import libmp
+    bits = 2 * _NORM_BITS + 16
 
-    def f(x):
-        sign, man, e, _ = x._mpf_
-        if sign:
-            man = -man
-        ratio = libmp.mpf_div(libmp.from_man_exp(*num.eval_dyadic(man, e)),
-                              libmp.from_man_exp(*den.eval_dyadic(man, e)),
-                              mp.prec, libmp.round_nearest)
-        return mp.make_mpf(ratio) * mp.exp(-x * x)
+    def acot(x):    # atan(1/x) = sum_i (-1)^i / ((2i + 1) x^(2i + 1))
+        total, power, k, sign = 0, (1 << bits) // x, 1, 1
+        while power:
+            total += sign * (power // k)
+            power //= x * x
+            k, sign = k + 2, -sign
+        return total
 
-    return f
+    return math.isqrt((16 * acot(5) - 4 * acot(239)) >> 16)
+
+
+def _exp_neg(j, bits):
+    """e^(-h^2), h = 2^-j, at scale 2^-bits by its Taylor series."""
+    term = total = 1 << bits
+    i = 0
+    while term:
+        i += 1
+        term //= i << 2 * j
+        total += -term if i & 1 else term
+    return total
+
+
+def _ratio_at(numq, denq, k, j):
+    """num(x) / den(x) at x = k 2^-j, rounded to the nearest multiple of
+    2^-_NORM_BITS, where num(x) = numq(x^2), den(x) = denq(x^2) > 0.
+
+    x^2 = k^2 4^-j is a dyadic rational, so ``IntPoly.eval_dyadic`` gives
+    both values exactly and the quotient is the one rounding.
+    """
+    vn, en = numq.eval_dyadic(k * k, -2 * j)
+    vd, ed = denq.eval_dyadic(k * k, -2 * j)
+    shift = en - ed + _NORM_BITS
+    if shift >= 0:
+        vn <<= shift
+    else:
+        vd <<= -shift
+    return (2 * vn + vd) // (2 * vd)
+
+
+def _level_sum(numq, denq, L, j, step):
+    """Sums of f(x) e^(-x^2) and of its absolute value over the nodes
+    x = k h, k = 1, 1 + step, 1 + 2 step, ... with x <= L, h = 2^-j, at
+    scale 2^-_NORM_BITS; f is the ratio of ``_ratio_at``.
+
+    The weights g_k = e^(-(k h)^2) take multiplies only: g_1 = a = e^(-h^2),
+    g_(k+step) = g_k r_k with r_k = a^(2 k step + step^2), and
+    r_(k+step) = r_k a^(2 step^2).  They are kept at a finer scale, so even
+    e^(-L^2) has _NORM_BITS significant bits: where the polynomial part is
+    large, the Gaussian is far below 2^-_NORM_BITS.
+    """
+    bits = _NORM_BITS + math.ceil(L * L * math.log2(math.e))
+    a = _exp_neg(j, bits)
+
+    def power(p):
+        out = 1 << bits
+        for _ in range(p):
+            out = out * a >> bits
+        return out
+
+    g, r, q = a, power(step * step + 2 * step), power(2 * step * step)
+    total = size = 0
+    for k in range(1, (L << j) + 1, step):
+        t = _ratio_at(numq, denq, k, j) * g >> bits
+        total += t
+        size += abs(t)
+        g = g * r >> bits
+        r = r * q >> bits
+    return total, size
+
+
+def _trapezoid(num: IntPoly, den: IntPoly, L) -> Fraction:
+    """The integral of num(x) e^(-x^2) / den(x) over [-L, L], for even num
+    and den with den > 0 on the real line, by the trapezoid rule on the
+    dyadic grids h = 2^-j.
+
+    The integrand is even, so the grid sum is h (f(0) + 2 sum_(k >= 1) f(k h))
+    over k h <= L, and each halving of h adds only the odd nodes.  The rule
+    stops at the first level j >= 1 where the sum moved by at most
+    10^-NORM_DPS of the sum of the absolute values of its terms, and returns
+    that level's sum, which is exact in the rounded node values.  A grid
+    finer than h = 2^-_NORM_MAX_LEVEL raises ArithmeticError.
+    """
+    numq, denq = IntPoly(num.coeffs[::2]), IntPoly(den.coeffs[::2])
+    f0 = _ratio_at(numq, denq, 0, 0)
+    t, s = _level_sum(numq, denq, L, 0, 1)
+    total, size = f0 + 2 * t, abs(f0) + 2 * s
+    for j in range(1, _NORM_MAX_LEVEL + 1):
+        t, s = _level_sum(numq, denq, L, j, 2)
+        total, prev = total + 2 * t, total
+        size += 2 * s
+        if abs(total - 2 * prev) * 10 ** NORM_DPS <= size:
+            return Fraction(total, 1 << (_NORM_BITS + j))
+    raise ArithmeticError(f"trapezoid rule did not reach {NORM_DPS} digits "
+                          f"at h = 2^-{_NORM_MAX_LEVEL}")
+
+
+def _nstr(x: Fraction) -> str:
+    """x to 20 significant digits, rounded half up in absolute value, in the
+    layout of mpmath's ``nstr(x, 20)``: fixed notation for decimal exponents
+    -5 to 19, otherwise d.ddd e+N; trailing zeros stripped; "0.0" for 0."""
+    if not x:
+        return "0.0"
+    sign = "-" if x < 0 else ""
+    p, q = abs(x.numerator), x.denominator
+
+    def below(e):   # |x| < 10^e
+        return p * 10 ** max(-e, 0) < q * 10 ** max(e, 0)
+
+    e = math.floor((p.bit_length() - q.bit_length()) * math.log10(2))
+    while not below(e + 1):
+        e += 1
+    while below(e):
+        e -= 1
+    shift = 19 - e
+    num, den = p * 10 ** max(shift, 0), q * 10 ** max(-shift, 0)
+    man = (2 * num + den) // (2 * den)
+    if man == 10 ** 20:
+        man, e = man // 10, e + 1
+    digits = str(man)
+    if -6 < e < 20:
+        out = "0." + "0" * (-e - 1) + digits if e < 0 else digits[:e + 1] + "." + digits[e + 1:]
+        exponent = ""
+    else:
+        out, exponent = digits[0] + "." + digits[1:], f"e{e:+d}"
+    out = out.rstrip("0")
+    if out.endswith("."):
+        out += "0"
+    return sign + out + exponent
 
 
 def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     """Numerical orthogonality check for an even partition.
 
-    Integrates P_n P_m e^(-x^2)/W^2 over the real line with tanh-sinh
-    quadrature at NORM_DPS digits and compares against
+    Integrates P_n P_m e^(-x^2)/W^2 over the real line and compares against
     delta_{nm} sqrt(pi) 2^(j+ell) j! prod_i (j - m_i), j = n + ell - N,
     with N = size(lam) the family eigenvalue index.  The weight
     denominator W must have no real zeros; for even partitions it never
-    does (checked
-    exactly by Sturm root counting before any numerics).  When n and m
-    have opposite parity the integrand is odd, so the integral is an
-    exact zero and no quadrature runs.  Otherwise P_n P_m and W^2 are
-    even (W has definite parity), so the integrand is even and the
-    integral is twice its tanh-sinh value on [0, L]; an odd coefficient
-    in either polynomial raises ArithmeticError before any quadrature.
-    At each node P_n P_m and W^2 are evaluated exactly, and their
-    quotient is rounded once (``_weighted_ratio``).
+    does (checked exactly by Sturm root counting before any numerics).
+    When n and m have opposite parity the integrand is odd, so the
+    integral is an exact zero and no quadrature runs.  Otherwise P_n P_m
+    and W^2 are even (W has definite parity), so the integrand is even; an
+    odd coefficient in either polynomial raises ArithmeticError before any
+    quadrature.
+
+    The quadrature (``_trapezoid``) is the trapezoid rule in fixed-point
+    integers at scale 2^-_NORM_BITS.  The integrand decays like e^(-x^2)
+    and is analytic in a strip about the real line, since W^2 has no real
+    zero, so the rule converges geometrically as h halves (Trefethen and
+    Weideman, SIAM Review 56, 2014).  Its nodes k 2^-j are dyadic, where
+    P_n P_m and W^2 are evaluated exactly and their quotient is rounded
+    once; the Gaussian weights follow from one e^(-h^2) per grid.  A rule
+    that has not reached NORM_DPS digits by the finest grid raises
+    ArithmeticError.  sqrt(pi) in the norm is computed apart from the
+    quadrature, and the relative error is exact until it becomes a float.
     """
     if not lam.is_even():
         raise ValueError(f"partition {lam} is not even")
@@ -287,22 +411,17 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
         return NormReport(n, m, "0.0", "0.0", 0.0, True)
     num = pn * pm
     den = w * w
-    # the half-line quadrature below is right only for an even integrand
+    # the even-part evaluation of _trapezoid is right only for an even integrand
     if num.parity() != 0 or den.parity() != 0:
         raise ArithmeticError(f"integrand of ({n}, {m}) for {lam} is not even")
-    mp = _mp_context()
-    L = _tail_cutoff(n + m + 2 * max(w.degree, 1))
-    integral = 2 * mp.quad(_weighted_ratio(num, den, mp), [0, L])
+    integral = _trapezoid(num, den, _tail_cutoff(n + m + 2 * max(w.degree, 1)))
     j = n + fam.ell - lam.size
     # diagonal norm at n; off the diagonal it is the relative yardstick
-    norm = mp.sqrt(mp.pi) * mp.mpf(2) ** (j + fam.ell) * mp.factorial(j)
+    scale = 2 ** (j + fam.ell) * math.factorial(j)
     for t in fam.diagram.t:
-        norm *= j - t
-    if n == m:
-        expected = norm
-        rel = abs(integral - expected) / abs(expected)
-    else:
-        expected = mp.mpf(0)
-        rel = abs(integral) / abs(norm)
-    return NormReport(n, m, mp.nstr(integral, 20), mp.nstr(expected, 20),
-                      float(rel), bool(rel <= NORM_TOLERANCE))
+        scale *= j - t
+    norm = Fraction(_sqrt_pi() * scale, 1 << _NORM_BITS)
+    expected = norm if n == m else Fraction(0)
+    rel = abs(integral - expected) / abs(norm)
+    return NormReport(n, m, _nstr(integral), _nstr(expected), float(rel),
+                      rel <= NORM_TOLERANCE)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hermitepw.determinant import det
 from hermitepw.hermite import (
     EquivalenceFactor,
-    _hermite,
+    _hermite_h,
+    _hermite_th,
     _minimal_determinant,
     conj_hermite_poly,
     conjugate_wronskian_identity,
@@ -90,12 +91,13 @@ class TestHermiteFamilies:
     @pytest.mark.parametrize("sign", [-1, +1], ids=["H", "th"])
     def test_matches_recurrence(self, sign):
         family = hermite_poly if sign < 0 else conj_hermite_poly
-        _hermite.cache_clear()
+        (_hermite_h if sign < 0 else _hermite_th).cache_clear()
         for n, want in enumerate(_recurrence_oracle(400, sign)):
             assert family(n) == want, n
 
     def test_memo_concurrent_calls(self):
-        _hermite.cache_clear()
+        _hermite_h.cache_clear()
+        _hermite_th.cache_clear()
         results = []
 
         def worker():
@@ -118,7 +120,8 @@ class TestHermiteFamilies:
 
     def test_memo_is_bounded(self):
         # an unbounded memo would keep every index ever requested
-        assert _hermite.cache_info().maxsize is not None
+        bounds = {memo.cache_info().maxsize for memo in (_hermite_h, _hermite_th)}
+        assert bounds == {128}
 
     @pytest.mark.parametrize("n", list(range(41)) + list(range(301, 306)))
     def test_closed_form(self, n):

@@ -2,9 +2,12 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import hermitepw
 
 SRC = Path(hermitepw.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # Each module may import only from modules of an earlier layer.
 LAYERS = (
@@ -78,11 +81,11 @@ def _imports_mpmath(node):
 
 
 def test_numerics_quarantined_in_xhermite():
-    # the one quadrature check is the only floating-point code: mpmath is
-    # imported by xhermite alone, and the exact kernel of polys holds no
+    # the one quadrature check runs in fixed-point integers inside xhermite:
+    # no module imports mpmath, and the exact kernel of polys holds no
     # float, no float literal and no mpf
     bad = [f"{path.stem}:{node.lineno} imports mpmath" for path, tree in _modules()
-           if path.stem != "xhermite" for node in ast.walk(tree) if _imports_mpmath(node)]
+           for node in ast.walk(tree) if _imports_mpmath(node)]
     tree = ast.parse((SRC / "polys.py").read_text())
     for node in ast.walk(tree):
         names = [getattr(node, attr, None) for attr in ("id", "attr", "name", "arg")]
@@ -93,6 +96,12 @@ def test_numerics_quarantined_in_xhermite():
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             bad.append(f"polys:{node.lineno} float literal {node.value!r}")
     assert not bad, bad
+
+
+def test_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert project["dependencies"] == []
 
 
 def test_hermite_stays_in_integer_polynomials():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hermitepw.determinant import det
@@ -217,6 +219,21 @@ class TestGoldenConstants:
             assert exceptional_hermite(lam, n) == k_n * small, n
 
 
+def _mpf_horner(mp, p, x):
+    out = mp.mpf(0)
+    for c in reversed(p.coeffs):
+        out = out * x + c
+    return out
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("quadrature ran")
+
+
+# sqrt(pi) to 60 significant digits
+SQRT_PI_60 = "1.77245385090551602729816748334114518279754945612238712821381"
+
+
 class TestNorms:
     def test_classical_norm(self):
         rep = weight_and_norm_check(Partition(), 3, 3)
@@ -234,63 +251,151 @@ class TestNorms:
         assert rep.ok and rep.integral != "0.0"
 
     def test_opposite_parity_skips_quadrature(self, monkeypatch):
-        from hermitepw.xhermite import _mp_context
+        import hermitepw.xhermite as xh
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("quadrature ran")
-
-        monkeypatch.setattr(_mp_context(), "quad", boom)
+        monkeypatch.setattr(xh, "_trapezoid", _boom)
         rep = weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 5)
         assert (rep.integral, rep.expected, rep.rel_error, rep.ok) == ("0.0", "0.0", 0.0, True)
         with pytest.raises(RuntimeError, match="quadrature ran"):
             weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 8)
 
     def test_integrand_matches_mpf_horner(self):
-        # the oracle is the integrand as it was evaluated before the exact
-        # dyadic kernel: mpf Horner, rounding at every step
-        from hermitepw.xhermite import _mp_context, _tail_cutoff, _weighted_ratio
+        # the oracle is the integrand as the mpmath path evaluated it: mpf
+        # Horner, rounding at every step, here at three times the working
+        # precision.  Each node value is within one unit of 2^-B, and each
+        # level sum, Gaussian weights included, within two units per node.
+        mpmath = pytest.importorskip("mpmath")
+        from hermitepw.xhermite import _NORM_BITS, _level_sum, _ratio_at, _tail_cutoff
 
-        mp = _mp_context()
-
-        def horner(p, x):
-            out = mp.mpf(0)
-            for c in reversed(p.coeffs):
-                out = out * x + c
-            return out
-
+        mp = mpmath.MPContext()
+        mp.prec = 3 * _NORM_BITS
         lam = Partition((2, 2, 1, 1))
         w = pseudo_wronskian(MayaDiagram.from_partition(lam))
         for n in (2, 5):
             pn = exceptional_hermite(lam, n)
-            new = _weighted_ratio(pn * pn, w * w, mp)
-            old = lambda x: horner(pn, x) ** 2 * mp.exp(-x * x) / horner(w, x) ** 2
-            nodes = []
-            mp.quad(lambda x: nodes.append(x) or new(x), [0, _tail_cutoff(2 * n + 2 * w.degree)])
-            assert len(nodes) > 1000
-            points = nodes + [mp.mpf(0), mp.mpf(2), mp.mpf(-3), mp.mpf(1) / 3, mp.mpf(14)]
-            for x in points:
-                assert abs(new(x) - old(x)) <= abs(old(x)) * mp.ldexp(1, 8 - mp.prec), (n, x)
+            num, den = pn * pn, w * w
+            numq, denq = IntPoly(num.coeffs[::2]), IntPoly(den.coeffs[::2])
+            L = _tail_cutoff(2 * n + 2 * w.degree)
+
+            def scaled(x):
+                return mp.ldexp(_mpf_horner(mp, num, x) / _mpf_horner(mp, den, x), _NORM_BITS)
+
+            for j in (0, 1, 3):
+                for k in range(0, (L << j) + 1):
+                    x = mp.ldexp(k, -j)
+                    assert abs(_ratio_at(numq, denq, k, j) - scaled(x)) <= 1, (n, j, k)
+            for j, step in ((0, 1), (3, 2)):
+                nodes = [mp.ldexp(k, -j) for k in range(1, (L << j) + 1, step)]
+                terms = [scaled(x) * mp.exp(-x * x) for x in nodes]
+                total, size = _level_sum(numq, denq, L, j, step)
+                assert abs(total - mp.fsum(terms)) <= 2 * len(nodes), (n, j)
+                assert abs(size - mp.fsum(abs(t) for t in terms)) <= 2 * len(nodes), (n, j)
 
     def test_mixed_parity_integrand_raises(self, monkeypatch):
         # a mixed-parity member has parity None on both sides of the pair,
         # so it passes the opposite-parity shortcut; its square is not
-        # even, and the half-line quadrature would be wrong for it
+        # even, and the even-part quadrature would be wrong for it
         import hermitepw.xhermite as xh
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("quadrature ran")
 
         mixed = IntPoly((1, 1, 0, 1))
         assert mixed.parity() is None
         monkeypatch.setattr(xh, "exceptional_hermite", lambda lam, n: mixed)
-        monkeypatch.setattr(xh._mp_context(), "quad", boom)
+        monkeypatch.setattr(xh, "_trapezoid", _boom)
         with pytest.raises(ArithmeticError, match="not even"):
             weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 2)
         with pytest.raises(ArithmeticError, match="not even"):
             weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 5)
 
+    @pytest.mark.parametrize("parts", [(), (1, 1), (2, 2), (2, 2, 1, 1), (4, 4, 2, 2),
+                                       (8, 8, 1, 1)])
+    def test_integral_matches_tanh_sinh(self, monkeypatch, parts):
+        # mpmath is the oracle only: tanh-sinh at 60 digits on the same
+        # [0, L], split at 2 and 4 so it resolves the integrand near the
+        # complex zeros of W.  The diagonal integral is the yardstick of both.
+        mpmath = pytest.importorskip("mpmath")
+        import hermitepw.xhermite as xh
+
+        mp = mpmath.MPContext()
+        mp.dps = 60
+        real, seen = xh._trapezoid, []
+
+        def spy(num, den, L):
+            seen.append((num, den, L, real(num, den, L)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(xh, "_trapezoid", spy)
+        lam = Partition(parts)
+        degs = XHermiteFamily(lam).admissible_degrees(3)
+        for m in (degs[0], degs[2]):
+            assert weight_and_norm_check(lam, degs[0], m).ok
+        norm = seen[0][-1]
+        for num, den, L, value in seen:
+            ref = 2 * mp.quad(lambda x: _mpf_horner(mp, num, x) * mp.exp(-x * x)
+                              / _mpf_horner(mp, den, x), [0, 2, 4, L])
+            err = abs(mp.mpf(value.numerator) / value.denominator - ref)
+            assert err <= mp.mpf(norm.numerator) / norm.denominator * mp.mpf("1e-45")
+
+    def test_sqrt_pi_pinned(self):
+        from hermitepw.xhermite import _NORM_BITS, _sqrt_pi
+
+        value = Fraction(_sqrt_pi(), 1 << _NORM_BITS)
+        assert abs(value - Fraction(SQRT_PI_60)) < Fraction(1, 10 ** 59)
+
+    def test_quadrature_scale_does_not_cancel(self, monkeypatch):
+        # sqrt(pi) in the norm is computed apart from the quadrature, so a
+        # quadrature off by a constant factor fails the check; were sqrt(pi)
+        # taken from the quadrature, the factor would cancel out of it
+        import hermitepw.xhermite as xh
+
+        real = xh._trapezoid
+        monkeypatch.setattr(xh, "_trapezoid", lambda num, den, L: 2 * real(num, den, L))
+        xh._sqrt_pi.cache_clear()
+        try:
+            rep = weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 2)
+        finally:
+            xh._sqrt_pi.cache_clear()
+        assert not rep.ok and rep.rel_error == pytest.approx(1)
+
+    def test_level_cap_raises(self, monkeypatch):
+        # an unconverged sum is an error, never a result
+        import hermitepw.xhermite as xh
+
+        monkeypatch.setattr(xh, "_NORM_MAX_LEVEL", 1)
+        with pytest.raises(ArithmeticError, match="did not reach 50 digits"):
+            weight_and_norm_check(Partition((1, 1)), 0, 0)
+
+    def test_high_degree_keeps_precision(self):
+        # H_40^2 grows like x^80 where e^(-x^2) is far below 2^-B: the
+        # Gaussian weights need more than the working scale to converge.
+        # The pinned string is mpmath tanh-sinh's at 50 digits.
+        rep = weight_and_norm_check(Partition(), 40, 40)
+        assert rep.ok and rep.rel_error < 1e-50
+        assert rep.integral == rep.expected == "1.5900831340592726055e+60"
+
+    def test_report_format_matches_nstr(self):
+        # the report strings keep mpmath.nstr(x, 20)'s layout, on both
+        # notation boundaries and across the carry of a rounding 9...9.
+        # The mantissas stay away from exact ties in the 21st digit, where
+        # nstr reads digits truncated near the 26th and can round down.
+        mpmath = pytest.importorskip("mpmath")
+        from hermitepw.xhermite import _nstr
+
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        mantissas = ["1", "1.5", "2.7182818284590452353602874713527",
+                     "9.8765432109876543210987654321", "9.99999999999999999996",
+                     "9.99999999999999999994", "1.00000000000000000005001"]
+        for e in range(-60, 26):
+            for mant in mantissas:
+                x = mp.mpf(f"{mant}e{e}")
+                for v in (x, -x):
+                    sign, man, exp, _ = v._mpf_
+                    exact = (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+                    assert _nstr(exact) == mp.nstr(v, 20), v
+        assert _nstr(Fraction(0)) == mp.nstr(mp.mpf(0), 20) == "0.0"
+
     def test_global_precision_untouched(self):
-        import mpmath
+        mpmath = pytest.importorskip("mpmath")
 
         lam = Partition((1, 1))
         old = mpmath.mp.dps
