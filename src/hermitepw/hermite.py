@@ -39,9 +39,11 @@ their own orders instead, so the identity is always tested against
 determinants it did not produce.
 
 Flipping one element of M is one rational Darboux step.  ``hirota`` is its
-polynomial form B_eps(f, g) = (D^2 + 2 eps x D) f.g, and ``darboux_step``
-checks B_eps(H_M', H_M) = c H_M' H_M in Z[x] with eps, the eigenvalue and
-c in closed form.
+polynomial form B_eps(f, g) - c f g, with B_eps(f, g) = (D^2 + 2 eps x D) f.g,
+taken as a second-order operator on f whose three short coefficient
+factors come from g, in one banded pass over the coefficients of f.
+``darboux_step`` checks B_eps(H_M', H_M) = c H_M' H_M in Z[x], passing its
+c to ``hirota``, with eps, the eigenvalue and c in closed form.
 """
 
 from __future__ import annotations
@@ -165,8 +167,8 @@ def _direct_pseudo_wronskian(m: MayaDiagram) -> IntPoly:
     return det(pseudo_wronskian_matrix(m))
 
 
-# Keyed by the minimal diagram.  exceptional_hermite, eigen_check and
-# min_order_form reach the same one from any shift of it.
+# Keyed by the minimal diagram.  exceptional_hermite and min_order_form
+# reach the same one from any shift of it.
 _minimal_determinant = functools.lru_cache(maxsize=256)(_direct_pseudo_wronskian)
 
 
@@ -371,12 +373,42 @@ def one_step_shift_check(m: MayaDiagram, direction: str):
 # -- Darboux steps -----------------------------------------------------------
 
 
-def hirota(f: IntPoly, g: IntPoly, eps: int) -> IntPoly:
-    """B_eps(f, g) = (f'' + 2 eps x f') g - 2 f' g' + (g'' - 2 eps x g') f,
-    the Hirota form (D^2 + 2 eps x D) f.g of one Darboux step."""
-    fp, gp = f.derivative(), g.derivative()
-    x2 = IntPoly((0, 2 * eps))
-    return (fp.derivative() + x2 * fp) * g - 2 * fp * gp + (gp.derivative() - x2 * gp) * f
+def hirota(f: IntPoly, g: IntPoly, eps: int, c: int = 0) -> IntPoly:
+    """B_eps(f, g) - c f g, where
+    B_eps(f, g) = (f'' + 2 eps x f') g - 2 f' g' + (g'' - 2 eps x g') f
+    is the Hirota form (D^2 + 2 eps x D) f.g of one Darboux step.
+
+    It is evaluated as a second-order operator on f,
+
+        g f'' + (2 eps x g - 2 g') f' + (g'' - 2 eps x g' - c g) f,
+
+    in one banded pass.  With a0, a1, a2 the three factors above, built
+    from g once, the term f_i x^i contributes
+    f_i x^(i-2) (i (i-1) a0 + i x a1 + x^2 a2).  So each nonzero f_i meets
+    one short band of small integers, and the zero coefficients of a
+    definite-parity f (or band) are skipped.
+    """
+    fc, gc = f.coeffs, g.coeffs
+    if not fc or not gc:
+        return IntPoly()
+    # index j of each list holds the coefficient of x^j in a0, x a1, x^2 a2
+    width = len(gc) + 2
+    a0, a1, a2 = list(gc) + [0, 0], [0] * width, [0] * width
+    for k, gk in enumerate(gc):
+        a1[k] -= 2 * k * gk
+        a1[k + 2] += 2 * eps * gk
+        a2[k] += k * (k - 1) * gk
+        a2[k + 2] -= (2 * eps * k + c) * gk
+    band = [(j, b0, b1, b2) for j, (b0, b1, b2) in enumerate(zip(a0, a1, a2))
+            if b0 or b1 or b2]
+    # out[m] holds x^(m - 2); m < 2 is reached only by terms that vanish
+    out = [0] * (len(fc) + width - 1)
+    for i, fi in enumerate(fc):
+        if fi:
+            ii = i * (i - 1)
+            for j, b0, b1, b2 in band:
+                out[i + j] += fi * (ii * b0 + i * b1 + b2)
+    return IntPoly(out[2:])
 
 
 @dataclass(frozen=True)
@@ -411,7 +443,7 @@ def darboux_step(m: MayaDiagram, flip: int) -> DarbouxStep:
     eigenvalue = 2 * flip + 1
     c = 2 * (len(m.t) - len(m.s)) - eps - eigenvalue
     tau, tau2 = pseudo_wronskian(m), pseudo_wronskian(partner)
-    residual = hirota(tau2, tau, eps) - c * (tau2 * tau)
+    residual = hirota(tau2, tau, eps, c)
     if not residual.is_zero():
         raise ArithmeticError(f"flipping {flip} in {m} is not a Darboux step "
                               f"with eps = {eps}, constant {c}")

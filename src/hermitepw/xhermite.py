@@ -13,7 +13,16 @@ P_n equals a pseudo-Wronskian of M u {position} up to the explicit sign
 
 T[P_n] = 2(size - n) P_n is the Darboux-step identity of adding the
 insertion position to M: B_-1(P_n, W) = 2(size - n) P_n W with W = H_M
-and B the form of ``hermite.hirota``.
+and B the form of ``hermite.hirota``, which ``eigen_check`` evaluates as
+one residual hirota(P_n, W, -1, 2(size - n)) in Z[x].
+
+Each request on a family member builds its pieces once.  The family (with
+its standard diagram, a cached property), the weight Wronskian W of a
+partition and the member P_n of (lam, n) each sit behind a fixed
+16-entry ``functools.lru_cache``, so ``eigen_check``, ``min_order_form``
+and ``weight_and_norm_check`` reuse what ``exceptional_hermite`` and an
+earlier check built.  The memos hold polynomials only, never a verdict:
+every check recomputes its residual or integral on every call.
 
 Everything here is exact except ``weight_and_norm_check``, the one
 numerical routine in the package: a trapezoid rule in fixed-point integers
@@ -60,7 +69,7 @@ class XHermiteFamily:
 
     lam: Partition
 
-    @property
+    @functools.cached_property
     def diagram(self) -> MayaDiagram:
         return MayaDiagram.from_partition(self.lam)
 
@@ -99,10 +108,22 @@ class XHermiteFamily:
         return out
 
 
+# Entries of each memo below: a request reuses its own member and its
+# family, so a few requests' worth suffices
+_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _family(lam: Partition) -> XHermiteFamily:
+    return XHermiteFamily(lam)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def exceptional_hermite(lam: Partition, n: int) -> IntPoly:
     """The degree-n family member: the defining Wronskian, evaluated as
-    the signed pseudo-Wronskian of the enlarged diagram."""
-    fam = XHermiteFamily(lam)
+    the signed pseudo-Wronskian of the enlarged diagram.  Memoised per
+    (lam, n)."""
+    fam = _family(lam)
     if not fam.is_admissible(n):
         raise ValueError(f"degree {n} is not admissible for {lam}")
     enlarged = fam.diagram.add(fam.insertion_position(n))
@@ -115,15 +136,17 @@ def exceptional_hermite(lam: Partition, n: int) -> IntPoly:
 def insertion_sign(lam: Partition, n: int) -> int:
     """Sign relating the defining Wronskian to the pseudo-Wronskian of the
     enlarged diagram: (-1)^(count of diagram elements above the insertion)."""
-    fam = XHermiteFamily(lam)
+    fam = _family(lam)
     if not fam.is_admissible(n):
         raise ValueError(f"degree {n} is not admissible for {lam}")
     pos = fam.insertion_position(n)
     return (-1) ** sum(1 for t in fam.diagram.t if t > pos)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _weight(lam: Partition) -> IntPoly:
-    w = pseudo_wronskian(MayaDiagram.from_partition(lam))
+    """W = H_M of the standard diagram M of lam, memoised per partition."""
+    w = pseudo_wronskian(_family(lam).diagram)
     if w.is_zero():
         raise ZeroDivisionError("vanishing weight Wronskian")
     return w
@@ -155,12 +178,13 @@ class EigenReport:
 
 def eigen_check(lam: Partition, n: int) -> EigenReport:
     """Verify T[P_n] = 2(size - n) P_n exactly, as the Darboux-step
-    identity B_-1(P_n, W) = 2(size - n) P_n W in Z[x].  A nonzero residual
-    is a construction bug and raises."""
+    identity B_-1(P_n, W) = 2(size - n) P_n W in Z[x].  P_n and W come from
+    their memos; the residual is computed on every call.  A nonzero
+    residual is a construction bug and raises."""
     y = exceptional_hermite(lam, n)
     w = _weight(lam)
     c = 2 * (lam.size - n)
-    residual = hirota(y, w, -1) - c * (y * w)
+    residual = hirota(y, w, -1, c)
     if not residual.is_zero():
         raise ArithmeticError(f"T[P_{n}] is not {c} P_{n} for {lam}")
     return EigenReport(n, c, lam.size, residual)
@@ -184,8 +208,11 @@ class MinOrderForm:
 
 
 def min_order_form(lam: Partition, n: int) -> MinOrderForm:
-    """Minimal-order pseudo-Wronskian equal to P_n up to an exact scalar."""
-    fam = XHermiteFamily(lam)
+    """Minimal-order pseudo-Wronskian equal to P_n up to an exact scalar.
+
+    Its polynomial is the memoised minimal determinant that
+    ``exceptional_hermite`` already reached, rescaled to this origin."""
+    fam = _family(lam)
     if not fam.is_admissible(n):
         raise ValueError(f"degree {n} is not admissible for {lam}")
     order, origin = xhermite_min_origin(lam, n)
@@ -401,8 +428,8 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     """
     if not lam.is_even():
         raise ValueError(f"partition {lam} is not even")
-    fam = XHermiteFamily(lam)
-    w = pseudo_wronskian(fam.diagram)
+    fam = _family(lam)
+    w = _weight(lam)
     if count_real_roots(w) != 0:
         raise ArithmeticError(f"weight denominator has a real zero for {lam}")
     pn = exceptional_hermite(lam, n)

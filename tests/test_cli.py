@@ -81,6 +81,37 @@ def test_xhermite_subcommand(capsys):
                              "residual_zero": True}
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "652a9ed9b05cd6ae7083c8a38db929be70565d77a1a04907fe63ed52323cebe4"),
+    ("json", "709088a6eb5e5c9fcc86ab1ee10953c4dac09f9a0eb2353e6ae06b76fbc33626"),
+])
+def test_xhermite_bytes_pinned(capsys, fmt, digest):
+    code, out = run(capsys, "--format", fmt, "xhermite", "--partition", "2,2,1,1",
+                    "--n", "5", "--min-order", "--verify-ode")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_xhermite_failed_eigen_check_exits_1(capsys, monkeypatch):
+    # P_5 of (2,2,1,1) off by one is no eigenfunction: a failed
+    # verification, reported on one stderr line, not a traceback
+    import hermitepw.xhermite as xhermite
+    from hermitepw.maya import Partition
+
+    real = xhermite.exceptional_hermite
+    target = (Partition((2, 2, 1, 1)), 5)
+    monkeypatch.setattr(xhermite, "exceptional_hermite",
+                        lambda lam, n: real(lam, n) + 1 if (lam, n) == target else real(lam, n))
+    assert main(["xhermite", "--partition", "2,2,1,1", "--n", "5", "--verify-ode"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hermitepw: verification failed: T[P_5]")
+    assert captured.err.count("\n") == 1
+    # without --verify-ode the same input is only printed
+    assert main(["xhermite", "--partition", "2,2,1,1", "--n", "5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_piv_solve(capsys):
     code, out = run(capsys, "--format", "json", "piv", "--class", "gh",
                     "--m", "2", "--ell", "4", "--branch", "1", "--verify")

@@ -15,10 +15,12 @@ from hermitepw.hermite import (
     _minimal_determinant,
     conj_hermite_poly,
     conjugate_wronskian_identity,
+    darboux_step,
     equivalence_factor,
     hermite_derivative,
     hermite_poly,
     hermite_wronskian,
+    hirota,
     pseudo_wronskian,
     pseudo_wronskian_matrix,
     pure_conjugate_wronskian,
@@ -29,6 +31,7 @@ from hermitepw.hermite import (
 from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
 from hermitepw.minorder import minimal_girth_of_diagram
 from hermitepw.polys import IntPoly
+from hermitepw.xhermite import XHermiteFamily, eigen_check, exceptional_hermite
 
 from conftest import diagrams, frobenius_sides, random_diagram
 
@@ -423,3 +426,79 @@ def test_mixed_triple_identity():
     d3 = det([[hermite_poly(2), hermite_poly(2).derivative()],
               [conj_hermite_poly(3), conj_hermite_poly(4)]])
     assert d1 == 48 * d2 == 7680 * d3
+
+
+# -- Darboux steps -----------------------------------------------------------
+
+
+def hirota_products(f, g, eps, c=0):
+    """Oracle of ``hermite.hirota``: B_eps(f, g) - c f g from the defining
+    formula (f'' + 2 eps x f') g - 2 f' g' + (g'' - 2 eps x g') f, as five
+    IntPoly products and one more for c f g."""
+    fp, gp = f.derivative(), g.derivative()
+    x2 = IntPoly((0, 2 * eps))
+    return ((fp.derivative() + x2 * fp) * g - 2 * fp * gp
+            + (gp.derivative() - x2 * gp) * f - c * (f * g))
+
+
+hirota_polys = st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                        max_size=12).map(IntPoly)
+
+
+class TestHirota:
+    @given(hirota_polys, hirota_polys, st.sampled_from((1, -1)),
+           st.integers(min_value=-10 ** 4, max_value=10 ** 4))
+    @example(IntPoly(), hermite_poly(4), 1, 3)                  # zero f
+    @example(hermite_poly(4), IntPoly(), -1, 3)                 # zero g
+    @example(IntPoly((5,)), hermite_poly(3), -1, -7)            # constant f
+    @example(hermite_poly(5), IntPoly((-3,)), 1, 11)            # constant g
+    @example(IntPoly((1, 2)), hermite_poly(9), 1, 0)            # g longer than f
+    @example(X ** 7, conj_hermite_poly(2), -1, 4)               # one term against a band
+    @settings(max_examples=200, deadline=None)
+    def test_matches_product_oracle(self, f, g, eps, c):
+        assert hirota(f, g, eps, c) == hirota_products(f, g, eps, c)
+
+    def test_c_defaults_to_zero(self):
+        f, g = hermite_poly(6), conj_hermite_poly(3)
+        assert hirota(f, g, 1) == hirota(f, g, 1, 0) == hirota_products(f, g, 1)
+
+    def test_eigen_residual_at_high_degree(self):
+        # the xh_ladder shape: a 1.4 kbit member of degree > 300 against a short W
+        lam = Partition((2, 1))
+        n = next(n for n in range(302, 320) if XHermiteFamily(lam).is_admissible(n))
+        y = exceptional_hermite(lam, n)
+        w = pseudo_wronskian(MayaDiagram.from_partition(lam))
+        c = 2 * (lam.size - n)
+        assert hirota(y, w, -1, c).is_zero()
+        assert hirota_products(y, w, -1, c).is_zero()
+
+    @pytest.mark.parametrize("delta", [-2, 2])
+    def test_wrong_constant_leaves_residual(self, delta):
+        lam = Partition((2, 2, 1, 1))
+        y = exceptional_hermite(lam, 5)
+        w = pseudo_wronskian(MayaDiagram.from_partition(lam))
+        c = 2 * (lam.size - 5)
+        assert hirota(y, w, -1, c).is_zero()
+        assert hirota(y, w, -1, c + delta) == -delta * (y * w)
+        m = MayaDiagram.from_partition(Partition((2, 1)))
+        step = darboux_step(m, 6)
+        tau, tau2 = pseudo_wronskian(m), pseudo_wronskian(m.add(6))
+        assert hirota(tau2, tau, step.eps, step.constant).is_zero()
+        assert not hirota(tau2, tau, step.eps, step.constant + delta).is_zero()
+
+    @pytest.mark.parametrize("delta", [-2, 2])
+    def test_wrong_constant_makes_checks_raise(self, monkeypatch, delta):
+        import hermitepw.hermite as hermite
+        import hermitepw.xhermite as xhermite
+
+        real = hermite.hirota
+
+        def shifted(f, g, eps, c=0):
+            return real(f, g, eps, c + delta)
+
+        monkeypatch.setattr(hermite, "hirota", shifted)
+        monkeypatch.setattr(xhermite, "hirota", shifted)
+        with pytest.raises(ArithmeticError):
+            eigen_check(Partition((2, 2, 1, 1)), 5)
+        with pytest.raises(ArithmeticError):
+            darboux_step(MayaDiagram.from_partition(Partition((2, 1))), 6)

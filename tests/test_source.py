@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,3 +177,85 @@ def test_painleve_builds_one_ratfunc_per_solution():
                or (isinstance(node, ast.Attribute) and node.attr == "RatFunc"))
            and id(node) not in allowed]
     assert not bad, bad
+
+
+def _functools_uses(tree):
+    """(node, name) for each reference to functools.<name>, or to a name
+    imported from functools, with a parent map of the tree."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    imported = {a.asname or a.name: a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for a in node.names}
+    uses = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            uses.append((node, node.attr))
+        elif isinstance(node, ast.Name) and node.id in imported:
+            uses.append((node, imported[node.id]))
+    return uses, parents
+
+
+def _int_constants(tree):
+    """Module-level names bound once to an int literal."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            name, value = node.targets[0].id, node.value
+            ok = isinstance(value, ast.Constant) and type(value.value) is int
+            bound[name] = ok and name not in bound
+    return {name for name, ok in bound.items() if ok}
+
+
+def test_memos_are_bounded():
+    # peak memory is gated, so every lru_cache names a fixed integer bound
+    # and the unbounded functools.cache holds at most one entry: it may only
+    # decorate a function of no arguments
+    bad = []
+    for path, tree in _modules():
+        uses, parents = _functools_uses(tree)
+        constants = _int_constants(tree)
+        for node, name in uses:
+            where = f"{path.stem}:{node.lineno}"
+            parent = parents.get(node)
+            if name == "lru_cache":
+                call = parent if isinstance(parent, ast.Call) and parent.func is node else None
+                size = None
+                if call is not None:
+                    size = next((k.value for k in call.keywords if k.arg == "maxsize"),
+                                call.args[0] if call.args else None)
+                fixed = (isinstance(size, ast.Constant) and type(size.value) is int) or \
+                    (isinstance(size, ast.Name) and size.id in constants)
+                if not fixed:
+                    bad.append(f"{where} lru_cache without a fixed integer maxsize")
+            elif name == "cache":
+                args = parent.args if isinstance(parent, ast.FunctionDef) else None
+                if args is None or node not in parent.decorator_list or any(
+                        (args.posonlyargs, args.args, args.kwonlyargs, args.vararg, args.kwarg)):
+                    bad.append(f"{where} functools.cache off a zero-argument function")
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("source, ok", [
+    ("import functools\n@functools.lru_cache(maxsize=16)\ndef f(n): pass\n", True),
+    ("import functools\nN = 8\n@functools.lru_cache(maxsize=N)\ndef f(n): pass\n", True),
+    ("import functools\nf = functools.lru_cache(32)(len)\n", True),
+    ("import functools\n@functools.cache\ndef f(): pass\n", True),
+    ("import functools\n@functools.lru_cache\ndef f(n): pass\n", False),
+    ("import functools\n@functools.lru_cache(maxsize=None)\ndef f(n): pass\n", False),
+    ("import functools\n@functools.lru_cache()\ndef f(n): pass\n", False),
+    ("import functools\nN = 8\nN = 9\n@functools.lru_cache(maxsize=N)\ndef f(n): pass\n", False),
+    ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(n): pass\n", False),
+    ("import functools\n@functools.cache\ndef f(n): pass\n", False),
+    ("from functools import cache\ng = cache(len)\n", False),
+], ids=["literal", "constant", "call", "cache", "bare", "none", "default", "rebound",
+        "imported", "cache_with_argument", "cache_call"])
+def test_memo_guard_reads_its_cases(monkeypatch, tmp_path, source, ok):
+    (tmp_path / "m.py").write_text(source)
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    if ok:
+        test_memos_are_bounded()
+    else:
+        with pytest.raises(AssertionError):
+            test_memos_are_bounded()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import hermitepw.xhermite as xhermite
 from hermitepw.determinant import det
 from hermitepw.hermite import (
     _minimal_determinant,
@@ -140,6 +141,66 @@ class TestEigen:
             eigen_check(Partition((2, 2, 1, 1)), 5)
 
 
+def _memo_misses():
+    return {name: memo.cache_info().misses for name, memo in (
+        ("exceptional_hermite", exceptional_hermite), ("_weight", xhermite._weight),
+        ("_minimal_determinant", _minimal_determinant))}
+
+
+@pytest.fixture
+def clear_memos():
+    """For tests that corrupt an input the xhermite memos cache: start with
+    them empty, and leave no corrupted entry behind."""
+    memos = (xhermite._family, xhermite._weight, exceptional_hermite)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+class TestMemos:
+    @pytest.mark.parametrize("memo", [xhermite._family, xhermite._weight, exceptional_hermite])
+    def test_fixed_bound(self, memo):
+        assert memo.cache_info().maxsize == 16
+
+    def test_family_diagram_built_once(self):
+        fam = XHermiteFamily(Partition((2, 2, 1, 1)))
+        assert fam.diagram is fam.diagram
+        assert fam.diagram == MayaDiagram.from_partition(fam.lam)
+        assert xhermite._family(fam.lam) is xhermite._family(Partition((2, 2, 1, 1)))
+
+    def test_norm_check_shares_the_weight(self):
+        lam = Partition((2, 2, 1, 1))
+        xhermite._weight(lam)
+        exceptional_hermite(lam, 2)
+        before = _memo_misses()
+        assert weight_and_norm_check(lam, 2, 2).ok
+        assert _memo_misses() == before
+
+    def test_eigen_residual_recomputed_every_call(self, monkeypatch):
+        # the memos hold P_n and W, never a verdict
+        calls = []
+        real = xhermite.hirota
+        monkeypatch.setattr(xhermite, "hirota", lambda *a: calls.append(1) or real(*a))
+        lam = Partition((2, 2, 1, 1))
+        for _ in range(3):
+            assert eigen_check(lam, 8).residual.is_zero()
+        assert len(calls) == 3
+
+    def test_corrupted_weight_raises(self, monkeypatch, clear_memos):
+        # W comes from its memo: a wrong W, built after the memo was
+        # emptied, fails the eigen check and the norm check's result
+        lam = Partition((2, 2, 1, 1))
+        standard = MayaDiagram.from_partition(lam)
+        real = xhermite.pseudo_wronskian
+        monkeypatch.setattr(xhermite, "pseudo_wronskian",
+                            lambda d: real(d) * IntPoly((1, 0, 1)) if d == standard else real(d))
+        with pytest.raises(ArithmeticError):
+            eigen_check(lam, 5)
+        assert not weight_and_norm_check(lam, 2, 2).ok
+
+
 class TestMinOrderForm:
     def test_reproduces_polynomial(self):
         for lam in (Partition((2, 2, 1, 1)), Partition((4, 4, 1, 1)), Partition((3, 2))):
@@ -159,15 +220,20 @@ class TestMinOrderForm:
 
     def test_shares_memo_with_exceptional_hermite(self):
         # for (2,1) the min_order_form origin is often not the one
-        # pseudo_wronskian reduces to, yet both reach the same minimal diagram
+        # pseudo_wronskian reduces to, yet both reach the same minimal
+        # diagram.  After exceptional_hermite, the rest of an xh request adds
+        # no miss to any memo; W belongs to the family, so only the family's
+        # first request builds it.
         lam = Partition((2, 1))
         fam = XHermiteFamily(lam)
         high = next(n for n in range(304, 320) if fam.is_admissible(n))
+        xhermite._weight(lam)
         for n in (6, high):
             exceptional_hermite(lam, n)
-            misses = _minimal_determinant.cache_info().misses
+            misses = _memo_misses()
+            eigen_check(lam, n)
             min_order_form(lam, n)
-            assert _minimal_determinant.cache_info().misses == misses, n
+            assert _memo_misses() == misses, n
 
     def test_rejects_non_minimal_origin(self, monkeypatch):
         # P_8 of (2,2,1,1) has minimal order 2 at origin 7; origin -3 has
