@@ -33,11 +33,15 @@ one ``int.to_bytes`` cut into word slices.
   ``h`` about half the residual's word and reads the value back in words
   of ``2 * h`` bytes, one per even coefficient.
 
-Multiplication and division run on plain coefficient lists: one multiply
-dispatch and one division loop sit behind ``IntPoly.__mul__``, ``divmod``
-and ``divexact``, and ``determinant.det`` calls the same two kernels as
-``IntPoly.mul_coeffs`` and ``IntPoly.divexact_coeffs`` on its working
-matrix.  Division that does not come out exact raises
+Multiplication and division run on plain coefficient lists, through
+kernels that ``IntPoly.__mul__``, ``divmod`` and ``divexact`` share with
+``determinant.det``.  Every schoolbook product is ``_scale``, one
+comprehension, when a factor is a constant, and otherwise ``_mac``, one
+multiply-accumulate loop over the nonzero ``(index, coefficient)`` pairs
+(``_pairs``) of both factors, so the zero coefficients of either side cost
+nothing.  ``_divmod`` is the one division loop; it divides by a constant
+with one comprehension and a multiply-back check, and by the constant 1
+not at all.  Division that does not come out exact raises
 ``InexactDivisionError``, an ``ArithmeticError``: it signals a broken
 invariant, never bad input.
 """
@@ -76,12 +80,31 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
+def _pairs(coeffs):
+    """The (index, coefficient) pairs of the nonzero coefficients."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
+
+
+def _scale(coeffs, c):
+    """Coefficient list of a polynomial times the integer c."""
+    return [c * x for x in coeffs]
+
+
+def _mac(out, pa, pb):
+    """Add the product of two polynomials, given as nonzero pairs, into the
+    coefficient list out, which must be long enough to hold it."""
+    for i, x in pa:
+        for j, y in pb:
+            out[i + j] += x * y
+
+
 def _mul_schoolbook(a, b):
+    if len(a) == 1:
+        return _scale(b, a[0])
+    if len(b) == 1:
+        return _scale(a, b[0])
     out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+    _mac(out, _pairs(a), _pairs(b))
     return out
 
 
@@ -176,10 +199,17 @@ def _divmod(a, b):
     b over Z; InexactDivisionError when a quotient coefficient is not an
     integer.  The remainder is not trimmed."""
     db = len(b) - 1
+    lead = b[-1]
+    if not db:
+        if lead == 1:
+            return list(a), []
+        q = [c // lead for c in a]
+        if [lead * c for c in q] != list(a):
+            raise InexactDivisionError("inexact division by a constant over Z")
+        return q, []
     if len(a) <= db:
         return [], list(a)
     a = list(a)
-    lead = b[-1]
     q = [0] * (len(a) - db)
     for i in range(len(q) - 1, -1, -1):
         c = a[i + db]
@@ -321,11 +351,6 @@ class IntPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         return IntPoly(_divexact(self.coeffs, other.coeffs))
-
-    # list-level kernels behind __mul__, divmod and divexact, for callers
-    # that keep coefficient lists between operations (determinant.det)
-    mul_coeffs = staticmethod(_mul)
-    divexact_coeffs = staticmethod(_divexact)
 
     # -- content, gcd helpers ------------------------------------------
 

@@ -1,14 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hermitepw
 import hermitepw.polys as polys
 from hermitepw.determinant import DimensionError, det
 from hermitepw.hermite import pseudo_wronskian_matrix
 from hermitepw.maya import MayaDiagram
-from hermitepw.polys import IntPoly
+from hermitepw.polys import InexactDivisionError, IntPoly
 
 from conftest import random_partition
 
@@ -226,20 +231,25 @@ def test_builds_one_intpoly_on_exit(monkeypatch):
 
 
 def test_shares_the_list_kernels_of_intpoly(monkeypatch):
-    # one multiply dispatch and one division loop: det reaches the same
-    # list-level helpers as IntPoly.__mul__, divmod and divexact
+    # one multiply-accumulate loop, one scalar product and one division
+    # loop: det reaches the same list-level helpers as IntPoly.__mul__,
+    # divmod and divexact
     calls = []
-    for name in ("_mul_schoolbook", "_divmod"):
+    for name in ("_scale", "_mac", "_divmod"):
         real = getattr(polys, name)
         monkeypatch.setattr(polys, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     x1, x2 = IntPoly((1, 1)), IntPoly((2, 0, 1))
     assert (x1 * x2).divexact(x2) == x1
     assert (x1 * x2).divmod(x1)[0] == x2
-    assert calls == ["_mul_schoolbook", "_divmod", "_mul_schoolbook", "_divmod"]
+    assert calls == ["_mac", "_divmod", "_mac", "_divmod"]
     calls.clear()
+    assert (IntPoly.const(3) * x2).divexact(IntPoly.const(3)) == x2
+    assert calls == ["_scale", "_divmod"]
+    calls.clear()
+    # a constant pivot at step 0, a polynomial one at step 1
     rows = [[x1, x2, _1], [x2, _1, x1], [_1, x1, x2]]
     d = det(rows)
-    assert set(calls) == {"_mul_schoolbook", "_divmod"}
+    assert set(calls) == {"_scale", "_mac", "_divmod"}
     assert d == cofactor(rows)
 
 
@@ -253,10 +263,167 @@ def test_pivot_is_lowest_degree_entry(monkeypatch):
             [const, X * X, X + 1],
             [linear, IntPoly.const(5), X * X + X]]
     divisors = []
-    divexact = IntPoly.divexact_coeffs
-    monkeypatch.setattr(IntPoly, "divexact_coeffs",
-                        staticmethod(lambda a, b: divisors.append(tuple(b)) or divexact(a, b)))
+    divexact = polys._divexact
+    monkeypatch.setattr(polys, "_divexact", lambda a, b: divisors.append(tuple(b)) or divexact(a, b))
     d = det(rows)
     assert divisors and divisors[0] == const.coeffs
     monkeypatch.undo()
     assert d == cofactor(rows)
+
+
+# Matrices whose pivot row at some step has nothing right of the pivot, so
+# that det skips the step and divides once at the end.  Each name says
+# where the skips fall and what divisor (prev) they keep; with each matrix
+# go the (pivot, prev) of its skipped steps, in order.
+_C = IntPoly.const
+SKIPPED_STEPS = {
+    "first": ([[_C(2), _Z, _Z], [_X, _X + _1, _1], [_1, _X, _X * _X]],
+              [((2,), None)]),
+    "consecutive_units": ([[_1, _Z, _Z, _Z], [_X, -_1, _Z, _Z], [_X * _X, _X, _C(3), _Z],
+                           [_X, _1, _X, _X * _X + _1]],
+                          [((1,), None), ((-1,), None), ((3,), None)]),
+    "last_prev_2": ([[_C(2), _X, _1], [_Z, _C(3), _Z], [_X, _X * _X, _X + _1]],
+                    [((6,), (2,))]),
+    "last_prev_1_minus_x": ([[_1 - _X, _X, _1], [_Z, _C(5), _Z], [_X * _X, _X ** 3, _X + _1]],
+                            [((5, -5), (1, -1))]),
+    "middle_prev_1_minus_x": ([[_1 - _X, _X, _1, _X * _X], [_Z, -_1, _Z, _Z],
+                               [_X * _X, _X ** 3, _X + _1, _1], [_X, _1 - _X, _C(2), _X]],
+                              [((-1, 1), (1, -1))]),
+    "two_after_a_step": ([[_C(2), _X, _1, _X], [_Z, _C(3), _Z, _Z], [_Z, _Z, -_1, _Z],
+                          [_X, _X * _X, _X + _1, _1]],
+                         [((6,), (2,)), ((-2,), (2,))]),
+}
+
+
+@pytest.mark.parametrize("name", SKIPPED_STEPS)
+def test_skipped_steps_match_the_oracles(name):
+    rows, _ = SKIPPED_STEPS[name]
+    assert det(rows) == cofactor(rows) == bareiss_intpoly(rows)
+
+
+@pytest.mark.parametrize("name", SKIPPED_STEPS)
+def test_each_example_skips_where_its_name_says(name, monkeypatch):
+    # det calls polys._mul only to gather the skipped pivots and prevs and
+    # to scale d by the pivots at the end; the one final division, when some
+    # skip kept a prev, is by the product of the prevs
+    rows, skips = SKIPPED_STEPS[name]
+    pivots = prevs = IntPoly.const(1)
+    for piv, prev in skips:
+        pivots = pivots * IntPoly(piv)
+        prevs = prevs * IntPoly(prev or (1,))
+    calls, divisors = [], []
+    mul, divexact = polys._mul, polys._divexact
+    monkeypatch.setattr(polys, "_mul", lambda a, b: calls.append(tuple(b)) or mul(a, b))
+    monkeypatch.setattr(polys, "_divexact", lambda a, b: divisors.append(tuple(b)) or divexact(a, b))
+    det(rows)
+    assert calls[-1] == pivots.coeffs
+    if any(prev for _, prev in skips):
+        assert divisors[-1] == prevs.coeffs
+
+
+# One skip that keeps a constant prev, one that keeps a polynomial one.
+DEFERRED = ("last_prev_2", "last_prev_1_minus_x")
+
+
+def _off_by_one(mul):
+    """polys._mul with one added to the constant term of every product."""
+    def wrong(a, b):
+        out = mul(a, b)
+        out[0] += 1
+        return out
+    return wrong
+
+
+@pytest.mark.parametrize("name", DEFERRED)
+def test_deferred_division_fails_loudly(name, monkeypatch):
+    # det multiplies only the skipped pivots and prevs with polys._mul: a
+    # wrong product makes the one division at the end inexact, and it
+    # raises instead of returning a truncated quotient
+    monkeypatch.setattr(polys, "_mul", _off_by_one(polys._mul))
+    with pytest.raises(InexactDivisionError):
+        det(SKIPPED_STEPS[name][0])
+
+
+def test_deferred_division_fails_loudly_under_optimize():
+    # python -O strips assert statements; the final division must still raise
+    matrices = [[[e.coeffs for e in r] for r in SKIPPED_STEPS[name][0]] for name in DEFERRED]
+    code = (
+        "from hermitepw import polys\n"
+        "from hermitepw.determinant import det\n"
+        "from hermitepw.polys import InexactDivisionError, IntPoly\n"
+        "mul = polys._mul\n"
+        "def wrong(a, b):\n"
+        "    out = mul(a, b)\n"
+        "    out[0] += 1\n"
+        "    return out\n"
+        "polys._mul = wrong\n"
+        f"for m in {matrices!r}:\n"
+        "    try:\n"
+        "        det([[IntPoly(e) for e in r] for r in m])\n"
+        "    except InexactDivisionError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'{m} passed')\n")
+    src = Path(hermitepw.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# Entries of one parity, x^p times a polynomial in x^2, as in the defining
+# matrices; pivots 1, -1 and non-unit constants, and polynomials with
+# leading coefficient -1.
+parity_poly = st.tuples(st.integers(min_value=0, max_value=1),
+                        st.lists(st.integers(min_value=-9, max_value=9), max_size=3)).map(
+    lambda pc: IntPoly([0] * pc[0] + [c for v in pc[1] for c in (v, 0)]))
+pivot_poly = st.one_of(
+    st.sampled_from([1, -1, 2, -3, 6]).map(IntPoly.const),
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=2).map(lambda cs: IntPoly(cs + [-1])))
+
+
+@st.composite
+def skip_heavy_matrices(draw, max_order=7):
+    """Matrices in which chosen rows are zero right of their diagonal entry,
+    a pivot-like entry; some of them are zero left of it too, so that they
+    stay so through elimination and are skipped when they become the pivot
+    row, at whatever step that is."""
+    n = draw(st.integers(min_value=2, max_value=max_order))
+    entry = st.one_of(sparse_poly, parity_poly)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)):
+        rows[i][i] = draw(pivot_poly)
+        rows[i][i + 1:] = [IntPoly()] * (n - 1 - i)
+        if draw(st.booleans()):
+            rows[i][:i] = [IntPoly()] * i
+    return rows
+
+
+@given(skip_heavy_matrices())
+@settings(max_examples=250, deadline=None)
+def test_skipped_steps_match_the_oracles_at_random(rows):
+    # the cofactor expansion up to order 5, the IntPoly Bareiss above it
+    assert det(rows) == (cofactor(rows) if len(rows) <= 5 else bareiss_intpoly(rows))
+
+
+# Order-14 defining matrices: t-heavy (twelve t rows, most of them small-t
+# rows, zero right of their diagonal) and s-heavy (twelve s rows, whose
+# entries are never zero).
+HEAVY_DIAGRAMS = {
+    "t_heavy": MayaDiagram((5, 2), (19, 14, 11, 9, 7, 6, 5, 4, 3, 2, 1, 0)),
+    "s_heavy": MayaDiagram((19, 14, 11, 9, 7, 6, 5, 4, 3, 2, 1, 0), (5, 2)),
+}
+
+
+@pytest.mark.parametrize("name", HEAVY_DIAGRAMS)
+def test_heavy_order_14_pseudo_wronskians_match_intpoly_bareiss(name, monkeypatch):
+    rows = pseudo_wronskian_matrix(HEAVY_DIAGRAMS[name])
+    assert len(rows) == 14
+    products = []
+    mul = polys._mul
+    monkeypatch.setattr(polys, "_mul", lambda a, b: products.append(1) or mul(a, b))
+    d = det(rows)
+    monkeypatch.undo()
+    if name == "t_heavy":
+        # its small-t rows are skipped steps
+        assert products
+    assert d == bareiss_intpoly(rows)

@@ -250,22 +250,23 @@ INEXACT_DIVISIONS = {
     "remainder": ((1, 0, 1), (1, 1)),   # integral quotient x - 1, remainder 2
     "fraction": ((0, 0, 3), (0, 2)),    # quotient 3x/2, every remainder term zero
     "low_degree": ((3,), (1, 1)),       # nonzero dividend below the divisor's degree
+    "constant": ((4, 0, 3), (2,)),      # constant divisor: 3 // 2 fails the multiply-back
 }
 
 
 @pytest.mark.parametrize("a, b", INEXACT_DIVISIONS.values(), ids=INEXACT_DIVISIONS.keys())
 def test_list_divexact_fails_loudly(a, b):
     with pytest.raises(InexactDivisionError):
-        IntPoly.divexact_coeffs(a, b)
+        polys._divexact(a, b)
 
 
 def test_list_divexact_fails_loudly_under_optimize():
     # python -O strips assert statements; the division check must still raise
     code = (
-        "from hermitepw.polys import InexactDivisionError, IntPoly\n"
+        "from hermitepw.polys import InexactDivisionError, _divexact\n"
         f"for a, b in {list(INEXACT_DIVISIONS.values())!r}:\n"
         "    try:\n"
-        "        IntPoly.divexact_coeffs(a, b)\n"
+        "        _divexact(a, b)\n"
         "    except InexactDivisionError:\n"
         "        continue\n"
         "    raise SystemExit(f'{a} / {b} passed')\n")
