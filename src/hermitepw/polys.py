@@ -7,7 +7,7 @@ Everything here is exact: no floats enter at any point.
 ``man * 2^e``, the value of every binary floating-point number, so the
 quadrature check of ``xhermite`` gets exact polynomial values at its nodes.
 
-One Kronecker point serves three jobs.  A polynomial whose coefficients
+One Kronecker point serves two jobs.  A polynomial whose coefficients
 are balanced digits, each of absolute size below ``xi / 2``, is packed into
 its value at ``xi = 2^(8 * nb)`` and read back from it exactly
 (``IntPoly.pack`` / ``IntPoly.unpack``).  Packing and unpacking are linear
@@ -15,14 +15,6 @@ in the total bit length: each coefficient becomes one byte-aligned word,
 the words are joined by one ``int.from_bytes``, and a value is read back by
 one ``int.to_bytes`` cut into word slices.
 
-* Multiplication takes Kronecker substitution when an integer cost
-  estimate says CPython's native bignum multiply of the packed operands
-  beats the schoolbook loop.  The estimate reads both lengths and the
-  coefficient bit sizes, because the word holds the product bound
-  ``max|a| * max|b| * min(len a, len b)`` and the inputs themselves: every
-  coefficient is padded to it, so a high-degree Hermite polynomial of
-  1.4 kbit coefficients times a short factor of small ones stays
-  schoolbook.
 * ``poly_gcd`` is GCDHEU (Char, Geddes & Gonnet 1989): one integer gcd of
   the two values at ``xi``, read back as a candidate that is accepted only
   after it divides both inputs exactly.  The primitive polynomial remainder
@@ -35,15 +27,17 @@ one ``int.to_bytes`` cut into word slices.
 
 Multiplication and division run on plain coefficient lists, through
 kernels that ``IntPoly.__mul__``, ``divmod`` and ``divexact`` share with
-``determinant.det``.  Every schoolbook product is ``_scale``, one
-comprehension, when a factor is a constant, and otherwise ``_mac``, one
-multiply-accumulate loop over the nonzero ``(index, coefficient)`` pairs
-(``_pairs``) of both factors, so the zero coefficients of either side cost
-nothing.  ``_divmod`` is the one division loop; it divides by a constant
-with one comprehension and a multiply-back check, and by the constant 1
-not at all.  Division that does not come out exact raises
-``InexactDivisionError``, an ``ArithmeticError``: it signals a broken
-invariant, never bad input.
+``determinant.det``.  Every product (``_mul``) is the schoolbook loop:
+``_scale``, one comprehension, when a factor is a constant, and otherwise
+``_mac``, one multiply-accumulate loop over the nonzero
+``(index, coefficient)`` pairs (``_pairs``) of both factors, so the zero
+coefficients of either side cost nothing.  Every pseudo-Wronskian has
+definite parity, so half the words of a packed product would be such
+zeros; multiplication takes no Kronecker path.  ``_divmod`` is the one
+division loop; it divides by a constant with one comprehension and a
+multiply-back check, and by the constant 1 not at all.  Division that
+does not come out exact raises ``InexactDivisionError``, an
+``ArithmeticError``: it signals a broken invariant, never bad input.
 """
 
 from __future__ import annotations
@@ -57,20 +51,6 @@ __all__ = [
     "poly_gcd",
     "count_real_roots",
 ]
-
-# Products of at most this many coefficient pairs run schoolbook without
-# reading a bit length: the small products of the determinants are most of
-# all products, and the cost rule would spend its O(len) scan on them.
-_SCHOOLBOOK_PAIRS = 600
-
-# Weights of the cost rule in _schoolbook_cheaper, fitted to best-of-10
-# timings of both paths on the products of the benchmark workloads and a
-# grid of synthetic shapes (CPython 3.11, x86-64; the shape table is
-# scripts/mul_crossover.py).  Only their ratios matter.
-_PAIR_COST = 1000       # interpreter cost of one schoolbook coefficient pair
-_LIMB_COST = 146        # one 30-bit limb product inside a schoolbook pair
-_PACK_COST = 10         # one limb of a Kronecker word packed or unpacked
-_KARATSUBA_COST = 1000  # the packed multiply, per limb^1.5
 
 
 def _trim(coeffs):
@@ -98,7 +78,9 @@ def _mac(out, pa, pb):
             out[i + j] += x * y
 
 
-def _mul_schoolbook(a, b):
+def _mul(a, b):
+    """Coefficient list of the product of two nonzero trimmed coefficient
+    sequences."""
     if len(a) == 1:
         return _scale(b, a[0])
     if len(b) == 1:
@@ -138,55 +120,6 @@ def _unpack(value, nb, n):
     except OverflowError:
         raise ArithmeticError("Kronecker unpacking left a carry: word size too small") from None
     return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, len(raw), nb)]
-
-
-def _mul_kronecker(a, b):
-    # Pack both factors with one byte-aligned word, multiply once, read back
-    # the balanced digits of the product.  The word holds the inputs as well
-    # as the product bound: an all-zero factor has bound 0.
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    nb = _word_bytes(max(ma * mb * min(len(a), len(b)), ma, mb))
-    return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1)
-
-
-def _limb_profile(coeffs):
-    """(limbs, largest bit length) of a coefficient sequence; the limbs
-    are its total bit length over 30 plus one per coefficient."""
-    bits = list(map(int.bit_length, coeffs))
-    return sum(bits) // 30 + len(bits), max(bits)
-
-
-def _schoolbook_cheaper(a, b):
-    """Whether the schoolbook loop is estimated no dearer than Kronecker.
-
-    With la <= lb the lengths, sa, sb the limb counts and w the limbs of
-    one Kronecker word, schoolbook costs a term per coefficient pair plus
-    the sum of the limb products of all pairs,
-    _PAIR_COST * la * lb + _LIMB_COST * sa * sb.  Kronecker packs and
-    unpacks (la + lb) words and multiplies an la*w-limb integer by an
-    lb*w-limb one, which CPython cuts into lb / la balanced Karatsuba
-    products of la*w limbs each; n * isqrt(n) stands in for n^1.585, giving
-    _PACK_COST * (la + lb) * w + _KARATSUBA_COST * lb * w * isqrt(la * w).
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    la, lb = len(a), len(b)
-    sa, ma = _limb_profile(a)
-    sb, mb = _limb_profile(b)
-    w = (ma + mb + la.bit_length()) // 30 + 1
-    school = _PAIR_COST * la * lb + _LIMB_COST * sa * sb
-    kron = _PACK_COST * (la + lb) * w + _KARATSUBA_COST * lb * w * math.isqrt(la * w)
-    return school <= kron
-
-
-def _mul(a, b):
-    """Coefficient list of the product of two nonzero trimmed coefficient
-    sequences: schoolbook for small or lopsided products, Kronecker where
-    the cost rule expects the packed bignum multiply to win."""
-    if len(a) * len(b) <= _SCHOOLBOOK_PAIRS or _schoolbook_cheaper(a, b):
-        return _mul_schoolbook(a, b)
-    return _mul_kronecker(a, b)
 
 
 class InexactDivisionError(ArithmeticError):
@@ -282,9 +215,14 @@ class IntPoly:
 
     # -- ring operations ----------------------------------------------
 
+    # Operands other than IntPoly and int return NotImplemented, so Python
+    # raises a TypeError that names the operator written.
+
     def __add__(self, other):
         if isinstance(other, int):
             other = IntPoly.const(other)
+        elif not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -301,9 +239,13 @@ class IntPoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = IntPoly.const(other)
+        elif not isinstance(other, IntPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -311,6 +253,8 @@ class IntPoly:
             if other == 0:
                 return IntPoly()
             return IntPoly(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()

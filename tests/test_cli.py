@@ -216,13 +216,23 @@ def test_selftest_under_optimize():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("script, arg, line, stream", [
+# one smoke run per script under scripts/, with a line its output must hold
+SCRIPT_RUNS = [
     ("shift_equivalence_demo.py", "4,4,3,1,1",
      "origin   9  girth 4  (8,5,4,2 | )             H_std = 3360 * H_shifted   [ok]", "stdout"),
     ("minimal_order_survey.py", "6", "biggest saving: (1,1,1,1,1,1) drops 5 orders", "stdout"),
     ("piv_catalog_dump.py", "2", "38/38 solutions verified", "stderr"),
-    ("mul_crossover.py", "1000", "rule: schoolbook on 7, kronecker on 4 of 11 shapes", "stdout"),
-], ids=["shift_equivalence_demo", "minimal_order_survey", "piv_catalog_dump", "mul_crossover"])
+]
+
+
+def test_every_script_has_a_smoke_run():
+    # a script cannot be added, or outlive its subject, without a smoke run
+    root = Path(hermitepw.__file__).resolve().parent.parent.parent
+    assert sorted(run[0] for run in SCRIPT_RUNS) == sorted(p.name for p in (root / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script, arg, line, stream", SCRIPT_RUNS,
+                         ids=[run[0].removesuffix(".py") for run in SCRIPT_RUNS])
 def test_script_runs(script, arg, line, stream):
     root = Path(hermitepw.__file__).resolve().parent.parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -1,7 +1,8 @@
 import json
 import math
+import operator
 import os
-import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,8 +21,6 @@ from hermitepw.polys import (
     IntPoly,
     RatFunc,
     _mul,
-    _mul_kronecker,
-    _mul_schoolbook,
     count_real_roots,
     poly_gcd,
 )
@@ -35,8 +34,8 @@ TOP = 2 ** 1500 - 1
 
 
 @st.composite
-def kronecker_operands(draw):
-    """A raw coefficient tuple as _mul_kronecker sees it, up to 1500 bits:
+def packed_operands(draw):
+    """A raw coefficient tuple as IntPoly.pack sees it, up to 1500 bits:
     mixed signs or bound-tight (every coefficient +-max), with a run of
     zeros inside and zeros at either end.  0 bits gives an all-zero factor."""
     top = 2 ** draw(st.integers(min_value=0, max_value=1500)) - 1
@@ -56,9 +55,10 @@ def kronecker_operands(draw):
 def mul_operands(draw):
     """Two nonzero trimmed coefficient tuples as _mul sees them, of 1..400
     and 1..40 coefficients, up to 1 + 1500 bits each.  The bit sizes are
-    drawn apart or shared, and a body is arbitrary (mostly small
-    coefficients under a large lead: schoolbook) or full-size (Kronecker
-    once both lengths are large enough)."""
+    drawn apart or shared; a body is arbitrary (mostly small coefficients
+    under a large lead) or bound-tight (every coefficient -2^bits or
+    2^bits - 1), and an operand may have definite parity, as every
+    pseudo-Wronskian has, so that every other coefficient is zero."""
     bits_a = draw(st.integers(min_value=1, max_value=1500))
     bits_b = draw(st.one_of(st.just(bits_a), st.integers(min_value=1, max_value=1500)))
 
@@ -71,18 +71,12 @@ def mul_operands(draw):
             coeff = st.integers(min_value=-top, max_value=top)
         body = draw(st.lists(coeff, min_size=n - 1, max_size=n - 1))
         lead = draw(st.integers(min_value=1, max_value=top)) * draw(st.sampled_from((1, -1)))
-        return tuple(body) + (lead,)
+        coeffs = tuple(body) + (lead,)
+        if draw(st.booleans()):
+            coeffs = tuple(0 if (n - 1 - i) % 2 else c for i, c in enumerate(coeffs))
+        return coeffs
 
     return operand(400, bits_a), operand(40, bits_b)
-
-
-def rule_operand(spec, rng):
-    """hermite_poly(n) for ("H", n), else len random coefficients of the
-    given bit size with a leading +-2^bits."""
-    if spec[0] == "H":
-        return hermite_poly(spec[1]).coeffs
-    n, bits = spec
-    return tuple(rng.randint(-2 ** bits, 2 ** bits) for _ in range(n - 1)) + (2 ** bits,)
 
 
 class TestIntPoly:
@@ -157,17 +151,7 @@ class TestIntPoly:
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
 
-    @given(kronecker_operands(), kronecker_operands())
-    @example((0, 0, 0), (TOP, -TOP, TOP))               # all-zero factor
-    @example((-7,), (5,))                               # single coefficients
-    @example((3,), (0, 0, -TOP, 0, 0, 0, TOP, 0))       # zero runs at both ends
-    @example((TOP,) * 30, (TOP,) * 30)                  # product hits the bound
-    @example((-TOP,) * 30, (TOP,) * 25)
-    @settings(max_examples=150, deadline=None)
-    def test_kronecker_matches_schoolbook(self, a, b):
-        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
-
-    @given(kronecker_operands())
+    @given(packed_operands())
     @settings(max_examples=60, deadline=None)
     def test_pack_unpack_round_trip(self, coeffs):
         p = IntPoly(coeffs)
@@ -179,44 +163,33 @@ class TestIntPoly:
             with pytest.raises(ArithmeticError, match="carry"):
                 IntPoly.unpack(p.pack(nb), nb, p.degree)
 
-    def test_kronecker_carry_check(self, monkeypatch):
-        # one byte short: the inputs still pack, but the product overflows
-        word_bytes = polys._word_bytes
-        monkeypatch.setattr(polys, "_word_bytes", lambda bound: word_bytes(bound) - 1)
-        top = 2 ** 20 - 1
-        # the carry check itself, not a bare OverflowError from to_bytes
-        with pytest.raises(ArithmeticError, match="carry"):
-            _mul_kronecker((top,) * 3, (top,) * 3)
-
     @given(mul_operands())
-    @example(((1,) * 331, (3, 0, -(2 ** 20))))               # lopsided: schoolbook
-    @example(((2 ** 16 - 1,) * 40, (-(2 ** 16),) * 40))      # square, small words: Kronecker
-    @settings(max_examples=80, deadline=None)
-    def test_mul_matches_schoolbook(self, ab):
+    @example(((TOP,) * 30, (TOP,) * 30))                     # product hits the bound
+    @example(((-TOP,) * 30, (TOP,) * 25))
+    @example(((-7,), (5,)))                                  # single coefficients
+    @example(((3, 0, -TOP), (-7,)))                          # a constant factor
+    @example(((1,) * 331, (3, 0, -(2 ** 20))))               # lopsided
+    @example((hermite_poly(330).coeffs, hermite_poly(7).coeffs))  # definite parity
+    @settings(max_examples=150, deadline=None)
+    def test_mul_matches_kronecker_point(self, ab):
+        # the oracle is one bignum product at x = 2^(8 nb), read back
+        # through the public pack/unpack; the word holds the product bound
         a, b = ab
-        # both argument orders: the rule puts the shorter factor first itself
-        assert _mul(a, b) == _mul_schoolbook(a, b)
-        assert _mul(b, a) == _mul_schoolbook(a, b)
+        nb = IntPoly.word_bytes(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+        want = IntPoly.unpack(IntPoly(a).pack(nb) * IntPoly(b).pack(nb), nb, len(a) + len(b) - 1)
+        assert _mul(a, b) == list(want.coeffs)
+        assert _mul(b, a) == list(want.coeffs)
 
-    @pytest.mark.parametrize("spec_a, spec_b, path", [
-        ((24, 300), (25, 300), "_mul_schoolbook"),   # within the pair guard
-        ((300, 1400), (12, 20), "_mul_schoolbook"),  # lopsided: the word pads the short factor
-        (("H", 330), (7, 20), "_mul_schoolbook"),    # P_n * W of the xh_ladder rungs
-        ((80, 16), (80, 16), "_mul_kronecker"),      # square, small coefficients
-        ((330, 16), (330, 16), "_mul_kronecker"),
-    ], ids=["guard", "lopsided", "hermite_330_x_7", "square", "square_330"])
-    def test_mul_either_side_of_cutoff(self, monkeypatch, spec_a, spec_b, path):
-        # one shape inside the pair guard, the others well away from the
-        # cost rule's boundary: at each, the path taken measured at least 5x
-        # faster than the other (scripts/mul_crossover.py)
-        rng = random.Random(repr((spec_a, spec_b)))
-        a, b = IntPoly(rule_operand(spec_a, rng)), IntPoly(rule_operand(spec_b, rng))
-        assert (len(a.coeffs) * len(b.coeffs) <= polys._SCHOOLBOOK_PAIRS) == (spec_a == (24, 300))
-        calls = []
-        real = getattr(polys, path)
-        monkeypatch.setattr(polys, path, lambda x, y: calls.append(path) or real(x, y))
-        assert (a * b).coeffs == tuple(_mul_schoolbook(a.coeffs, b.coeffs))
-        assert calls == [path]
+    @pytest.mark.parametrize("poly_left", [True, False], ids=["left", "right"])
+    @pytest.mark.parametrize("other", [Fraction(1, 2), 1.5], ids=["Fraction", "float"])
+    @pytest.mark.parametrize("op, symbol", [(operator.add, "+"), (operator.sub, "-"),
+                                            (operator.mul, "*")], ids=["add", "sub", "mul"])
+    def test_foreign_operand_raises_type_error(self, op, symbol, other, poly_left):
+        # a TypeError that names the operator written, not an AttributeError
+        # for .coeffs, nor a TypeError for the "+" that "-" is built on
+        p = IntPoly((1, 2))
+        with pytest.raises(TypeError, match=f"for {re.escape(symbol)}:"):
+            op(p, other) if poly_left else op(other, p)
 
     def test_negative_pow_raises(self):
         # n >>= 1 keeps -1 at -1: a negative exponent used to loop forever
