@@ -32,11 +32,25 @@ the determinant at the smallest origin found by
 ``minorder.minimal_girth_of_diagram`` (memoised per minimal diagram, so
 one entry serves every shift of it) and rescales it exactly.
 ``min_order_at`` checks a claimed minimal origin against the same search
-and returns the shifted diagram, the ratio and its polynomial.  The
-checks ``verify_equivalence``, ``one_step_shift_check`` and
+(``check_min_origin``) and returns the shifted diagram, the ratio and its
+polynomial.  The checks ``verify_equivalence``, ``one_step_shift_check`` and
 ``conjugate_wronskian_identity`` compute the defining determinants at
 their own orders instead, so the identity is always tested against
 determinants it did not produce.
+
+Adding one element t >= 0 to a diagram B adds one row to its matrix, so
+the Laplace expansion along that row gives
+
+    H_{B u {t}} = sum_j (-1)^(i+j) D^j H_t * C_j(B),
+
+where i is the row of t in the defining row order and the cofactor C_j(B)
+is the minor of B's defining rows, widened to |B| + 1 columns, with column
+j deleted.  The C_j depend on B alone: ``pseudo_wronskian_with`` computes
+them once per B with ``det`` behind a bounded memo, and D^j H_t =
+2^j t!/(t-j)! H_{t-j} vanishes for j > t.  Every member of an exceptional
+Hermite family above its corners has the same B at its minimal origin, so
+there a member costs a few products of a small cofactor with H_{t-j} and
+no determinant.
 
 Flipping one element of M is one rational Darboux step.  ``hirota`` is its
 polynomial form B_eps(f, g) - c f g, with B_eps(f, g) = (D^2 + 2 eps x D) f.g,
@@ -56,7 +70,7 @@ from fractions import Fraction
 from .determinant import det
 from .maya import MayaDiagram, Partition
 from .minorder import minimal_girth_of_diagram
-from .polys import IntPoly
+from .polys import IntPoly, _mac, _pairs, _scale
 
 __all__ = [
     "hermite_poly",
@@ -66,7 +80,9 @@ __all__ = [
     "hermite_wronskian",
     "pseudo_wronskian_matrix",
     "pseudo_wronskian",
+    "check_min_origin",
     "min_order_at",
+    "pseudo_wronskian_with",
     "pure_conjugate_wronskian",
     "EquivalenceFactor",
     "equivalence_factor",
@@ -149,16 +165,19 @@ def hermite_wronskian(indices):
     return wronskian([hermite_poly(i) for i in indices])
 
 
-def pseudo_wronskian_matrix(m: MayaDiagram):
-    """Rows of the defining determinant for the labelled diagram m."""
-    p, q = len(m.s), len(m.t)
-    n = p + q
+def _defining_rows(m: MayaDiagram, width):
+    """The defining rows of m, in their order, over ``width`` columns."""
     rows = []
     for s in m.s:  # descending
-        rows.append([conj_hermite_poly(s + j) for j in range(n)])
+        rows.append([conj_hermite_poly(s + j) for j in range(width)])
     for t in reversed(m.t):  # ascending: smallest t first
-        rows.append([hermite_derivative(t, j) for j in range(n)])
+        rows.append([hermite_derivative(t, j) for j in range(width)])
     return rows
+
+
+def pseudo_wronskian_matrix(m: MayaDiagram):
+    """Rows of the defining determinant for the labelled diagram m."""
+    return _defining_rows(m, m.girth)
 
 
 def _direct_pseudo_wronskian(m: MayaDiagram) -> IntPoly:
@@ -167,8 +186,8 @@ def _direct_pseudo_wronskian(m: MayaDiagram) -> IntPoly:
     return det(pseudo_wronskian_matrix(m))
 
 
-# Keyed by the minimal diagram.  exceptional_hermite and min_order_form
-# reach the same one from any shift of it.
+# Keyed by the minimal diagram, so every shift of a diagram reaches the
+# same entry.
 _minimal_determinant = functools.lru_cache(maxsize=256)(_direct_pseudo_wronskian)
 
 
@@ -197,16 +216,62 @@ def pseudo_wronskian(m: MayaDiagram) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def min_order_at(m: MayaDiagram, origin: int, order: int):
-    """(M - origin, ratio, H_{M-origin}) with H_M = ratio * H_{M-origin},
-    for a claimed minimal-girth ``origin`` of M at girth ``order``.  A
-    claim the minimal-girth search does not confirm raises."""
+def check_min_origin(m: MayaDiagram, origin: int, order: int):
+    """Raise ArithmeticError unless ``origin`` is a minimal-girth origin of
+    M at girth ``order``, by one minimal-girth search."""
     r, origins = minimal_girth_of_diagram(m)
     if r != order or origin not in origins:
         raise ArithmeticError(f"{m}: minimal girth {r} at origins {origins}, "
                               f"not {order} at {origin}")
+
+
+def min_order_at(m: MayaDiagram, origin: int, order: int):
+    """(M - origin, ratio, H_{M-origin}) with H_M = ratio * H_{M-origin},
+    for a claimed minimal-girth ``origin`` of M at girth ``order``.  A
+    claim the minimal-girth search does not confirm raises."""
+    check_min_origin(m, origin, order)
     small = m.shift(-origin)
     return small, equivalence_factor(m, origin).ratio, pseudo_wronskian(small)
+
+
+# Entries of the cofactor memo: one base diagram serves every member of an
+# exceptional Hermite family above its corners, so a few families' worth
+# suffices
+_COFACTOR_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_COFACTOR_MEMO_SIZE)
+def _cofactors(b: MayaDiagram):
+    """C_j(B) for j = 0..|B|: the minor of B's defining rows, widened to
+    |B| + 1 columns, with column j deleted."""
+    rows = _defining_rows(b, b.girth + 1)
+    return tuple(det([r[:j] + r[j + 1:] for r in rows]) for j in range(b.girth + 1))
+
+
+def pseudo_wronskian_with(b: MayaDiagram, t: int) -> IntPoly:
+    """H_{B u {t}} for t >= 0 not in B, by Laplace expansion along the row
+    of t:
+
+        H_{B u {t}} = sum_j (-1)^(i+j) D^j H_t * C_j(B),
+
+    with i the row of t in the defining row order and C_j(B) the memoised
+    cofactors of ``_cofactors``.  D^j H_t = 2^j t!/(t-j)! H_{t-j} vanishes
+    for j > t; the factor scales the small cofactor, never H_{t-j}.
+    """
+    if t < 0 or t in b:
+        raise ValueError(f"{t} is negative or already in {b}")
+    i = len(b.s) + sum(1 for v in b.t if v < t)
+    cofactors = _cofactors(b)[:t + 1]
+    # the term j has degree at most deg C_j + t - j
+    out = [0] * (max(len(cof.coeffs) for cof in cofactors) + t)
+    c = 1
+    for j, cof in enumerate(cofactors):
+        if j:
+            c *= 2 * (t - j + 1)
+        if cof:
+            sign = -1 if (i + j) & 1 else 1
+            _mac(out, _pairs(_scale(cof.coeffs, sign * c)), _pairs(_hermite_h(t - j).coeffs))
+    return IntPoly(out)
 
 
 def pure_conjugate_wronskian(m: MayaDiagram) -> IntPoly:

@@ -11,8 +11,10 @@ every valley lies in [min_hole, max_element + 1].
 
 ``minimal_girth_of_diagram`` is the one minimal-girth search: a single
 ``MayaDiagram.girth_walk`` over that window.  ``hermite.pseudo_wronskian``
-evaluates at its smallest origin, and ``hermite.min_order_at`` checks a
-claimed origin against it.
+evaluates at its smallest origin, and ``hermite.check_min_origin`` checks a
+claimed origin against it.  ``xhermite_min_origin`` takes the minimal girth
+and the two corner labels it needs from one walk of the standard diagram,
+memoised per partition.
 
 Two views of the level sets are needed:
 
@@ -28,6 +30,7 @@ Two views of the level sets are needed:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -220,21 +223,39 @@ def min_order_after_insert(m: MayaDiagram, new: int) -> InsertReport:
     return InsertReport(case, r2, tuple(origins))
 
 
+# Entries of the corner memo: one per exceptional Hermite family in use
+_CORNER_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_CORNER_MEMO_SIZE)
+def _corners(lam: Partition):
+    """(standard diagram M, r, k_r, k_{r+1}) of a partition: its minimal
+    girth and corner labels, from one girth walk over the window that holds
+    every valley.  Memoised per partition."""
+    m = MayaDiagram.from_partition(lam)
+    lo = m.min_hole()
+    walk = m.girth_walk(lo, m.max_element() + 1)
+    labels = {}     # level -> largest valley, as k ascends
+    for k, g in enumerate(walk, lo):
+        if (k - 1) in m and k not in m:
+            labels[g] = k
+    r = min(walk)
+    return m, r, labels[r], labels.get(r + 1)
+
+
 def xhermite_min_origin(lam: Partition, n: int):
     """(minimal order, one minimal origin) for the degree-n member of the
     family indexed by lam, via the corner labels of the base diagram.
 
     The admissible degrees are those whose insertion position
-    n + length - size is a hole of the standard diagram.
+    n + length - size is a hole of the standard diagram.  The corner data
+    come from ``_corners``, one walk per partition.
     """
-    m = MayaDiagram.from_partition(lam)
+    m, r, k_r, k_r1 = _corners(lam)
     offset = lam.size - lam.length
     pos = n - offset
     if n < 0 or pos in m:
         raise ValueError(f"degree {n} is not admissible for {lam}")
-    r, _ = minimal_girth_of_diagram(m)
-    k_r = corner_label(m, r)
-    k_r1 = corner_label(m, r + 1)
     if k_r1 is not None and k_r1 > k_r:
         if n < k_r + offset:
             return r - 1, k_r

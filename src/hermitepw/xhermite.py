@@ -18,11 +18,18 @@ one residual hirota(P_n, W, -1, 2(size - n)) in Z[x].
 
 Each request on a family member builds its pieces once.  The family (with
 its standard diagram, a cached property), the weight Wronskian W of a
-partition and the member P_n of (lam, n) each sit behind a fixed
-16-entry ``functools.lru_cache``, so ``eigen_check``, ``min_order_form``
-and ``weight_and_norm_check`` reuse what ``exceptional_hermite`` and an
-earlier check built.  The memos hold polynomials only, never a verdict:
-every check recomputes its residual or integral on every call.
+partition and the record of (lam, n) each sit behind a fixed 16-entry
+``functools.lru_cache``.  The record holds P_n and its ``MinOrderForm``,
+built together at the minimal origin k that the corner rule
+(``minorder.xhermite_min_origin``) gives and one minimal-girth search
+confirms.  At k the matrix of P_n is the family's fixed rows plus one row
+D^j H_(pos-k); when pos >= k, P_n comes from the Laplace expansion along
+that row (``hermite.pseudo_wronskian_with``), whose cofactors belong to
+the family, so a member above the corners costs no determinant.
+``exceptional_hermite`` and ``min_order_form`` read the record, and
+``eigen_check`` and ``weight_and_norm_check`` reuse P_n and W.  The memos
+hold polynomials only, never a verdict: every check recomputes its
+residual or integral on every call.
 
 Everything here is exact except ``weight_and_norm_check``, the one
 numerical routine in the package: a trapezoid rule in fixed-point integers
@@ -42,7 +49,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hermite import hirota, min_order_at, pseudo_wronskian
+from .hermite import (
+    check_min_origin,
+    equivalence_factor,
+    hirota,
+    min_order_at,
+    pseudo_wronskian,
+    pseudo_wronskian_with,
+)
 from .maya import MayaDiagram, Partition
 from .minorder import xhermite_min_origin
 from .polys import IntPoly, RatFunc, count_real_roots
@@ -118,19 +132,13 @@ def _family(lam: Partition) -> XHermiteFamily:
     return XHermiteFamily(lam)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def exceptional_hermite(lam: Partition, n: int) -> IntPoly:
-    """The degree-n family member: the defining Wronskian, evaluated as
-    the signed pseudo-Wronskian of the enlarged diagram.  Memoised per
-    (lam, n)."""
-    fam = _family(lam)
-    if not fam.is_admissible(n):
-        raise ValueError(f"degree {n} is not admissible for {lam}")
-    enlarged = fam.diagram.add(fam.insertion_position(n))
-    poly = insertion_sign(lam, n) * pseudo_wronskian(enlarged)
-    if poly.degree != n:
-        raise ArithmeticError(f"P_{n} of {lam} came out with degree {poly.degree}")
-    return poly
+    """The degree-n family member: the defining Wronskian, which is
+    ``insertion_sign`` times the pseudo-Wronskian of the enlarged diagram.
+    It is read from the member's memoised record (``_member``), built at
+    minimal order; a corner-rule origin that the minimal-girth search does
+    not confirm raises ArithmeticError."""
+    return _member(lam, n)[0]
 
 
 def insertion_sign(lam: Partition, n: int) -> int:
@@ -210,15 +218,45 @@ class MinOrderForm:
 def min_order_form(lam: Partition, n: int) -> MinOrderForm:
     """Minimal-order pseudo-Wronskian equal to P_n up to an exact scalar.
 
-    Its polynomial is the memoised minimal determinant that
-    ``exceptional_hermite`` already reached, rescaled to this origin."""
+    It is read from the member's memoised record (``_member``), which built
+    P_n from this very determinant, so the form costs nothing past
+    ``exceptional_hermite``."""
+    return _member(lam, n)[1]
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _member(lam: Partition, n: int):
+    """(P_n, its MinOrderForm), built once per (lam, n) at the minimal
+    origin k that ``xhermite_min_origin`` gives by the corner rule.
+
+    One minimal-girth search of the enlarged diagram M u {pos} confirms the
+    claim (order, k), or raises ArithmeticError.  At that origin the
+    matrix is the family's fixed rows, those of B = M - k, plus one row for
+    pos - k.  When pos >= k that row is D^j H_(pos-k), and the minimal
+    determinant is ``pseudo_wronskian_with(B, pos - k)``: its cofactors
+    C_j(B) are memoised, so members above the corners share them.
+    Otherwise it is ``pseudo_wronskian`` of the shifted diagram.  Then
+    P_n = insertion_sign * ratio * H_(M u {pos} - k), with the exact shift
+    ratio, in one division that raises on a remainder.
+    """
     fam = _family(lam)
     if not fam.is_admissible(n):
         raise ValueError(f"degree {n} is not admissible for {lam}")
     order, origin = xhermite_min_origin(lam, n)
-    enlarged = fam.diagram.add(fam.insertion_position(n))
-    small, ratio, poly = min_order_at(enlarged, origin, order)
-    return MinOrderForm(n, origin, small, order, insertion_sign(lam, n) * ratio, poly)
+    pos = fam.insertion_position(n)
+    enlarged = fam.diagram.add(pos)
+    if pos >= origin:
+        check_min_origin(enlarged, origin, order)
+        small = enlarged.shift(-origin)
+        ratio = equivalence_factor(enlarged, origin).ratio
+        h = pseudo_wronskian_with(fam.diagram.shift(-origin), pos - origin)
+    else:
+        small, ratio, h = min_order_at(enlarged, origin, order)
+    scalar = insertion_sign(lam, n) * ratio
+    poly = (scalar.numerator * h).divexact(IntPoly.const(scalar.denominator))
+    if poly.degree != n:
+        raise ArithmeticError(f"P_{n} of {lam} came out with degree {poly.degree}")
+    return poly, MinOrderForm(n, origin, small, order, scalar, h)
 
 
 @dataclass(frozen=True)

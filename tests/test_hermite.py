@@ -12,6 +12,7 @@ from hermitepw.hermite import (
     EquivalenceFactor,
     _hermite_h,
     _hermite_th,
+    _cofactors,
     _minimal_determinant,
     conj_hermite_poly,
     conjugate_wronskian_identity,
@@ -23,6 +24,7 @@ from hermitepw.hermite import (
     hirota,
     pseudo_wronskian,
     pseudo_wronskian_matrix,
+    pseudo_wronskian_with,
     pure_conjugate_wronskian,
     one_step_shift_check,
     verify_equivalence,
@@ -230,6 +232,50 @@ class TestPseudoWronskian:
             assert pure_conjugate_wronskian(m) == pseudo_wronskian(m)
         with pytest.raises(ValueError):
             pure_conjugate_wronskian(MayaDiagram.parse("5|1"))
+
+
+@st.composite
+def inserted_rows(draw):
+    """(B, t): a partition of size <= 12, its standard diagram shifted by k
+    in [-4, 6], and t >= 0 not in B, from below, between or above B's
+    elements."""
+    total, parts = draw(st.integers(min_value=0, max_value=12)), []
+    while total:
+        parts.append(draw(st.integers(min_value=1, max_value=total)))
+        total -= parts[-1]
+    k = draw(st.integers(min_value=-4, max_value=6))
+    b = MayaDiagram.from_partition(Partition(tuple(sorted(parts, reverse=True)))).shift(-k)
+    top = b.t[0] + 3 if b.t else 3
+    return b, draw(st.sampled_from([t for t in range(top) if t not in b]))
+
+
+class TestInsertedRow:
+    @given(inserted_rows())
+    @example((MayaDiagram(), 0))
+    @example((MayaDiagram(), 5))
+    @example((MayaDiagram((), (5, 4, 2, 1)), 0))     # below
+    @example((MayaDiagram((), (5, 4, 2, 1)), 3))     # between
+    @example((MayaDiagram((), (5, 4, 2, 1)), 8))     # above
+    @example((MayaDiagram((1,), (3, 2)), 1))         # t < |B|: the j > t cut
+    @example((MayaDiagram((4, 3), ()), 0))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_defining_determinant(self, case):
+        b, t = case
+        assert pseudo_wronskian_with(b, t) == det(pseudo_wronskian_matrix(b.add(t)))
+
+    def test_cofactors_memoised_per_base(self):
+        b = MayaDiagram.parse("2|5,1")
+        _cofactors.cache_clear()
+        for t in (0, 3, 4, 40, 300):
+            pseudo_wronskian_with(b, t)
+        info = _cofactors.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        assert info.maxsize == 16
+
+    @pytest.mark.parametrize("t", [-1, 5])
+    def test_rejects_negative_or_present_row(self, t):
+        with pytest.raises(ValueError):
+            pseudo_wronskian_with(MayaDiagram.parse("2|5,1"), t)
 
 
 def _equivalence_factor_oracle(m, k):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hermitepw.minorder as minorder
 from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
 from hermitepw.minorder import (
     corner_label,
@@ -238,3 +239,25 @@ class TestXhermiteMinOrigin:
             rep = min_order_after_insert(m, n - offset)
             assert r_n == rep.r, (lam, n)
             assert origin in rep.origins, (lam, n, origin, rep)
+
+    def test_corner_data_from_one_walk(self):
+        # the memoised (M, r, k_r, k_{r+1}) against the three-walk search
+        for lam in all_partitions_up_to(10):
+            m = MayaDiagram.from_partition(lam)
+            r, _ = minimal_girth_of_diagram(m)
+            assert minorder._corners(lam) == (m, r, corner_label(m, r), corner_label(m, r + 1))
+
+    def test_fifty_calls_walk_the_base_diagram_once(self, monkeypatch):
+        walks = []
+        real = MayaDiagram.girth_walk
+        monkeypatch.setattr(MayaDiagram, "girth_walk",
+                            lambda m, lo, hi: walks.append(m) or real(m, lo, hi))
+        lam = Partition((4, 4, 1, 1))
+        m, offset = MayaDiagram.from_partition(lam), lam.size - lam.length
+        degrees = [n for n in range(80) if n - offset not in m][:50]
+        minorder._corners.cache_clear()
+        for n in degrees:
+            xhermite_min_origin(lam, n)
+        assert len(degrees) == 50
+        assert walks == [MayaDiagram.from_partition(lam)]
+        assert minorder._corners.cache_info().maxsize == 16

@@ -5,6 +5,7 @@ import pytest
 import hermitepw.xhermite as xhermite
 from hermitepw.determinant import det
 from hermitepw.hermite import (
+    _cofactors,
     _minimal_determinant,
     conj_hermite_poly,
     hermite_poly,
@@ -87,6 +88,22 @@ class TestConstruction:
             indices = sorted(fam.diagram.t) + [fam.insertion_position(n)]
             assert exceptional_hermite(lam, n) == hermite_wronskian(indices), n
 
+    @pytest.mark.parametrize("parts", [(), (1,), (2, 1), (3, 1, 1), (2, 2, 1, 1),
+                                       (4, 4, 1, 1), (3, 2)])
+    def test_sweep_matches_enlarged_determinant(self, parts):
+        # both branches of the member record, the inserted-row expansion
+        # and the low members, against the defining determinant of the
+        # enlarged diagram at its own order
+        lam = Partition(parts)
+        fam = XHermiteFamily(lam)
+        high = [n for n in range(301, 360) if fam.is_admissible(n)][:3]
+        for n in [n for n in range(81) if fam.is_admissible(n)] + high:
+            enlarged = fam.diagram.add(fam.insertion_position(n))
+            poly = exceptional_hermite(lam, n)
+            assert poly == insertion_sign(lam, n) * det(pseudo_wronskian_matrix(enlarged)), n
+            form = min_order_form(lam, n)
+            assert form.scalar.denominator == 1 and poly == form.scalar.numerator * form.poly, n
+
     def test_sign_both_values_occur(self):
         # single-row family: insertion below the top element flips the sign
         assert insertion_sign(Partition((1,)), 0) == -1
@@ -143,15 +160,15 @@ class TestEigen:
 
 def _memo_misses():
     return {name: memo.cache_info().misses for name, memo in (
-        ("exceptional_hermite", exceptional_hermite), ("_weight", xhermite._weight),
-        ("_minimal_determinant", _minimal_determinant))}
+        ("_member", xhermite._member), ("_weight", xhermite._weight),
+        ("_minimal_determinant", _minimal_determinant), ("_cofactors", _cofactors))}
 
 
 @pytest.fixture
 def clear_memos():
     """For tests that corrupt an input the xhermite memos cache: start with
     them empty, and leave no corrupted entry behind."""
-    memos = (xhermite._family, xhermite._weight, exceptional_hermite)
+    memos = (xhermite._family, xhermite._weight, xhermite._member)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -160,7 +177,9 @@ def clear_memos():
 
 
 class TestMemos:
-    @pytest.mark.parametrize("memo", [xhermite._family, xhermite._weight, exceptional_hermite])
+    # exceptional_hermite and min_order_form read the one member record
+    @pytest.mark.parametrize("memo", [xhermite._family, xhermite._weight, xhermite._member],
+                             ids=["_family", "_weight", "exceptional_hermite"])
     def test_fixed_bound(self, memo):
         assert memo.cache_info().maxsize == 16
 
@@ -201,6 +220,38 @@ class TestMemos:
         assert not weight_and_norm_check(lam, 2, 2).ok
 
 
+def test_member_above_corners_reuses_its_cofactors(monkeypatch, clear_memos):
+    # above the corners every member of a family has the same base diagram,
+    # so once one is built a new one costs one minimal-girth search (the
+    # check of its corner-rule origin) and no determinant; the rest of the
+    # request reads the record
+    import hermitepw.hermite as hermite
+    import hermitepw.minorder as minorder
+
+    lam = Partition((2, 1))
+    fam = XHermiteFamily(lam)
+    first, second = [n for n in range(301, 320) if fam.is_admissible(n)][:2]
+    eigen_check(lam, first)
+    min_order_form(lam, first)
+    counts = {"det": 0, "search": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(hermite, "det", counting("det", hermite.det))
+    search = counting("search", minorder.minimal_girth_of_diagram)
+    for module in (minorder, hermite):
+        monkeypatch.setattr(module, "minimal_girth_of_diagram", search)
+    exceptional_hermite(lam, second)
+    assert counts == {"det": 0, "search": 1}
+    min_order_form(lam, second)
+    eigen_check(lam, second)
+    assert counts == {"det": 0, "search": 1}
+
+
 class TestMinOrderForm:
     def test_reproduces_polynomial(self):
         for lam in (Partition((2, 2, 1, 1)), Partition((4, 4, 1, 1)), Partition((3, 2))):
@@ -219,30 +270,30 @@ class TestMinOrderForm:
         assert form.scalar == 2 ** 12 * 720
 
     def test_shares_memo_with_exceptional_hermite(self):
-        # for (2,1) the min_order_form origin is often not the one
-        # pseudo_wronskian reduces to, yet both reach the same minimal
-        # diagram.  After exceptional_hermite, the rest of an xh request adds
-        # no miss to any memo; W belongs to the family, so only the family's
-        # first request builds it.
+        # exceptional_hermite builds the member's whole record, so the rest
+        # of an xh request adds no miss to any memo, whether P_n came from
+        # the shifted diagram (n = 3, inserted below the origin) or from the
+        # inserted-row expansion (n = 6 and above 300); W belongs to the
+        # family, so only the family's first request builds it.
         lam = Partition((2, 1))
         fam = XHermiteFamily(lam)
         high = next(n for n in range(304, 320) if fam.is_admissible(n))
         xhermite._weight(lam)
-        for n in (6, high):
+        for n in (3, 6, high):
             exceptional_hermite(lam, n)
             misses = _memo_misses()
             eigen_check(lam, n)
             min_order_form(lam, n)
             assert _memo_misses() == misses, n
 
-    def test_rejects_non_minimal_origin(self, monkeypatch):
+    def test_rejects_non_minimal_origin(self, monkeypatch, clear_memos):
         # P_8 of (2,2,1,1) has minimal order 2 at origin 7; origin -3 has
-        # girth 8, so a claim of (8, -3) is consistent but not minimal
-        import hermitepw.xhermite as xhermite
-
+        # girth 8, so a claim of (8, -3) is consistent but not minimal.
+        # Both readers build the record that checks the claim.
         monkeypatch.setattr(xhermite, "xhermite_min_origin", lambda lam, n: (8, -3))
-        with pytest.raises(ArithmeticError, match="minimal girth 2"):
-            min_order_form(Partition((2, 2, 1, 1)), 8)
+        for reader in (exceptional_hermite, min_order_form):
+            with pytest.raises(ArithmeticError, match="minimal girth 2"):
+                reader(Partition((2, 2, 1, 1)), 8)
 
     def test_json(self):
         blob = min_order_form(Partition((2, 2, 1, 1)), 8).to_json()
