@@ -13,6 +13,23 @@ s_1..s_p in that order, and whose bottom block has rows
 (H_t, D H_t, ..., D^{p+q-1} H_t) for t = t_q (smallest) up to t_1.
 All signs downstream are pinned to this row ordering.
 
+A diagram with no element at or above the origin (q = 0, "s-only") has
+the plain Wronskian of th_{s_1}, ..., th_{s_p} as its pseudo-Wronskian,
+with the same rows in the same order.  Since th_{n+1} = 2x th_n + th_n',
+th_{s+j} = A^j th_s with A = 2x + D = e^{-x^2} D e^{x^2}; so with
+g_i = e^{x^2} th_{s_i},
+
+    det[A^j th_{s_i}] = det[e^{-x^2} D^j g_i] = e^{-p x^2} Wr[g_i]
+                      = e^{-p x^2} e^{p x^2} Wr[th_{s_i}] = Wr[th_{s_i}],
+
+whatever the s_i.  Its rows D^j th_s = 2^j s!/(s-j)! th_{s-j} vanish for
+j > s, so when the smallest s are 0, 1, 2, ... their rows are zero right
+of the diagonal and ``det`` skips their elimination steps.
+``pure_conjugate_wronskian`` builds these rows, and
+``_direct_pseudo_wronskian`` evaluates every s-only diagram through it;
+every other diagram takes the determinant of ``pseudo_wronskian_matrix``,
+which stays the defining matrix.
+
 Shifting the origin rescales the determinant by an explicit nonzero
 rational.  With
 
@@ -31,12 +48,13 @@ one-step constants are the classical Wronskian reduction factors.
 the determinant at the smallest origin found by
 ``minorder.minimal_girth_of_diagram`` (memoised per minimal diagram, so
 one entry serves every shift of it) and rescales it exactly.
-``min_order_at`` checks a claimed minimal origin against the same search
-(``check_min_origin``) and returns the shifted diagram, the ratio and its
-polynomial.  The checks ``verify_equivalence``, ``one_step_shift_check`` and
-``conjugate_wronskian_identity`` compute the defining determinants at
-their own orders instead, so the identity is always tested against
-determinants it did not produce.
+``min_order_at`` checks a claimed minimal origin against one such search
+and rescales from the same smallest origin, returning the shifted
+diagram, the ratio and its polynomial.  The checks ``verify_equivalence``,
+``one_step_shift_check`` and ``conjugate_wronskian_identity`` compute the
+determinants at their own orders instead (the Wronskian form for s-only
+diagrams), so the identity is always tested against determinants it did
+not produce.
 
 Adding one element t >= 0 to a diagram B adds one row to its matrix, so
 the Laplace expansion along that row gives
@@ -139,12 +157,7 @@ def hermite_derivative(n, order):
     """D^j H_n = 2^j * n(n-1)...(n-j+1) * H_{n-j}, zero once j exceeds n."""
     if n < 0 or order < 0:
         raise ValueError(f"Hermite index and derivative order must be non-negative: {n}, {order}")
-    if order > n:
-        return IntPoly()
-    c = 1
-    for i in range(order):
-        c *= 2 * (n - i)
-    return c * _hermite_h(n - order)
+    return _derivative_row(_hermite_h, n, order + 1)[order]
 
 
 def wronskian(polys):
@@ -165,13 +178,24 @@ def hermite_wronskian(indices):
     return wronskian([hermite_poly(i) for i in indices])
 
 
+def _derivative_row(family, n, width):
+    """[D^j P_n for j < width] for P = H or th (``family`` is its memo):
+    D^j P_n = 2^j n!/(n-j)! P_{n-j}, zero for j > n; the factor scales the
+    memoised P_{n-j}, with no derivative chain."""
+    row, c = [], 1
+    for j in range(width):
+        row.append(c * family(n - j) if j <= n else IntPoly())
+        c *= 2 * (n - j)
+    return row
+
+
 def _defining_rows(m: MayaDiagram, width):
     """The defining rows of m, in their order, over ``width`` columns."""
     rows = []
     for s in m.s:  # descending
         rows.append([conj_hermite_poly(s + j) for j in range(width)])
     for t in reversed(m.t):  # ascending: smallest t first
-        rows.append([hermite_derivative(t, j) for j in range(width)])
+        rows.append(_derivative_row(_hermite_h, t, width))
     return rows
 
 
@@ -181,8 +205,11 @@ def pseudo_wronskian_matrix(m: MayaDiagram):
 
 
 def _direct_pseudo_wronskian(m: MayaDiagram) -> IntPoly:
-    """The defining determinant of m at its own order.  The shift checks
-    below use it, so they never test the rescaling with itself."""
+    """The pseudo-Wronskian of m at its own order: the Wronskian of its
+    th_s when m is s-only, else the defining determinant.  The shift
+    checks below use it, so they never test the rescaling with itself."""
+    if not m.t:
+        return pure_conjugate_wronskian(m)
     return det(pseudo_wronskian_matrix(m))
 
 
@@ -191,17 +218,10 @@ def _direct_pseudo_wronskian(m: MayaDiagram) -> IntPoly:
 _minimal_determinant = functools.lru_cache(maxsize=256)(_direct_pseudo_wronskian)
 
 
-def pseudo_wronskian(m: MayaDiagram) -> IntPoly:
-    """The exact pseudo-Wronskian polynomial of a labelled diagram.
-
-    Evaluated at minimal order: H_M = (eps / gamma) * H_{M-k} for the
-    smallest minimal-girth origin k, with the exact constants of
-    ``equivalence_factor``.  The empty diagram gives 1 (empty
-    determinant).  Degree equals the size of the underlying partition.
-    """
-    # the smallest origin: those of M - j are those of M less j, so every
-    # shift of M reaches the same minimal diagram and memo entry
-    k = minimal_girth_of_diagram(m)[1][0]
+def _from_smallest_origin(m: MayaDiagram, k: int) -> IntPoly:
+    """H_M = (eps / gamma) * H_{M-k}, where k is M's smallest minimal-girth
+    origin and H_{M-k} comes from the memo, in one exact division that
+    raises on a remainder."""
     h = _minimal_determinant(m.shift(-k))
     if k == 0:
         return h
@@ -216,22 +236,39 @@ def pseudo_wronskian(m: MayaDiagram) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def pseudo_wronskian(m: MayaDiagram) -> IntPoly:
+    """The exact pseudo-Wronskian polynomial of a labelled diagram.
+
+    Evaluated at minimal order: H_M = (eps / gamma) * H_{M-k} for the
+    smallest minimal-girth origin k, with the exact constants of
+    ``equivalence_factor``.  The empty diagram gives 1 (empty
+    determinant).  Degree equals the size of the underlying partition.
+    """
+    # the smallest origin: those of M - j are those of M less j, so every
+    # shift of M reaches the same minimal diagram and memo entry
+    return _from_smallest_origin(m, minimal_girth_of_diagram(m)[1][0])
+
+
 def check_min_origin(m: MayaDiagram, origin: int, order: int):
     """Raise ArithmeticError unless ``origin`` is a minimal-girth origin of
-    M at girth ``order``, by one minimal-girth search."""
+    M at girth ``order``, by one minimal-girth search; return the ascending
+    minimal-girth origins."""
     r, origins = minimal_girth_of_diagram(m)
     if r != order or origin not in origins:
         raise ArithmeticError(f"{m}: minimal girth {r} at origins {origins}, "
                               f"not {order} at {origin}")
+    return origins
 
 
 def min_order_at(m: MayaDiagram, origin: int, order: int):
     """(M - origin, ratio, H_{M-origin}) with H_M = ratio * H_{M-origin},
     for a claimed minimal-girth ``origin`` of M at girth ``order``.  A
-    claim the minimal-girth search does not confirm raises."""
-    check_min_origin(m, origin, order)
+    claim the minimal-girth search does not confirm raises; the same
+    search gives the smallest origin that H_{M-origin} is rescaled from."""
+    smallest = check_min_origin(m, origin, order)[0]
     small = m.shift(-origin)
-    return small, equivalence_factor(m, origin).ratio, pseudo_wronskian(small)
+    return (small, equivalence_factor(m, origin).ratio,
+            _from_smallest_origin(small, smallest - origin))
 
 
 # Entries of the cofactor memo: one base diagram serves every member of an
@@ -276,10 +313,13 @@ def pseudo_wronskian_with(b: MayaDiagram, t: int) -> IntPoly:
 
 def pure_conjugate_wronskian(m: MayaDiagram) -> IntPoly:
     """For a diagram with no filled boxes right of the origin, the
-    pseudo-Wronskian equals the plain Wronskian of th_{s_1}, ..., th_{s_p}."""
+    pseudo-Wronskian equals the plain Wronskian of th_{s_1}, ..., th_{s_p}.
+
+    Its rows are D^j th_s = 2^j s!/(s-j)! th_{s-j}, zero for j > s.
+    """
     if m.t:
         raise ValueError("diagram has filled boxes at or above the origin")
-    return wronskian([conj_hermite_poly(s) for s in m.s])
+    return det([_derivative_row(_hermite_th, s, len(m.s)) for s in m.s])
 
 
 # -- shift equivalence -------------------------------------------------------

@@ -190,6 +190,26 @@ def test_internal_fault_is_not_bad_input(capsys, monkeypatch):
     assert "error:" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # the first two evaluate only t-sided diagrams; the last three reach
+    # s-only diagrams: the minimal form (7,2 | ), and (5,3,1 | ) and its shift
+    ("pw --partition 3,2,1 --shift 5",
+     "99056b0493b6d23638b52b92241af27a2cc643fb6572c061c68a0af24e72814d"),
+    ("equiv --partition 3,2,1 --k -3",
+     "9a3d56a6fa14f4a8fddf8b0b7499b6bd3ac51210be1dcb2191c623befbb8aa8c"),
+    ("pw --partition 2,2,1,1,1,1",
+     "ccc8226acf3e6c0b1eebe44d9aca14378ee2809bc7c62e9ac586f638019cbc44"),
+    ("equiv --partition 3,2,1 --k 6",
+     "6b924620f99f7e19a16152967a98e23ed83f59c1fa98f16d0adcb4232bf5a204"),
+    ("equiv --frobenius 5,3,1| --k 2",
+     "1d49269781e30630e1068947a933a6ff064ea18c32142b5794ef46b8b0b08c04"),
+])
+def test_pw_and_equiv_bytes_pinned(capsys, argv, digest):
+    code, out = run(capsys, "--format", "json", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_catalog_bytes_pinned(capsys):
     code, out = run(capsys, "--format", "json", "piv", "catalog", "--max", "4")
     assert code == 0

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -13,6 +14,7 @@ from hermitepw.hermite import (
     _hermite_h,
     _hermite_th,
     _cofactors,
+    _direct_pseudo_wronskian,
     _minimal_determinant,
     conj_hermite_poly,
     conjugate_wronskian_identity,
@@ -22,6 +24,7 @@ from hermitepw.hermite import (
     hermite_poly,
     hermite_wronskian,
     hirota,
+    min_order_at,
     pseudo_wronskian,
     pseudo_wronskian_matrix,
     pseudo_wronskian_with,
@@ -36,6 +39,7 @@ from hermitepw.polys import IntPoly
 from hermitepw.xhermite import XHermiteFamily, eigen_check, exceptional_hermite
 
 from conftest import diagrams, frobenius_sides, random_diagram
+from test_determinant import bareiss_intpoly
 
 X = IntPoly((0, 1))
 
@@ -51,6 +55,20 @@ def _recurrence_oracle(n_max, sign):
             nxt[i] += c * b
         seq.append(tuple(nxt))
     return [IntPoly(c) for c in seq[:n_max + 1]]
+
+
+@st.composite
+def s_only_diagrams(draw):
+    """The standard diagram of a partition of size <= 15, at an origin from
+    its largest element + 1 (girth: the first part) up to girth 14."""
+    parts, left = [], draw(st.integers(min_value=0, max_value=15))
+    while left:
+        parts.append(draw(st.integers(min_value=1, max_value=min(left, 14, *parts[-1:]))))
+        left -= parts[-1]
+    m = MayaDiagram.from_partition(Partition(tuple(parts)))
+    base = m.max_element() + 1
+    top = base + 14 - m.shift(-base).girth
+    return m.shift(-draw(st.integers(min_value=base, max_value=top)))
 
 
 class TestHermiteFamilies:
@@ -227,11 +245,42 @@ class TestPseudoWronskian:
             assert sum(m.t) - ell * (ell - 1) // 2 == lam.size
 
     def test_pure_conjugate(self):
-        for text in ("5,2|", "6,3,1|", "4|"):
+        # pseudo_wronskian reads s-only diagrams through the same rows, so
+        # the definition is the reference
+        for text in ("5,2|", "6,3,1|", "4|", "3,1,0|"):
             m = MayaDiagram.parse(text)
-            assert pure_conjugate_wronskian(m) == pseudo_wronskian(m)
+            assert pure_conjugate_wronskian(m) == det(pseudo_wronskian_matrix(m))
+            assert pure_conjugate_wronskian(m) == wronskian(
+                [conj_hermite_poly(s) for s in m.s])
         with pytest.raises(ValueError):
             pure_conjugate_wronskian(MayaDiagram.parse("5|1"))
+
+    @given(s_only_diagrams())
+    @example(MayaDiagram())
+    @example(MayaDiagram((0,), ()))
+    # a raised origin of shift_sweep seed 7: (4,4,3,2,1,1,1,1,1,1,1) at 25
+    @example(MayaDiagram((24, 16, 14, 12, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0), ()))
+    @settings(max_examples=40, deadline=None)
+    def test_s_only_matches_defining_bareiss(self, m):
+        assert not m.t
+        assert _direct_pseudo_wronskian(m) == bareiss_intpoly(pseudo_wronskian_matrix(m))
+
+    def test_min_order_at_searches_once(self, monkeypatch):
+        # (4,4,3,1,1) is minimal at origins 3 and 9: a claim of 9 is checked
+        # and rescaled from 3 by the same search
+        import hermitepw.hermite as hermite
+
+        m = MayaDiagram.from_partition(Partition((4, 4, 3, 1, 1)))
+        real, calls = hermite.minimal_girth_of_diagram, []
+        monkeypatch.setattr(hermite, "minimal_girth_of_diagram",
+                            lambda d: calls.append(d) or real(d))
+        _minimal_determinant.cache_clear()
+        small, ratio, h = min_order_at(m, 9, 4)
+        assert calls == [m]
+        assert small == m.shift(-9)
+        assert ratio == equivalence_factor(m, 9).ratio
+        assert h == det(pseudo_wronskian_matrix(small))
+        assert _minimal_determinant.cache_info().misses == 1
 
 
 @st.composite
@@ -397,6 +446,25 @@ class TestEquivalence:
                 cur = cur.shift(-1)
             assert total == equivalence_factor(m, k).ratio, (m, k)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda f: replace(f, eps_product=-f.eps_product),
+        lambda f: replace(f, gamma_product=3 * f.gamma_product),
+    ], ids=["sign", "scale"])
+    def test_s_only_check_catches_wrong_factor(self, monkeypatch, corrupt):
+        # the Wronskian rows of s-only diagrams leave the check as strict as
+        # the defining determinants: a wrong factor is a mismatch
+        import hermitepw.hermite as hermite
+
+        cases = [(MayaDiagram.parse(text), k)
+                 for text, k in (("5,3,1|", 2), ("6,3,1,0|", 3), ("|5,3,1", 6))]
+        for m, k in cases:
+            assert not m.shift(-k).t
+            assert verify_equivalence(m, k).match
+        real = hermite.equivalence_factor
+        monkeypatch.setattr(hermite, "equivalence_factor", lambda m, k: corrupt(real(m, k)))
+        for m, k in cases:
+            assert not verify_equivalence(m, k).match, (m, k)
+
 
 class TestOneStepShifts:
     def test_down_requires_filled_origin(self):
@@ -429,6 +497,21 @@ class TestOneStepShifts:
                 ok, _ = one_step_shift_check(m, "up")
                 assert ok, m
                 up += 1
+
+    @pytest.mark.parametrize("off", [-1, 3])
+    def test_s_only_check_catches_wrong_constant(self, monkeypatch, off):
+        # both sides are s-only; scaling the shifted side by off is the
+        # check run with the constant off * c, which must fail
+        import hermitepw.hermite as hermite
+
+        m = MayaDiagram.parse("6,3,1,0|")
+        other = m.shift(1)
+        assert not m.t and not other.t
+        assert one_step_shift_check(m, "up")[0]
+        real = hermite._direct_pseudo_wronskian
+        monkeypatch.setattr(hermite, "_direct_pseudo_wronskian",
+                            lambda d: off * real(d) if d == other else real(d))
+        assert not one_step_shift_check(m, "up")[0]
 
 
 class TestConjugateIdentity:

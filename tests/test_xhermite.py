@@ -15,6 +15,7 @@ from hermitepw.hermite import (
     wronskian,
 )
 from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
+from hermitepw.minorder import xhermite_min_origin
 from hermitepw.polys import IntPoly, RatFunc
 from hermitepw.xhermite import (
     XHermiteFamily,
@@ -250,6 +251,24 @@ def test_member_above_corners_reuses_its_cofactors(monkeypatch, clear_memos):
     min_order_form(lam, second)
     eigen_check(lam, second)
     assert counts == {"det": 0, "search": 1}
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_member_below_corners_searches_once(monkeypatch, clear_memos, n):
+    # P_3 and P_5 of (2,1) insert below their minimal origin: the search
+    # that checks the origin also gives the one to rescale from
+    import hermitepw.hermite as hermite
+    import hermitepw.minorder as minorder
+
+    lam = Partition((2, 1))
+    assert XHermiteFamily(lam).insertion_position(n) < xhermite_min_origin(lam, n)[1]
+    xhermite._weight(lam)
+    real, calls = minorder.minimal_girth_of_diagram, []
+    for module in (minorder, hermite):
+        monkeypatch.setattr(module, "minimal_girth_of_diagram",
+                            lambda d: calls.append(d) or real(d))
+    exceptional_hermite(lam, n)
+    assert len(calls) == 1
 
 
 class TestMinOrderForm:
