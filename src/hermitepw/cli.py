@@ -6,11 +6,18 @@ p/q) string; output is byte-identical across runs for identical
 arguments.  Exit codes: 0 success / verified, 1 computed but a
 verification failed, 2 usage error or invalid input (argparse's own
 convention; a ValueError from the library counts as invalid input).
+
+Each subcommand computes its result and returns (exit code, JSON payload,
+text lines); ``main`` prints it outside the handler that maps a ValueError
+to exit 2, so an error while printing is never reported as bad input.
+Integers print at any size: the interpreter's limit on int-to-str
+conversion is lifted while ``main`` runs and restored when it returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -20,6 +27,8 @@ from .maya import MayaDiagram, Partition
 
 
 def _emit(args, payload, text_lines):
+    if payload is None:
+        return
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -52,32 +61,29 @@ def cmd_maya(args):
         "standard_frobenius": str(std),
         "standard_shift": k,
     }
-    _emit(args, payload, [
+    return 0, payload, [
         f"frobenius: {m}",
         f"girth: {m.girth}",
         f"partition: {lam} (size {lam.size})",
         f"conjugate: {lam.conjugate()}",
         f"standard form: {std} (diagram = standard + {k})",
-    ])
-    return 0
+    ]
 
 
 def cmd_pw(args):
     m = _diagram_from(args)
     p = pseudo_wronskian(m)
     payload = {"frobenius": str(m), "degree": p.degree, "poly": p.to_json()}
-    _emit(args, payload, [f"H[{m}] = {p.pretty()}"])
-    return 0
+    return 0, payload, [f"H[{m}] = {p.pretty()}"]
 
 
 def cmd_equiv(args):
     m = _diagram_from(args)
     report = verify_equivalence(m, args.k)
-    _emit(args, report.to_json(), [
+    return 0 if report.match else 1, report.to_json(), [
         f"H[{m}] = {report.constant} * H[{m.shift(-args.k)}]",
         f"match: {report.match}",
-    ])
-    return 0 if report.match else 1
+    ]
 
 
 def cmd_minorder(args):
@@ -95,14 +101,13 @@ def cmd_minorder(args):
         "durfee": durfee.to_json(),
         "minimal_frobenius": str(small),
     }
-    _emit(args, payload, [
+    return 0, payload, [
         f"partition: {lam}",
         f"minimal girth: {report.r}",
         f"origins: {', '.join(str(k) for k in report.origins)}",
         f"durfee symbol at origin {k_best}: {durfee}",
         f"minimal frobenius: {small}",
-    ])
-    return 0
+    ]
 
 
 def cmd_xhermite(args):
@@ -127,11 +132,10 @@ def cmd_xhermite(args):
         except ArithmeticError as exc:
             # a nonzero eigen residual is a failed verification: exit 1
             print(f"hermitepw: verification failed: {exc}", file=sys.stderr)
-            return 1
+            return 1, None, None
         payload["eigen"] = rep.to_json()
         lines.append(f"eigenvalue: {rep.eigenvalue} (index N = {rep.shifted_index})")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return 0 if ok else 1, payload, lines
 
 
 def cmd_piv(args):
@@ -147,8 +151,7 @@ def cmd_piv(args):
             ok = ok and rep.ok
             lines.append(f"{sol.family}{sol.params} branch {sol.branch}: "
                          f"a={sol.a}, b={sol.b}, verified={rep.ok}")
-        _emit(args, payload, lines)
-        return 0 if ok else 1
+        return 0 if ok else 1, payload, lines
 
     if args.family == "gh":
         if args.m is None or args.ell is None:
@@ -166,8 +169,7 @@ def cmd_piv(args):
         payload["verified"] = rep.ok
         lines.append(f"verified: {rep.ok}")
         code = 0 if rep.ok else 1
-    _emit(args, payload, lines)
-    return code
+    return code, payload, lines
 
 
 def _selftest_checks():
@@ -211,18 +213,9 @@ def _selftest_checks():
 
 
 def cmd_selftest(args):
-    failures = 0
-    results = []
-    for name, ok in _selftest_checks():
-        results.append({"check": name, "pass": bool(ok)})
-        if not ok:
-            failures += 1
-    if args.format == "json":
-        print(json.dumps(results, sort_keys=True))
-    else:
-        for r in results:
-            print(f"[{'PASS' if r['pass'] else 'FAIL'}] {r['check']}")
-    return 0 if failures == 0 else 1
+    results = [{"check": name, "pass": bool(ok)} for name, ok in _selftest_checks()]
+    lines = [f"[{'PASS' if r['pass'] else 'FAIL'}] {r['check']}" for r in results]
+    return 0 if all(r["pass"] for r in results) else 1, results, lines
 
 
 def build_parser():
@@ -277,14 +270,30 @@ def build_parser():
     return ap
 
 
+@contextlib.contextmanager
+def _int_str_unbounded():
+    """Lift the interpreter's int-to-str digit limit, restoring it on exit."""
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
-        return 2
+    with _int_str_unbounded():
+        try:
+            code, payload, lines = args.func(args)
+        except ValueError as exc:
+            print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+            return 2
+        _emit(args, payload, lines)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,9 +3,6 @@
 Polynomials are dense integer-coefficient lists, index = degree, with the
 zero polynomial canonically represented by an empty coefficient tuple.
 Everything here is exact: no floats enter at any point.
-``IntPoly.eval_dyadic`` evaluates exactly at a dyadic rational
-``man * 2^e``, the value of every binary floating-point number, so the
-quadrature check of ``xhermite`` gets exact polynomial values at its nodes.
 
 One Kronecker point serves two jobs.  A polynomial whose coefficients
 are balanced digits, each of absolute size below ``xi / 2``, is packed into
@@ -323,28 +320,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
-
-    def eval_dyadic(self, man, e):
-        """Exact value at the dyadic rational man * 2^e, as (v, E) with
-        p(man * 2^e) = v * 2^E.
-
-        For e >= 0 the point is an integer and E = 0.  For e < 0 the value
-        is 2^(e * d) * sum c_i man^i 2^(-e (d - i)), d the degree: integer
-        Horner in man with the i-th coefficient shifted left by -e (d - i).
-        """
-        c = self.coeffs
-        if e >= 0:
-            return self.eval_at(man << e), 0
-        if not c:
-            return 0, 0
-        s = -e
-        d = len(c) - 1
-        v = c[d]
-        for i in range(d - 1, -1, -1):
-            v *= man
-            if c[i]:
-                v += c[i] << (s * (d - i))
-        return v, e * d
 
     # bytes per Kronecker word that hold every value of absolute size <= bound
     word_bytes = staticmethod(_word_bytes)

@@ -31,15 +31,15 @@ the family, so a member above the corners costs no determinant.
 hold polynomials only, never a verdict: every check recomputes its
 residual or integral on every call.
 
-Everything here is exact except ``weight_and_norm_check``, the one
-numerical routine in the package: a trapezoid rule in fixed-point integers
-at 50 digits plus guard bits.  The integrand P_n P_m e^(-x^2) / W^2 decays
-like a Gaussian and is analytic in a strip about the real line, so the
-rule converges geometrically as its step h = 2^-j halves.  Its nodes are
-dyadic rationals, where ``IntPoly.eval_dyadic`` evaluates the numerator and
-the denominator exactly, so each node value is rounded once.  The integrand
-of a same-parity pair is even, so only the nodes of the half line [0, L]
-are evaluated, and a sum that has not converged on the finest grid raises.
+Everything here is exact, the orthogonality check included.  For an even
+partition ``weight_and_norm_check`` certifies the integral of
+P_n P_m e^(-x^2) / W^2 over the real line by Hermite reduction: it writes
+P_n P_m = A' W - A W' - 2x A W + c W^2 with A in Q[x] and c in Q, so that
+the integrand is (A e^(-x^2) / W)' + c e^(-x^2) and the integral is exactly
+c sqrt(pi).  The reduction runs in integers with one carried scale, and
+the check is c == delta_nm 2^(j+ell) j! prod_i (j - m_i), Crum's formula,
+with no tolerance.  No float enters a computation; the one float made is
+the reported relative error.
 """
 
 from __future__ import annotations
@@ -274,28 +274,14 @@ class NormReport:
                 "ok": self.ok}
 
 
-# The one numerical check passes when its relative error is at most
-# NORM_TOLERANCE at NORM_DPS digits of working precision.
+# The check is exact and has no tolerance.  NORM_TOLERANCE is the relative
+# error a numerical quadrature must reach against it (the tests' oracles),
+# and sqrt(pi) in the report strings is rendered to NORM_DPS digits.
 NORM_TOLERANCE = 1e-10
 NORM_DPS = 50
 
-# Fixed-point scale 2^-_NORM_BITS of the check: NORM_DPS digits, 32 guard bits
-_NORM_BITS = math.ceil(NORM_DPS * math.log2(10)) + 32
-# The finest grid the trapezoid rule refines to is h = 2^-_NORM_MAX_LEVEL
-_NORM_MAX_LEVEL = 12
-
-
-def _tail_cutoff(total_degree):
-    """Smallest integer L with x^d * exp(-x^2) below the target at |x| >= L.
-
-    The trapezoid sum takes only the nodes in [-L, L].  The target is
-    10^-NORM_DPS e^-30, so the tail left out lies far below the digits the
-    stopping rule asks for."""
-    target = -(NORM_DPS * math.log(10) + 30)
-    L = 10
-    while total_degree * math.log(L) - L * L > target:
-        L += 1
-    return L
+# Fixed-point scale 2^-_NORM_BITS of sqrt(pi): NORM_DPS digits, 32 guard bits
+_NORM_BITS = (10 ** NORM_DPS).bit_length() + 32
 
 
 @functools.cache
@@ -304,8 +290,6 @@ def _sqrt_pi():
 
     pi comes from Machin's formula pi = 16 atan(1/5) - 4 atan(1/239) at
     twice the scale plus 16 guard bits, and the root from ``math.isqrt``.
-    It is independent of the quadrature, so a scaling error there cannot
-    cancel out of the check.
     """
     bits = 2 * _NORM_BITS + 16
 
@@ -320,89 +304,78 @@ def _sqrt_pi():
     return math.isqrt((16 * acot(5) - 4 * acot(239)) >> 16)
 
 
-def _exp_neg(j, bits):
-    """e^(-h^2), h = 2^-j, at scale 2^-bits by its Taylor series."""
-    term = total = 1 << bits
-    i = 0
-    while term:
-        i += 1
-        term //= i << 2 * j
-        total += -term if i & 1 else term
-    return total
+def _subtract_L(r, i, t, w_pairs):
+    """r -= t L(x^i) in place, where L(A) = A' W - A W' - 2x A W and
+    w_pairs are the nonzero (j, W_j).
+
+    L(x^i) = sum_j ((i - j) W_j x^(i-1+j) - 2 W_j x^(i+1+j)), so the
+    coefficient of x^(i + deg W + 1) is -2 lead(W)."""
+    for j, c in w_pairs:
+        tc = t * c
+        if i != j:
+            r[i - 1 + j] -= (i - j) * tc
+        r[i + 1 + j] += 2 * tc
 
 
-def _ratio_at(numq, denq, k, j):
-    """num(x) / den(x) at x = k 2^-j, rounded to the nearest multiple of
-    2^-_NORM_BITS, where num(x) = numq(x^2), den(x) = denq(x^2) > 0.
+def _hermite_remainder(p: IntPoly, w: IntPoly):
+    """(R, s) with s p = s L(A) + R for some A in Q[x], R a coefficient list
+    of length deg W + 1 and s a positive integer.
 
-    x^2 = k^2 4^-j is a dyadic rational, so ``IntPoly.eval_dyadic`` gives
-    both values exactly and the quotient is the one rounding.
+    Hermite reduction from the top: the term of degree k > deg W is
+    cancelled by L(x^(k - deg W - 1)), whose leading coefficient is
+    g = -2 lead(W).  The list stays in integers: when g does not divide the
+    leading coefficient, the list is first multiplied by the part q of |g|
+    that does, and s carries the product of these q.  A term left above
+    deg W raises ArithmeticError.
     """
-    vn, en = numq.eval_dyadic(k * k, -2 * j)
-    vd, ed = denq.eval_dyadic(k * k, -2 * j)
-    shift = en - ed + _NORM_BITS
-    if shift >= 0:
-        vn <<= shift
-    else:
-        vd <<= -shift
-    return (2 * vn + vd) // (2 * vd)
+    d = w.degree
+    g = -2 * w.leading
+    w_pairs = [(j, c) for j, c in enumerate(w.coeffs) if c]
+    r = list(p.coeffs) + [0] * (d + 1 - len(p.coeffs))
+    s = 1
+    for k in range(len(r) - 1, d, -1):
+        rk = r[k]
+        if not rk:
+            continue
+        q = abs(g) // math.gcd(rk, g)
+        if q != 1:
+            r[:k + 1] = [q * c for c in r[:k + 1]]
+            s *= q
+        _subtract_L(r, k - d - 1, r[k] // g, w_pairs)
+    if any(r[d + 1:]):
+        raise ArithmeticError("Hermite reduction left a term above deg W")
+    return r[:d + 1], s
 
 
-def _level_sum(numq, denq, L, j, step):
-    """Sums of f(x) e^(-x^2) and of its absolute value over the nodes
-    x = k h, k = 1, 1 + step, 1 + 2 step, ... with x <= L, h = 2^-j, at
-    scale 2^-_NORM_BITS; f is the ratio of ``_ratio_at``.
+def _norm_constant(num: IntPoly, w: IntPoly) -> Fraction:
+    """The c with num = L(A) + c W^2 for a polynomial A, L as in
+    ``_subtract_L``, so that the integral of num e^(-x^2) / W^2 over the
+    real line is exactly c sqrt(pi).
 
-    The weights g_k = e^(-(k h)^2) take multiplies only: g_1 = a = e^(-h^2),
-    g_(k+step) = g_k r_k with r_k = a^(2 k step + step^2), and
-    r_(k+step) = r_k a^(2 step^2).  They are kept at a finer scale, so even
-    e^(-L^2) has _NORM_BITS significant bits: where the polynomial part is
-    large, the Gaussian is far below 2^-_NORM_BITS.
+    num and W^2 are reduced to remainders R0 / s0 and R1 / s1 of degree at
+    most deg W.  L has no polynomial kernel and raises the degree by
+    deg W + 1, so the remainder of an image is 0 and the remainders are
+    unique: num = L(A) + c W^2 exactly when R0 / s0 = c R1 / s1.  A num
+    whose remainder is not such a multiple raises ArithmeticError.
     """
-    bits = _NORM_BITS + math.ceil(L * L * math.log2(math.e))
-    a = _exp_neg(j, bits)
-
-    def power(p):
-        out = 1 << bits
-        for _ in range(p):
-            out = out * a >> bits
-        return out
-
-    g, r, q = a, power(step * step + 2 * step), power(2 * step * step)
-    total = size = 0
-    for k in range(1, (L << j) + 1, step):
-        t = _ratio_at(numq, denq, k, j) * g >> bits
-        total += t
-        size += abs(t)
-        g = g * r >> bits
-        r = r * q >> bits
-    return total, size
+    r0, s0 = _hermite_remainder(num, w)
+    r1, s1 = _hermite_remainder(w * w, w)
+    top = max((i for i, c in enumerate(r1) if c), default=None)
+    if top is None:
+        raise ArithmeticError("W^2 reduced to zero")
+    if any(a * r1[top] != r0[top] * b for a, b in zip(r0, r1)):
+        raise ArithmeticError("remainder is not a multiple of the remainder of W^2")
+    return Fraction(r0[top] * s1, r1[top] * s0)
 
 
-def _trapezoid(num: IntPoly, den: IntPoly, L) -> Fraction:
-    """The integral of num(x) e^(-x^2) / den(x) over [-L, L], for even num
-    and den with den > 0 on the real line, by the trapezoid rule on the
-    dyadic grids h = 2^-j.
-
-    The integrand is even, so the grid sum is h (f(0) + 2 sum_(k >= 1) f(k h))
-    over k h <= L, and each halving of h adds only the odd nodes.  The rule
-    stops at the first level j >= 1 where the sum moved by at most
-    10^-NORM_DPS of the sum of the absolute values of its terms, and returns
-    that level's sum, which is exact in the rounded node values.  A grid
-    finer than h = 2^-_NORM_MAX_LEVEL raises ArithmeticError.
-    """
-    numq, denq = IntPoly(num.coeffs[::2]), IntPoly(den.coeffs[::2])
-    f0 = _ratio_at(numq, denq, 0, 0)
-    t, s = _level_sum(numq, denq, L, 0, 1)
-    total, size = f0 + 2 * t, abs(f0) + 2 * s
-    for j in range(1, _NORM_MAX_LEVEL + 1):
-        t, s = _level_sum(numq, denq, L, j, 2)
-        total, prev = total + 2 * t, total
-        size += 2 * s
-        if abs(total - 2 * prev) * 10 ** NORM_DPS <= size:
-            return Fraction(total, 1 << (_NORM_BITS + j))
-    raise ArithmeticError(f"trapezoid rule did not reach {NORM_DPS} digits "
-                          f"at h = 2^-{_NORM_MAX_LEVEL}")
+def _norm_scale(fam: XHermiteFamily, n: int) -> int:
+    """Crum's norm of P_n over sqrt(pi): 2^(j+ell) j! prod_i (j - m_i),
+    j = n + ell - size the insertion position."""
+    j = n - fam.offset
+    scale = 2 ** (j + fam.ell) * math.factorial(j)
+    for t in fam.diagram.t:
+        scale *= j - t
+    return scale
 
 
 def _nstr(x: Fraction) -> str:
@@ -417,7 +390,8 @@ def _nstr(x: Fraction) -> str:
     def below(e):   # |x| < 10^e
         return p * 10 ** max(-e, 0) < q * 10 ** max(e, 0)
 
-    e = math.floor((p.bit_length() - q.bit_length()) * math.log10(2))
+    # log10(2) < 30103 / 10^5: an estimate the two loops correct
+    e = (p.bit_length() - q.bit_length()) * 30103 // 100000
     while not below(e + 1):
         e += 1
     while below(e):
@@ -440,29 +414,25 @@ def _nstr(x: Fraction) -> str:
 
 
 def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
-    """Numerical orthogonality check for an even partition.
+    """Exact orthogonality check for an even partition.
 
-    Integrates P_n P_m e^(-x^2)/W^2 over the real line and compares against
+    The integral of P_n P_m e^(-x^2) / W^2 over the real line must equal
     delta_{nm} sqrt(pi) 2^(j+ell) j! prod_i (j - m_i), j = n + ell - N,
-    with N = size(lam) the family eigenvalue index.  The weight
-    denominator W must have no real zeros; for even partitions it never
-    does (checked exactly by Sturm root counting before any numerics).
-    When n and m have opposite parity the integrand is odd, so the
-    integral is an exact zero and no quadrature runs.  Otherwise P_n P_m
-    and W^2 are even (W has definite parity), so the integrand is even; an
-    odd coefficient in either polynomial raises ArithmeticError before any
-    quadrature.
+    with N = size(lam) the family eigenvalue index (Crum's formula).  The
+    weight denominator W must have no real zeros; for even partitions it
+    never does (checked exactly by Sturm root counting first).  When n
+    and m have opposite parity the integrand is odd, so the integral is an
+    exact zero and no certificate is built.  Otherwise P_n P_m and W^2 are
+    even (W has definite parity); an odd coefficient in either raises
+    ArithmeticError.
 
-    The quadrature (``_trapezoid``) is the trapezoid rule in fixed-point
-    integers at scale 2^-_NORM_BITS.  The integrand decays like e^(-x^2)
-    and is analytic in a strip about the real line, since W^2 has no real
-    zero, so the rule converges geometrically as h halves (Trefethen and
-    Weideman, SIAM Review 56, 2014).  Its nodes k 2^-j are dyadic, where
-    P_n P_m and W^2 are evaluated exactly and their quotient is rounded
-    once; the Gaussian weights follow from one e^(-h^2) per grid.  A rule
-    that has not reached NORM_DPS digits by the finest grid raises
-    ArithmeticError.  sqrt(pi) in the norm is computed apart from the
-    quadrature, and the relative error is exact until it becomes a float.
+    The certificate is Hermite reduction for exponential-rational
+    integrands (``_norm_constant``): P_n P_m = A' W - A W' - 2x A W + c W^2
+    with A a polynomial, so that
+    P_n P_m e^(-x^2) / W^2 = (A e^(-x^2) / W)' + c e^(-x^2), and the integral
+    is exactly c sqrt(pi).  The check passes when c equals the closed form,
+    an equality of rationals; a product that leaves no such c raises
+    ArithmeticError.  sqrt(pi) enters only the report strings.
     """
     if not lam.is_even():
         raise ValueError(f"partition {lam} is not even")
@@ -475,18 +445,14 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     if pn.parity() != pm.parity():
         return NormReport(n, m, "0.0", "0.0", 0.0, True)
     num = pn * pm
-    den = w * w
-    # the even-part evaluation of _trapezoid is right only for an even integrand
-    if num.parity() != 0 or den.parity() != 0:
+    # W^2 is even whenever W has definite parity
+    if num.parity() != 0 or w.parity() is None:
         raise ArithmeticError(f"integrand of ({n}, {m}) for {lam} is not even")
-    integral = _trapezoid(num, den, _tail_cutoff(n + m + 2 * max(w.degree, 1)))
-    j = n + fam.ell - lam.size
+    c = _norm_constant(num, w)
     # diagonal norm at n; off the diagonal it is the relative yardstick
-    scale = 2 ** (j + fam.ell) * math.factorial(j)
-    for t in fam.diagram.t:
-        scale *= j - t
-    norm = Fraction(_sqrt_pi() * scale, 1 << _NORM_BITS)
-    expected = norm if n == m else Fraction(0)
-    rel = abs(integral - expected) / abs(norm)
-    return NormReport(n, m, _nstr(integral), _nstr(expected), float(rel),
-                      rel <= NORM_TOLERANCE)
+    scale = _norm_scale(fam, n)
+    expected = scale if n == m else 0
+    sqrt_pi = Fraction(_sqrt_pi(), 1 << _NORM_BITS)
+    rel = abs(c - expected) / abs(scale)
+    return NormReport(n, m, _nstr(c * sqrt_pi), _nstr(expected * sqrt_pi),
+                      float(rel), c == expected)

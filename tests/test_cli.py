@@ -9,7 +9,8 @@ import pytest
 
 import hermitepw
 from hermitepw.cli import main
-from hermitepw.maya import MayaDiagram
+from hermitepw.hermite import pseudo_wronskian
+from hermitepw.maya import MayaDiagram, Partition
 from hermitepw.polys import IntPoly, poly_gcd
 
 
@@ -187,6 +188,55 @@ def test_internal_fault_is_not_bad_input(capsys, monkeypatch):
     monkeypatch.setattr(polys, "poly_gcd", lambda a, b: real(a, b) * IntPoly((1, 1)))
     with pytest.raises(ArithmeticError):
         main(["piv", "--class", "gh", "--m", "2", "--ell", "4", "--branch", "1"])
+    assert "error:" not in capsys.readouterr().err
+
+
+def _parse_poly(blob):
+    # parsing a big integer back is limited like printing one
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return IntPoly.from_json(blob)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+_HAS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                      reason="no int-to-str digit limit on this interpreter")
+
+
+@_HAS_DIGIT_LIMIT
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_big_integers_print(capsys, fmt):
+    # a valid input whose result has coefficients of more than 4300
+    # digits prints at exit 0, and the interpreter's limit is restored
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "--format", fmt, "pw", "--partition", "3,2,1", "--shift", "-100")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    m = MayaDiagram.from_partition(Partition.parse("3,2,1")).shift(-100)
+    expected = pseudo_wronskian(m)
+    assert max(abs(c) for c in expected.coeffs).bit_length() > 4300 * 3.32
+    if fmt == "json":
+        assert _parse_poly(json.loads(out)["poly"]) == expected
+    else:
+        assert out.startswith(f"H[{m}] = ") and out.count("\n") == 1
+
+
+@_HAS_DIGIT_LIMIT
+def test_error_while_printing_is_not_bad_input(capsys, monkeypatch):
+    # exit 2 is for input checks; a ValueError raised once the result is
+    # computed propagates, and the digit limit is restored all the same
+    import hermitepw.cli as cli
+
+    def fail(*args):
+        raise ValueError("printing failed")
+
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(cli, "_emit", fail)
+    with pytest.raises(ValueError, match="printing failed"):
+        main(["pw", "--partition", "2,1"])
+    assert sys.get_int_max_str_digits() == limit
     assert "error:" not in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 from dataclasses import dataclass, replace
 from fractions import Fraction
+import math
 from math import lcm
 
 import pytest
@@ -429,6 +430,48 @@ def y_oracle(sol):
         y = log_diff(h0, hp)
         return y - Rat(2 * T) if sol.branch == 3 else y
     return Rat(-2 * T, IntPoly.const(3)) + log_diff(_at_t_over_sqrt3(h0), _at_t_over_sqrt3(hp))
+
+
+def _murata_type(a, b):
+    """"I" or "III" when (a, b) is a point of Murata's classification of
+    the rational PIV solutions, else None: a = m and b = -2(2n - m + 1)^2
+    (type I) or b = -2(2n - m + 1/3)^2 (type III), m and n integers."""
+    if a.denominator != 1:
+        return None
+    m = a.numerator
+    # |2n - m| <= sqrt(|b| / 2) + 1 on either type
+    reach = math.isqrt(math.ceil(abs(b))) + 2
+    for k in range(-reach, reach + 1):
+        if (k + m) % 2:
+            continue                    # k = 2n - m needs an integer n
+        if b == -2 * (k + 1) ** 2:
+            return "I"
+        if b == -2 * (k + Fraction(1, 3)) ** 2:
+            return "III"
+    return None
+
+
+class TestMurata:
+    """The catalog against Murata's (1985) parameter sets; no verify_piv."""
+
+    def test_murata_points(self):
+        assert _murata_type(Fraction(-11), Fraction(-8)) == "I"         # m = -11, n = -5
+        assert _murata_type(Fraction(1), Fraction(-8)) == "I"           # m = 1, n = 1
+        assert _murata_type(Fraction(3), Fraction(-32, 9)) == "III"     # m = 3, n = 2
+        assert _murata_type(Fraction(2), Fraction(-8)) is None          # 2n - m + 1 is odd
+        assert _murata_type(Fraction(1, 2), Fraction(-8)) is None
+        assert _murata_type(Fraction(2), Fraction(-9)) is None
+
+    def test_catalog_lies_in_murata_sets(self, catalogs):
+        # GH solutions are type I, the Okamoto (O) family type III
+        entries = catalogs[5]
+        assert len(entries) == 182
+        types = {(sol.family, sol.params, sol.branch): _murata_type(sol.a, sol.b)
+                 for sol, _ in entries}
+        bad = [key for key, t in types.items() if t != {"gh": "I", "o": "III"}[key[0]]]
+        assert not bad, bad
+        points = [(sol.a, sol.b) for sol, _ in entries]
+        assert len(set(points)) == len(points)
 
 
 class TestOneReduction:

@@ -82,7 +82,6 @@ def _imports_mpmath(node):
 
 
 def test_numerics_quarantined_in_xhermite():
-    # the one quadrature check runs in fixed-point integers inside xhermite:
     # no module imports mpmath, and the exact kernel of polys holds no
     # float, no float literal and no mpf
     bad = [f"{path.stem}:{node.lineno} imports mpmath" for path, tree in _modules()
@@ -97,6 +96,31 @@ def test_numerics_quarantined_in_xhermite():
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             bad.append(f"polys:{node.lineno} float literal {node.value!r}")
     assert not bad, bad
+
+
+# math functions that return floats
+FLOAT_MATH = {"log", "log2", "log10", "log1p", "exp", "expm1", "sqrt", "pow", "pi", "e",
+              "floor", "ceil", "fsum", "hypot"}
+
+
+def test_only_float_is_the_reported_error():
+    # the norm check is exact: the one float the package makes is
+    # NormReport.rel_error, float(rel) or 0.0, and the one float constant
+    # is the exported NORM_TOLERANCE
+    calls, literals, bad = [], [], []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+                    and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                bad.append(f"{path.stem}:{node.lineno} math.{node.attr}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"):
+                calls.append((path.stem, ast.unparse(node)))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                literals.append((path.stem, node.value))
+    assert not bad, bad
+    assert calls == [("xhermite", "float(rel)")]
+    assert sorted(literals) == [("xhermite", 0.0), ("xhermite", 1e-10)]
 
 
 def test_no_runtime_dependency():

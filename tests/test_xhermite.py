@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from hermitepw.xhermite import (
     weight_and_norm_check,
 )
 
+import norm_oracle
 from conftest import random_partition
 
 
@@ -210,7 +212,7 @@ class TestMemos:
 
     def test_corrupted_weight_raises(self, monkeypatch, clear_memos):
         # W comes from its memo: a wrong W, built after the memo was
-        # emptied, fails the eigen check and the norm check's result
+        # emptied, fails the eigen check and the norm certificate
         lam = Partition((2, 2, 1, 1))
         standard = MayaDiagram.from_partition(lam)
         real = xhermite.pseudo_wronskian
@@ -218,7 +220,8 @@ class TestMemos:
                             lambda d: real(d) * IntPoly((1, 0, 1)) if d == standard else real(d))
         with pytest.raises(ArithmeticError):
             eigen_check(lam, 5)
-        assert not weight_and_norm_check(lam, 2, 2).ok
+        with pytest.raises(ArithmeticError, match="not a multiple"):
+            weight_and_norm_check(lam, 2, 2)
 
 
 def test_member_above_corners_reuses_its_cofactors(monkeypatch, clear_memos):
@@ -363,11 +366,39 @@ def _mpf_horner(mp, p, x):
 
 
 def _boom(*args, **kwargs):
-    raise RuntimeError("quadrature ran")
+    raise RuntimeError("certificate built")
+
+
+def _spy_certificates(monkeypatch):
+    """The constants c that ``_norm_constant`` returns, in call order."""
+    seen = []
+    real = xhermite._norm_constant
+    monkeypatch.setattr(xhermite, "_norm_constant",
+                        lambda num, w: seen.append(real(num, w)) or seen[-1])
+    return seen
+
+
+def _rejected(lam, n, m):
+    """A check that raises or fails rejects; only ok=True accepts."""
+    try:
+        return not weight_and_norm_check(lam, n, m).ok
+    except ArithmeticError:
+        return True
+
+
+def _L(a, w):
+    """L(A) = A' W - A W' - 2x A W, whose image integrates to zero against
+    e^(-x^2) / W^2."""
+    return a.derivative() * w - a * w.derivative() - IntPoly((0, 2)) * a * w
 
 
 # sqrt(pi) to 60 significant digits
 SQRT_PI_60 = "1.77245385090551602729816748334114518279754945612238712821381"
+
+# Even partitions whose first admissible degrees the certificate must match
+# Crum's closed form on, off the diagonal (c = 0) included
+EVEN_FAMILIES = [(), (1, 1), (2, 2), (2, 2, 1, 1), (3, 3), (3, 3, 1, 1), (4, 4, 2, 2),
+                 (8, 8, 1, 1), (2, 2, 2, 2), (6, 6, 3, 3, 1, 1)]
 
 
 class TestNorms:
@@ -375,33 +406,160 @@ class TestNorms:
         rep = weight_and_norm_check(Partition(), 3, 3)
         assert rep.ok and rep.rel_error <= 1e-10
 
-    def test_even_partition_norms(self):
+    def test_even_partition_norms(self, monkeypatch):
         lam = Partition((1, 1))
         fam = XHermiteFamily(lam)
         degs = fam.admissible_degrees(2)
         for n in degs:
             assert weight_and_norm_check(lam, n, n).ok
         assert weight_and_norm_check(lam, degs[0], degs[1]).ok
-        # same parity, so the quadrature runs and must come out near zero
+        # same parity, so the certificate runs and gives exactly zero
+        seen = _spy_certificates(monkeypatch)
         rep = weight_and_norm_check(lam, 0, 4)
-        assert rep.ok and rep.integral != "0.0"
+        assert seen == [0]
+        assert rep.ok and (rep.integral, rep.expected, rep.rel_error) == ("0.0", "0.0", 0.0)
 
-    def test_opposite_parity_skips_quadrature(self, monkeypatch):
-        import hermitepw.xhermite as xh
+    @pytest.mark.parametrize("parts", EVEN_FAMILIES)
+    def test_certificate_is_the_closed_form(self, monkeypatch, parts):
+        lam = Partition(parts)
+        fam = XHermiteFamily(lam)
+        degs = fam.admissible_degrees(6)
+        seen = _spy_certificates(monkeypatch)
+        for n in degs:
+            for m in degs:
+                if (n - m) % 2 == 0:
+                    assert weight_and_norm_check(lam, n, m).ok, (parts, n, m)
+                    assert seen[-1] == (xhermite._norm_scale(fam, n) if n == m else 0)
 
-        monkeypatch.setattr(xh, "_trapezoid", _boom)
+    @pytest.mark.parametrize("parts", [(), (1, 1), (2, 2, 1, 1), (2, 1), (3, 1, 1)])
+    def test_remainder_of_image_is_exact(self, parts):
+        # the remainder of L(A) + R, deg R <= deg W, is R, whatever A is
+        rng = random.Random(sum(parts) + 17)
+        w = pseudo_wronskian(MayaDiagram.from_partition(Partition(parts)))
+        d = w.degree
+        for _ in range(20):
+            a = IntPoly(tuple(rng.randint(-50, 50) for _ in range(rng.randint(0, 12))))
+            r = [rng.randint(-50, 50) for _ in range(d + 1)]
+            got, s = xhermite._hermite_remainder(_L(a, w) + IntPoly(tuple(r)), w)
+            assert s > 0 and got == [s * c for c in r], (parts, a, r)
+
+    @pytest.mark.parametrize("parts", [(), (1, 1), (2, 2, 1, 1), (2, 1), (3, 1, 1)])
+    def test_remainder_matches_fraction_reduction(self, parts):
+        # an arbitrary integer polynomial is L(A) + R with A in Q[x]: the
+        # integer reduction and its scale give the R that the same
+        # reduction over Q gives
+        rng = random.Random(sum(parts) + 29)
+        w = pseudo_wronskian(MayaDiagram.from_partition(Partition(parts)))
+        d = w.degree
+        for _ in range(20):
+            p = IntPoly(tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 24))))
+            r = [Fraction(c) for c in p.coeffs] + [Fraction(0)] * (d + 1)
+            for k in range(p.degree, d, -1):
+                t = r[k] / (-2 * w.leading)
+                step = _L(IntPoly((0,) * (k - d - 1) + (1,)), w)
+                r = [c - t * l for c, l in zip(r, step.coeffs + (0,) * len(r))]
+            got, s = xhermite._hermite_remainder(p, w)
+            assert not any(r[d + 1:])
+            assert [Fraction(c, s) for c in got] == r[:d + 1], (parts, p)
+
+    def test_flipped_step_leaves_a_term(self, monkeypatch):
+        # a step of the wrong sign doubles the term it should cancel
+        real = xhermite._subtract_L
+        monkeypatch.setattr(xhermite, "_subtract_L", lambda r, i, t, wp: real(r, i, -t, wp))
+        w = xhermite._weight(Partition((2, 2, 1, 1)))
+        with pytest.raises(ArithmeticError, match="above deg W"):
+            xhermite._hermite_remainder(w * w, w)
+
+    def test_carried_scale_enters_the_constant(self):
+        # lead(W) = 3, so g = -6 divides only some leading terms and the
+        # two reductions carry different scales
+        w = IntPoly((1, 0, 3))
+        for k in range(1, 7):
+            num = k * w * w + _L(IntPoly((0, 0, 0, 1)), w)
+            assert xhermite._norm_constant(num, w) == k, k
+
+    def test_remainder_off_the_multiple_raises(self):
+        # a product whose remainder has the right leading term but is not
+        # a multiple of the remainder of W^2 leaves no constant c
+        lam = Partition((2, 2, 1, 1))
+        w = xhermite._weight(lam)
+        scale = xhermite._norm_scale(XHermiteFamily(lam), 5)
+        assert xhermite._norm_constant(scale * w * w, w) == scale
+        with pytest.raises(ArithmeticError, match="not a multiple"):
+            xhermite._norm_constant(scale * w * w + 1, w)
+
+    def test_opposite_parity_builds_no_certificate(self, monkeypatch):
+        monkeypatch.setattr(xhermite, "_norm_constant", _boom)
         rep = weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 5)
         assert (rep.integral, rep.expected, rep.rel_error, rep.ok) == ("0.0", "0.0", 0.0, True)
-        with pytest.raises(RuntimeError, match="quadrature ran"):
+        with pytest.raises(RuntimeError, match="certificate built"):
             weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 8)
+
+    def test_real_zero_raises_before_certificate(self, monkeypatch):
+        # Sturm's count runs first: a W with a real zero never reaches the
+        # reduction, where the integral would not exist
+        lam = Partition((2, 2, 1, 1))
+        w = xhermite._weight(lam)
+        monkeypatch.setattr(xhermite, "_weight", lambda lam: w * IntPoly((-1, 0, 1)))
+        monkeypatch.setattr(xhermite, "_norm_constant", _boom)
+        with pytest.raises(ArithmeticError, match="real zero"):
+            weight_and_norm_check(lam, 2, 2)
+
+    def test_wrong_closed_form_fails(self, monkeypatch):
+        lam = Partition((2, 2, 1, 1))
+        real = xhermite._norm_scale
+        for wrong in (lambda fam, n: real(fam, n) + 1, lambda fam, n: 2 * real(fam, n),
+                      lambda fam, n: -real(fam, n)):
+            monkeypatch.setattr(xhermite, "_norm_scale", wrong)
+            rep = weight_and_norm_check(lam, 5, 5)
+            assert not rep.ok and rep.rel_error > 0
+
+    def test_scaled_member_fails(self, monkeypatch):
+        lam = Partition((2, 2, 1, 1))
+        real = xhermite.exceptional_hermite
+        monkeypatch.setattr(xhermite, "exceptional_hermite", lambda lam, n: 2 * real(lam, n))
+        rep = weight_and_norm_check(lam, 8, 8)
+        assert not rep.ok and rep.rel_error == 3.0
+
+    @pytest.mark.parametrize("n, m", [(8, 8), (2, 8), (5, 9)])
+    def test_perturbed_member_fails(self, monkeypatch, n, m):
+        # one coefficient of P_n moved by one, parity kept
+        lam = Partition((2, 2, 1, 1))
+        real = xhermite.exceptional_hermite
+
+        def perturbed(lam, k):
+            p = real(lam, k)
+            return p + IntPoly((0,) * (k - 2) + (1,)) if k == n else p
+
+        monkeypatch.setattr(xhermite, "exceptional_hermite", perturbed)
+        assert _rejected(lam, n, m)
+
+    def test_flipped_reduction_step_fails(self, monkeypatch):
+        # a sign flipped in any one step of the reduction is caught
+        lam = Partition((2, 2, 1, 1))
+        real, calls = xhermite._subtract_L, []
+        monkeypatch.setattr(xhermite, "_subtract_L",
+                            lambda r, i, t, wp: calls.append(i) or real(r, i, t, wp))
+        assert weight_and_norm_check(lam, 8, 8).ok
+        steps = len(calls)
+        assert steps >= 6
+        for flip in range(steps):
+            count = iter(range(steps))
+
+            def mutant(r, i, t, wp):
+                return real(r, i, -t if next(count) == flip else t, wp)
+
+            monkeypatch.setattr(xhermite, "_subtract_L", mutant)
+            assert _rejected(lam, 8, 8), flip
 
     def test_integrand_matches_mpf_horner(self):
         # the oracle is the integrand as the mpmath path evaluated it: mpf
         # Horner, rounding at every step, here at three times the working
-        # precision.  Each node value is within one unit of 2^-B, and each
-        # level sum, Gaussian weights included, within two units per node.
+        # precision.  Each node value of the trapezoid oracle is within one
+        # unit of 2^-B, and each level sum, Gaussian weights included,
+        # within two units per node.
         mpmath = pytest.importorskip("mpmath")
-        from hermitepw.xhermite import _NORM_BITS, _level_sum, _ratio_at, _tail_cutoff
+        from hermitepw.xhermite import _NORM_BITS
 
         mp = mpmath.MPContext()
         mp.prec = 3 * _NORM_BITS
@@ -411,7 +569,7 @@ class TestNorms:
             pn = exceptional_hermite(lam, n)
             num, den = pn * pn, w * w
             numq, denq = IntPoly(num.coeffs[::2]), IntPoly(den.coeffs[::2])
-            L = _tail_cutoff(2 * n + 2 * w.degree)
+            L = norm_oracle.tail_cutoff(2 * n + 2 * w.degree)
 
             def scaled(x):
                 return mp.ldexp(_mpf_horner(mp, num, x) / _mpf_horner(mp, den, x), _NORM_BITS)
@@ -419,57 +577,65 @@ class TestNorms:
             for j in (0, 1, 3):
                 for k in range(0, (L << j) + 1):
                     x = mp.ldexp(k, -j)
-                    assert abs(_ratio_at(numq, denq, k, j) - scaled(x)) <= 1, (n, j, k)
+                    assert abs(norm_oracle.ratio_at(numq, denq, k, j) - scaled(x)) <= 1, (n, j, k)
             for j, step in ((0, 1), (3, 2)):
                 nodes = [mp.ldexp(k, -j) for k in range(1, (L << j) + 1, step)]
                 terms = [scaled(x) * mp.exp(-x * x) for x in nodes]
-                total, size = _level_sum(numq, denq, L, j, step)
+                total, size = norm_oracle.level_sum(numq, denq, L, j, step)
                 assert abs(total - mp.fsum(terms)) <= 2 * len(nodes), (n, j)
                 assert abs(size - mp.fsum(abs(t) for t in terms)) <= 2 * len(nodes), (n, j)
 
     def test_mixed_parity_integrand_raises(self, monkeypatch):
         # a mixed-parity member has parity None on both sides of the pair,
         # so it passes the opposite-parity shortcut; its square is not
-        # even, and the even-part quadrature would be wrong for it
-        import hermitepw.xhermite as xh
-
+        # even, and it raises before any certificate is built
         mixed = IntPoly((1, 1, 0, 1))
         assert mixed.parity() is None
-        monkeypatch.setattr(xh, "exceptional_hermite", lambda lam, n: mixed)
-        monkeypatch.setattr(xh, "_trapezoid", _boom)
+        monkeypatch.setattr(xhermite, "exceptional_hermite", lambda lam, n: mixed)
+        monkeypatch.setattr(xhermite, "_norm_constant", _boom)
         with pytest.raises(ArithmeticError, match="not even"):
             weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 2)
         with pytest.raises(ArithmeticError, match="not even"):
             weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 5)
 
+    @staticmethod
+    def _quadrature_agrees(monkeypatch, lam, n, m, quadrature):
+        """The certificate's c sqrt(pi) against a quadrature of the same
+        integrand, within 10^-45 of the diagonal norm at n."""
+        seen = _spy_certificates(monkeypatch)
+        assert weight_and_norm_check(lam, n, m).ok
+        w = xhermite._weight(lam)
+        value = quadrature(exceptional_hermite(lam, n), exceptional_hermite(lam, m), w)
+        sqrt_pi = Fraction(SQRT_PI_60)
+        norm = abs(xhermite._norm_scale(XHermiteFamily(lam), n)) * sqrt_pi
+        return abs(value - seen[-1] * sqrt_pi) <= norm * Fraction(1, 10 ** 45)
+
     @pytest.mark.parametrize("parts", [(), (1, 1), (2, 2), (2, 2, 1, 1), (4, 4, 2, 2),
                                        (8, 8, 1, 1)])
     def test_integral_matches_tanh_sinh(self, monkeypatch, parts):
-        # mpmath is the oracle only: tanh-sinh at 60 digits on the same
+        # the differential test: the certificate's c sqrt(pi) equals the
+        # trapezoid oracle and mpmath's tanh-sinh at 60 digits on the same
         # [0, L], split at 2 and 4 so it resolves the integrand near the
-        # complex zeros of W.  The diagonal integral is the yardstick of both.
-        mpmath = pytest.importorskip("mpmath")
-        import hermitepw.xhermite as xh
-
-        mp = mpmath.MPContext()
-        mp.dps = 60
-        real, seen = xh._trapezoid, []
-
-        def spy(num, den, L):
-            seen.append((num, den, L, real(num, den, L)))
-            return seen[-1][-1]
-
-        monkeypatch.setattr(xh, "_trapezoid", spy)
+        # complex zeros of W
         lam = Partition(parts)
         degs = XHermiteFamily(lam).admissible_degrees(3)
-        for m in (degs[0], degs[2]):
-            assert weight_and_norm_check(lam, degs[0], m).ok
-        norm = seen[0][-1]
-        for num, den, L, value in seen:
+        pairs = [(degs[0], degs[0]), (degs[0], degs[2])]
+        for n, m in pairs:
+            assert self._quadrature_agrees(monkeypatch, lam, n, m, norm_oracle.norm_integral)
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.MPContext()
+        mp.dps = 60
+
+        def tanh_sinh(pn, pm, w):
+            num, den = pn * pm, w * w
+            L = norm_oracle.tail_cutoff(pn.degree + pm.degree + 2 * max(w.degree, 1))
             ref = 2 * mp.quad(lambda x: _mpf_horner(mp, num, x) * mp.exp(-x * x)
                               / _mpf_horner(mp, den, x), [0, 2, 4, L])
-            err = abs(mp.mpf(value.numerator) / value.denominator - ref)
-            assert err <= mp.mpf(norm.numerator) / norm.denominator * mp.mpf("1e-45")
+            sign, man, exp, _ = ref._mpf_
+            return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+        for n, m in pairs:
+            assert self._quadrature_agrees(monkeypatch, lam, n, m, tanh_sinh)
 
     def test_sqrt_pi_pinned(self):
         from hermitepw.xhermite import _NORM_BITS, _sqrt_pi
@@ -478,31 +644,28 @@ class TestNorms:
         assert abs(value - Fraction(SQRT_PI_60)) < Fraction(1, 10 ** 59)
 
     def test_quadrature_scale_does_not_cancel(self, monkeypatch):
-        # sqrt(pi) in the norm is computed apart from the quadrature, so a
-        # quadrature off by a constant factor fails the check; were sqrt(pi)
-        # taken from the quadrature, the factor would cancel out of it
-        import hermitepw.xhermite as xh
+        # sqrt(pi) in the comparison is computed apart from the quadrature,
+        # so an oracle off by a constant factor disagrees with the
+        # certificate; were sqrt(pi) taken from the quadrature, the factor
+        # would cancel out of the comparison
+        lam = Partition((2, 2, 1, 1))
 
-        real = xh._trapezoid
-        monkeypatch.setattr(xh, "_trapezoid", lambda num, den, L: 2 * real(num, den, L))
-        xh._sqrt_pi.cache_clear()
-        try:
-            rep = weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 2)
-        finally:
-            xh._sqrt_pi.cache_clear()
-        assert not rep.ok and rep.rel_error == pytest.approx(1)
+        def doubled(pn, pm, w):
+            return 2 * norm_oracle.norm_integral(pn, pm, w)
+
+        assert self._quadrature_agrees(monkeypatch, lam, 2, 2, norm_oracle.norm_integral)
+        assert not self._quadrature_agrees(monkeypatch, lam, 2, 2, doubled)
 
     def test_level_cap_raises(self, monkeypatch):
-        # an unconverged sum is an error, never a result
-        import hermitepw.xhermite as xh
-
-        monkeypatch.setattr(xh, "_NORM_MAX_LEVEL", 1)
+        # an unconverged oracle sum is an error, never a result
+        monkeypatch.setattr(norm_oracle, "MAX_LEVEL", 1)
+        lam = Partition((1, 1))
+        p0 = exceptional_hermite(lam, 0)
         with pytest.raises(ArithmeticError, match="did not reach 50 digits"):
-            weight_and_norm_check(Partition((1, 1)), 0, 0)
+            norm_oracle.norm_integral(p0, p0, xhermite._weight(lam))
 
     def test_high_degree_keeps_precision(self):
-        # H_40^2 grows like x^80 where e^(-x^2) is far below 2^-B: the
-        # Gaussian weights need more than the working scale to converge.
+        # H_40^2 grows like x^80; the certificate is exact at any degree.
         # The pinned string is mpmath tanh-sinh's at 50 digits.
         rep = weight_and_norm_check(Partition(), 40, 40)
         assert rep.ok and rep.rel_error < 1e-50
