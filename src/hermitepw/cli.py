@@ -37,15 +37,11 @@ def _emit(args, payload, text_lines):
 
 
 def _diagram_from(args) -> MayaDiagram:
-    if getattr(args, "frobenius", None) is not None:
+    if args.frobenius is not None:
         m = MayaDiagram.parse(args.frobenius)
-    elif getattr(args, "partition", None) is not None:
-        m = MayaDiagram.from_partition(Partition.parse(args.partition))
     else:
-        raise ValueError("one of --frobenius / --partition is required")
-    if getattr(args, "shift", 0):
-        m = m.shift(args.shift)
-    return m
+        m = MayaDiagram.from_partition(Partition.parse(args.partition))
+    return m.shift(args.shift)
 
 
 def cmd_maya(args):
@@ -224,23 +220,25 @@ def build_parser():
     ap.add_argument("--format", choices=("text", "json"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("maya", help="diagram/partition conversions")
-    p.add_argument("--frobenius")
-    p.add_argument("--partition")
+    def diagram_parser(name, text):
+        # a diagram is given by exactly one of its two notations
+        p = sub.add_parser(name, help=text)
+        given = p.add_mutually_exclusive_group(required=True)
+        given.add_argument("--frobenius")
+        given.add_argument("--partition")
+        return p
+
+    p = diagram_parser("maya", "diagram/partition conversions")
     p.add_argument("--shift", type=int, default=0)
     p.set_defaults(func=cmd_maya)
 
-    p = sub.add_parser("pw", help="pseudo-Wronskian of a diagram")
-    p.add_argument("--frobenius")
-    p.add_argument("--partition")
+    p = diagram_parser("pw", "pseudo-Wronskian of a diagram")
     p.add_argument("--shift", type=int, default=0)
     p.set_defaults(func=cmd_pw)
 
-    p = sub.add_parser("equiv", help="verify the shift-equivalence constant")
-    p.add_argument("--frobenius")
-    p.add_argument("--partition")
+    p = diagram_parser("equiv", "verify the shift-equivalence constant")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_equiv)
+    p.set_defaults(func=cmd_equiv, shift=0)
 
     p = sub.add_parser("minorder", help="minimal girth, origins, Durfee symbol")
     p.add_argument("--partition", required=True)

@@ -93,7 +93,6 @@ from .polys import IntPoly, _mac, _pairs, _scale
 __all__ = [
     "hermite_poly",
     "conj_hermite_poly",
-    "hermite_derivative",
     "wronskian",
     "hermite_wronskian",
     "pseudo_wronskian_matrix",
@@ -151,13 +150,6 @@ def conj_hermite_poly(n):
     if n < 0:
         raise ValueError(f"conjugate Hermite index must be non-negative: {n}")
     return _hermite_th(n)
-
-
-def hermite_derivative(n, order):
-    """D^j H_n = 2^j * n(n-1)...(n-j+1) * H_{n-j}, zero once j exceeds n."""
-    if n < 0 or order < 0:
-        raise ValueError(f"Hermite index and derivative order must be non-negative: {n}, {order}")
-    return _derivative_row(_hermite_h, n, order + 1)[order]
 
 
 def wronskian(polys):

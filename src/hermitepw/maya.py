@@ -20,7 +20,6 @@ __all__ = [
     "MayaDiagram",
     "BentPoint",
     "partitions_of",
-    "all_partitions_up_to",
     "rim",
 ]
 
@@ -86,10 +85,6 @@ class Partition:
     def to_json(self):
         return list(self.parts)
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple(obj))
-
 
 def rim(p: Partition):
     """Cells (i, j) of the Ferrers diagram whose diagonal successor is absent."""
@@ -113,11 +108,6 @@ def partitions_of(n) -> Iterator[Partition]:
 
     for parts in gen(n, n):
         yield Partition(parts)
-
-
-def all_partitions_up_to(n) -> Iterator[Partition]:
-    for k in range(n + 1):
-        yield from partitions_of(k)
 
 
 class BentPoint(NamedTuple):
@@ -244,9 +234,6 @@ class MayaDiagram:
         k = self.min_hole()
         return self.shift(-k), k
 
-    def is_standard(self):
-        return not self.s and 0 not in self.t
-
     # -- bent diagram -----------------------------------------------------
 
     def bent_point(self, n):
@@ -258,12 +245,6 @@ class MayaDiagram:
             holes_set = set(-v - 1 for v in self.s)
             filled_above += sum(1 for m in range(n, 0) if m not in holes_set)
         return BentPoint(n, holes_below, filled_above)
-
-    def bent_diagram(self, n_lo, n_hi):
-        """Bent points for n in [n_lo, n_hi] (an explicit finite window)."""
-        if n_lo > n_hi:
-            raise ValueError("empty window")
-        return [self.bent_point(n) for n in range(n_lo, n_hi + 1)]
 
     def girth_walk(self, lo, hi):
         """[girth(M - k) for k in lo..hi], in one pass over the window.
@@ -331,10 +312,6 @@ class MayaDiagram:
 
     def to_json(self):
         return {"s": list(self.s), "t": list(self.t)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple(obj["s"]), tuple(obj["t"]))
 
     # -- element flips ------------------------------------------------------
 

@@ -9,12 +9,15 @@ the two degenerate corners, and every minimal-girth origin is a valley.
 Below min(Z \\ M) the walk only falls and past max(M) it only rises, so
 every valley lies in [min_hole, max_element + 1].
 
-``minimal_girth_of_diagram`` is the one minimal-girth search: a single
-``MayaDiagram.girth_walk`` over that window.  ``hermite.pseudo_wronskian``
-evaluates at its smallest origin, and ``hermite.check_min_origin`` checks a
-claimed origin against it.  ``xhermite_min_origin`` takes the minimal girth
-and the two corner labels it needs from one walk of the standard diagram,
-memoised per partition.
+Every walk here runs over that window, written once in ``_valley_walk``.
+``minimal_girth_of_diagram`` is the one minimal-girth search of a labelled
+diagram: ``hermite.pseudo_wronskian`` evaluates at its smallest origin, and
+``hermite.check_min_origin`` checks a claimed origin against it.
+``minimal_girth`` walks the standard diagram of a partition once for the
+minimal girth, its origins and the corner inventory, cross-checked against
+the corner-distance formula; the CLI's ``minorder`` prints that inventory,
+and ``xhermite_min_origin`` takes its two corner labels from it, memoised
+per partition.
 
 Two views of the level sets are needed:
 
@@ -53,16 +56,21 @@ __all__ = [
 ]
 
 
-def girth_level_set(m: MayaDiagram, r: int):
-    """All k with girth(M - k) = r, ascending.
+def _valley_walk(m: MayaDiagram, widen=0):
+    """(lo, [girth(M - k) for k = lo, lo + 1, ...]) over the window
+    [min_hole, max_element + 1] widened by ``widen`` on each side.
 
-    Outside [min_hole, max_element + 1] the walk moves away from its
-    minimum by 1 per step, so that window widened by r on each side holds
-    every point of level r.
+    The unwidened window holds every valley; outside it the walk moves
+    away from its minimum by 1 per step.
     """
-    w = max(r, 0)
-    lo = m.min_hole() - w
-    walk = m.girth_walk(lo, m.max_element() + 1 + w)
+    lo = m.min_hole() - widen
+    return lo, m.girth_walk(lo, m.max_element() + 1 + widen)
+
+
+def girth_level_set(m: MayaDiagram, r: int):
+    """All k with girth(M - k) = r, ascending: the valley window widened by
+    r on each side holds every point of level r."""
+    lo, walk = _valley_walk(m, max(r, 0))
     return [k for k, g in enumerate(walk, lo) if g == r]
 
 
@@ -79,8 +87,7 @@ def corner_label(m: MayaDiagram, r: int) -> Optional[int]:
 
 def minimal_girth_of_diagram(m: MayaDiagram):
     """(minimal girth, ascending list of all minimal-girth origins)."""
-    lo = m.min_hole()
-    walk = m.girth_walk(lo, m.max_element() + 1)
+    lo, walk = _valley_walk(m)
     r = min(walk)
     return r, [k for k, g in enumerate(walk, lo) if g == r]
 
@@ -93,10 +100,6 @@ class CornerReport:
     origins: tuple            # ascending minimal-girth origins
     corners: tuple            # all (k, girth) valley pairs, ascending in k
 
-    def to_json(self):
-        return {"r": self.r, "origins": list(self.origins),
-                "corners": [list(c) for c in self.corners]}
-
 
 def minimal_girth(lam: Partition) -> CornerReport:
     """Minimal girth of the unlabelled diagram of a partition.
@@ -107,8 +110,7 @@ def minimal_girth(lam: Partition) -> CornerReport:
     m = MayaDiagram.from_partition(lam)
     # the search window holds every valley, so one walk gives r, its
     # origins and the corners
-    lo = m.min_hole()
-    walk = m.girth_walk(lo, m.max_element() + 1)
+    lo, walk = _valley_walk(m)
     r = min(walk)
     formula = min(lam.part(j + 1) + j for j in range(lam.length + 1))
     if r != formula:
@@ -230,17 +232,12 @@ _CORNER_MEMO_SIZE = 16
 @functools.lru_cache(maxsize=_CORNER_MEMO_SIZE)
 def _corners(lam: Partition):
     """(standard diagram M, r, k_r, k_{r+1}) of a partition: its minimal
-    girth and corner labels, from one girth walk over the window that holds
-    every valley.  Memoised per partition."""
-    m = MayaDiagram.from_partition(lam)
-    lo = m.min_hole()
-    walk = m.girth_walk(lo, m.max_element() + 1)
-    labels = {}     # level -> largest valley, as k ascends
-    for k, g in enumerate(walk, lo):
-        if (k - 1) in m and k not in m:
-            labels[g] = k
-    r = min(walk)
-    return m, r, labels[r], labels.get(r + 1)
+    girth and corner labels, read from the corner inventory of
+    ``minimal_girth``.  Memoised per partition."""
+    report = minimal_girth(lam)
+    labels = {g: k for k, g in report.corners}   # level -> largest valley
+    r = report.r
+    return MayaDiagram.from_partition(lam), r, labels[r], labels.get(r + 1)
 
 
 def xhermite_min_origin(lam: Partition, n: int):
@@ -249,7 +246,7 @@ def xhermite_min_origin(lam: Partition, n: int):
 
     The admissible degrees are those whose insertion position
     n + length - size is a hole of the standard diagram.  The corner data
-    come from ``_corners``, one walk per partition.
+    come from ``_corners``, one ``minimal_girth`` walk per partition.
     """
     m, r, k_r, k_r1 = _corners(lam)
     offset = lam.size - lam.length

@@ -213,9 +213,6 @@ class PivReport:
     def ok(self) -> bool:
         return self.residual.is_zero()
 
-    def to_json(self):
-        return {"ok": self.ok, "residual": self.residual.to_json(var="t")}
-
 
 def _norm1(p: IntPoly) -> int:
     return sum(map(abs, p.coeffs))
@@ -313,11 +310,6 @@ class MinOrderSpec:
     diagram: MayaDiagram
     poly: IntPoly
     constant: Fraction    # full pseudo-Wronskian = constant * poly
-
-    def to_json(self):
-        return {"order": self.order, "origin": self.origin,
-                "frobenius": str(self.diagram), "poly": self.poly.to_json(),
-                "constant": str(self.constant)}
 
 
 def _min_order(m: MayaDiagram, order: int, origin: int) -> MinOrderSpec:

@@ -312,14 +312,7 @@ class IntPoly:
             g = -g
         return IntPoly(tuple(c // g for c in self.coeffs))
 
-    # -- evaluation ----------------------------------------------------
-
-    def eval_at(self, x):
-        """Evaluate at an exact point (int or Fraction)."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+    # -- the Kronecker point -------------------------------------------
 
     # bytes per Kronecker word that hold every value of absolute size <= bound
     word_bytes = staticmethod(_word_bytes)
@@ -373,10 +366,6 @@ class IntPoly:
 
     def to_json(self, var="x"):
         return {"var": var, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(int(c) for c in obj["coeffs"])
 
 
 def _pseudo_rem(a, b):

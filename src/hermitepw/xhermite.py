@@ -70,7 +70,6 @@ __all__ = [
     "eigen_check",
     "MinOrderForm",
     "min_order_form",
-    "NORM_TOLERANCE",
     "NORM_DPS",
     "NormReport",
     "weight_and_norm_check",
@@ -105,21 +104,6 @@ class XHermiteFamily:
 
     def is_admissible(self, n):
         return n >= 0 and self.insertion_position(n) not in self.diagram
-
-    def excluded_degrees(self):
-        """The size(lam) missing degrees: low block plus shifted elements."""
-        low = list(range(self.offset))
-        shifted = [t + self.offset for t in sorted(self.diagram.t)]
-        return low + shifted
-
-    def admissible_degrees(self, count):
-        out = []
-        n = 0
-        while len(out) < count:
-            if self.is_admissible(n):
-                out.append(n)
-            n += 1
-        return out
 
 
 # Entries of each memo below: a request reuses its own member and its
@@ -268,16 +252,9 @@ class NormReport:
     rel_error: float
     ok: bool
 
-    def to_json(self):
-        return {"n": self.n, "m": self.m, "integral": self.integral,
-                "expected": self.expected, "rel_error": self.rel_error,
-                "ok": self.ok}
 
-
-# The check is exact and has no tolerance.  NORM_TOLERANCE is the relative
-# error a numerical quadrature must reach against it (the tests' oracles),
-# and sqrt(pi) in the report strings is rendered to NORM_DPS digits.
-NORM_TOLERANCE = 1e-10
+# The check is exact and has no tolerance; sqrt(pi) in the report strings
+# is rendered to NORM_DPS digits.
 NORM_DPS = 50
 
 # Fixed-point scale 2^-_NORM_BITS of sqrt(pi): NORM_DPS digits, 32 guard bits

@@ -3,8 +3,38 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from hermitepw.maya import MayaDiagram, Partition
+from hermitepw.maya import MayaDiagram, Partition, partitions_of
 from hermitepw.polys import IntPoly
+from hermitepw.xhermite import XHermiteFamily
+
+
+def eval_at(p, x):
+    """p(x) at an exact point (int or Fraction), by Horner's rule."""
+    out = 0
+    for c in reversed(p.coeffs):
+        out = out * x + c
+    return out
+
+
+def poly_from_json(obj):
+    """The IntPoly of an ``IntPoly.to_json`` object."""
+    return IntPoly(int(c) for c in obj["coeffs"])
+
+
+def all_partitions_up_to(n):
+    for k in range(n + 1):
+        yield from partitions_of(k)
+
+
+def admissible_degrees(lam, count):
+    """The first ``count`` admissible degrees of the family of lam."""
+    fam = XHermiteFamily(lam)
+    out, n = [], 0
+    while len(out) < count:
+        if fam.is_admissible(n):
+            out.append(n)
+        n += 1
+    return out
 
 
 def random_diagram(rng, max_girth=6, max_val=12):

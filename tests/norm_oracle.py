@@ -20,8 +20,13 @@ from fractions import Fraction
 from hermitepw.polys import IntPoly
 from hermitepw.xhermite import _NORM_BITS, NORM_DPS
 
+from conftest import eval_at
+
 # The finest grid the trapezoid rule refines to is h = 2^-MAX_LEVEL
 MAX_LEVEL = 12
+
+# The relative error the quadrature must reach against the exact norm
+NORM_TOLERANCE = 1e-10
 
 
 def eval_dyadic(p: IntPoly, man, e):
@@ -34,7 +39,7 @@ def eval_dyadic(p: IntPoly, man, e):
     """
     c = p.coeffs
     if e >= 0:
-        return p.eval_at(man << e), 0
+        return eval_at(p, man << e), 0
     if not c:
         return 0, 0
     s = -e

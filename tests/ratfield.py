@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from hermitepw.polys import IntPoly, RatFunc
 
+from conftest import eval_at, poly_from_json
+
 
 class Rat(RatFunc):
     """A ``RatFunc`` with field arithmetic, derivatives and evaluation."""
@@ -64,14 +66,14 @@ class Rat(RatFunc):
         return Rat(n.derivative() * d - n * d.derivative(), n * d)
 
     def eval_at(self, x):
-        d = self.den.eval_at(x)
+        d = eval_at(self.den, x)
         if d == 0:
             raise ZeroDivisionError("evaluation at a pole")
-        return Fraction(self.num.eval_at(x), d)
+        return Fraction(eval_at(self.num, x), d)
 
     @classmethod
     def from_json(cls, obj):
-        return cls(IntPoly.from_json(obj["num"]), IntPoly.from_json(obj["den"]))
+        return cls(poly_from_json(obj["num"]), poly_from_json(obj["den"]))
 
 
 def log_diff(h_num, h_den):

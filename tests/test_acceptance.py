@@ -1,9 +1,10 @@
 """Acceptance gate: every criterion pinned at its stated tolerance.
 
-All checks are exact (integer/rational identities) except the final
-quadrature criterion, which carries an explicit 1e-10 relative tolerance
-at 50-digit working precision.  Each test prints one [PASS] line; any
-failure surfaces as an ordinary assertion error.
+All checks are exact (integer/rational identities), the orthogonality
+criterion included: the norms are certified by Hermite reduction, and the
+trapezoid oracle of the tests must reach a 1e-10 relative tolerance against
+them.  Each test prints one [PASS] line; any failure surfaces as an
+ordinary assertion error.
 """
 
 import random
@@ -20,7 +21,7 @@ from hermitepw.hermite import (
     verify_equivalence,
     wronskian,
 )
-from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
+from hermitepw.maya import MayaDiagram, Partition
 from hermitepw.minorder import (
     durfee_symbol,
     min_order_after_insert,
@@ -35,10 +36,11 @@ from hermitepw.painleve import (
     piv_solution_o,
     verify_piv,
 )
-from hermitepw.xhermite import NORM_DPS, NORM_TOLERANCE, XHermiteFamily, eigen_check, \
+from hermitepw.xhermite import NORM_DPS, XHermiteFamily, _weight, eigen_check, \
     exceptional_hermite, weight_and_norm_check
 
-from conftest import random_diagram, random_partition
+from conftest import admissible_degrees, all_partitions_up_to, random_diagram, random_partition
+from norm_oracle import NORM_TOLERANCE, norm_integral
 
 _PROPERTY_BUDGET = 300.0
 _property_times = []
@@ -259,22 +261,25 @@ def test_criterion_7_total_budget():
     _passed(f"criterion 7: property suite total {total:.2f} s < {_PROPERTY_BUDGET:.0f} s")
 
 
-def test_criterion_8_orthogonality_quadrature():
-    # the tolerance and the working precision are pinned here
+def test_criterion_8_orthogonality_certificate():
+    # the oracle's tolerance and the report's digits are pinned here
     assert (NORM_TOLERANCE, NORM_DPS) == (1e-10, 50)
     t0 = time.perf_counter()
     for lam in (Partition((1, 1)), Partition((2, 2))):
-        fam = XHermiteFamily(lam)
-        degs = fam.admissible_degrees(4)
-        for n in degs:
-            rep = weight_and_norm_check(lam, n, n)
-            assert rep.ok, (lam, n, rep)
-        off = weight_and_norm_check(lam, degs[0], degs[2])
-        assert off.ok, (lam, off)
+        degs = admissible_degrees(lam, 4)
+        w = _weight(lam)
+        # the certificate is exact, and the trapezoid oracle reaches the
+        # tolerance against it, on and off the diagonal
+        for n, m in [(n, n) for n in degs] + [(degs[0], degs[2])]:
+            rep = weight_and_norm_check(lam, n, m)
+            assert rep.ok and rep.rel_error == 0.0, (lam, n, m, rep)
+            quad = norm_integral(exceptional_hermite(lam, n), exceptional_hermite(lam, m), w)
+            norm = Fraction(weight_and_norm_check(lam, n, n).expected)
+            assert abs(quad - Fraction(rep.expected)) <= NORM_TOLERANCE * norm, (lam, n, m)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, elapsed
-    _passed(f"criterion 8: norms and orthogonality at 50-digit precision, "
-            f"relative error <= 1e-10 ({elapsed:.2f} s)")
+    _passed(f"criterion 8: exact norm certificates and orthogonality, trapezoid "
+            f"oracle within relative error 1e-10 ({elapsed:.2f} s)")
 
 
 # Diagonal norms of the first four admissible degrees: (integral, expected)
@@ -305,7 +310,7 @@ _PINNED_NORMS = {
 def test_norm_strings_pinned():
     for parts, pinned in _PINNED_NORMS.items():
         lam = Partition(parts)
-        degs = XHermiteFamily(lam).admissible_degrees(4)
+        degs = admissible_degrees(lam, 4)
         assert degs == list(pinned), (parts, degs)
         for n in degs:
             rep = weight_and_norm_check(lam, n, n)

@@ -13,6 +13,8 @@ from hermitepw.hermite import pseudo_wronskian
 from hermitepw.maya import MayaDiagram, Partition
 from hermitepw.polys import IntPoly, poly_gcd
 
+from conftest import poly_from_json
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -29,7 +31,7 @@ def test_pw_json_round_trip(capsys):
     code, out = run(capsys, "--format", "json", "pw", "--partition", "2,2,1,1")
     assert code == 0
     blob = json.loads(out)
-    poly = IntPoly.from_json(blob["poly"])
+    poly = poly_from_json(blob["poly"])
     assert poly.degree == blob["degree"] == 6
     assert MayaDiagram.parse(blob["frobenius"]).t == (5, 4, 2, 1)
 
@@ -119,7 +121,7 @@ def test_piv_solve(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["a"] == "-11" and blob["b"] == "-8" and blob["verified"] is True
-    num, den = IntPoly.from_json(blob["y"]["num"]), IntPoly.from_json(blob["y"]["den"])
+    num, den = poly_from_json(blob["y"]["num"]), poly_from_json(blob["y"]["den"])
     assert not num.is_zero()
     assert poly_gcd(num, den) == 1 and den.leading > 0
 
@@ -163,12 +165,23 @@ def test_unknown_subcommand(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["maya"], ["pw"], ["equiv", "--k", "2"]],
+                         ids=["maya", "pw", "equiv"])
+def test_diagram_needs_exactly_one_notation(capsys, command):
+    # both notations at once, or neither, is a usage error
+    for flags in (["--partition", "2,1", "--frobenius", "1|0"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(command + flags)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("piv", "--class", "o", "--l1", "0", "--l2", "1", "--branch", "1"),
     ("xhermite", "--partition", "2,1", "--n", "2"),
     ("pw", "--frobenius", "3|x"),
     ("minorder", "--partition", "0"),
-    ("pw",),
+    ("maya", "--partition", "1,2"),
     ("piv", "--class", "gh"),
     ("piv", "catalog", "--max", "-1"),
 ])
@@ -196,7 +209,7 @@ def _parse_poly(blob):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return IntPoly.from_json(blob)
+        return poly_from_json(blob)
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -253,6 +266,13 @@ def test_error_while_printing_is_not_bad_input(capsys, monkeypatch):
      "6b924620f99f7e19a16152967a98e23ed83f59c1fa98f16d0adcb4232bf5a204"),
     ("equiv --frobenius 5,3,1| --k 2",
      "1d49269781e30630e1068947a933a6ff064ea18c32142b5794ef46b8b0b08c04"),
+    # each diagram notation alone, on every subcommand that takes both
+    ("pw --frobenius 1|0",
+     "4e8d38b73e85f6a62dfbdc7300aba4c7e723da7a1dc8839c56edb06d75a162b9"),
+    ("maya --partition 2,1",
+     "47747f674d549bb210c6c0202adf1453ff5ac21780d263329611485b71e93922"),
+    ("maya --frobenius 1|0 --shift 2",
+     "34af314e841e87cf9ad5379b46bedda3ae5f304dc37c9bc066c4946e18c525fb"),
 ])
 def test_pw_and_equiv_bytes_pinned(capsys, argv, digest):
     code, out = run(capsys, "--format", "json", *argv.split())

@@ -14,13 +14,13 @@ from hermitepw.hermite import (
     _hermite_h,
     _hermite_th,
     _cofactors,
+    _derivative_row,
     _direct_pseudo_wronskian,
     _minimal_determinant,
     conj_hermite_poly,
     conjugate_wronskian_identity,
     darboux_step,
     equivalence_factor,
-    hermite_derivative,
     hermite_poly,
     hermite_wronskian,
     hirota,
@@ -33,12 +33,12 @@ from hermitepw.hermite import (
     verify_equivalence,
     wronskian,
 )
-from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
+from hermitepw.maya import MayaDiagram, Partition
 from hermitepw.minorder import minimal_girth_of_diagram
 from hermitepw.polys import IntPoly
 from hermitepw.xhermite import XHermiteFamily, eigen_check, exceptional_hermite
 
-from conftest import diagrams, frobenius_sides, random_diagram
+from conftest import all_partitions_up_to, diagrams, frobenius_sides, random_diagram
 from test_determinant import bareiss_intpoly
 
 X = IntPoly((0, 1))
@@ -97,19 +97,17 @@ class TestHermiteFamilies:
 
     @given(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=22))
     def test_derivative_shortcut(self, n, order):
-        assert hermite_derivative(n, order) == hermite_poly(n).derivative(order)
+        # D^j P_n = 2^j n!/(n-j)! P_{n-j}, zero for j > n, for P = H and th
+        row = _derivative_row(_hermite_h, n, order + 1)
+        assert row == [hermite_poly(n).derivative(j) for j in range(order + 1)]
+        row = _derivative_row(_hermite_th, n, order + 1)
+        assert row == [conj_hermite_poly(n).derivative(j) for j in range(order + 1)]
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             hermite_poly(-1)
         with pytest.raises(ValueError):
             conj_hermite_poly(-2)
-
-    def test_negative_derivative_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            hermite_derivative(3, -1)
-        with pytest.raises(ValueError):
-            hermite_derivative(-1, 2)
 
     @pytest.mark.parametrize("sign", [-1, +1], ids=["H", "th"])
     def test_matches_recurrence(self, sign):

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hermitepw.minorder as minorder
-from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
+from hermitepw.maya import MayaDiagram, Partition
 from hermitepw.minorder import (
     corner_label,
     durfee_symbol,
@@ -16,7 +16,7 @@ from hermitepw.minorder import (
     xhermite_min_origin,
 )
 
-from conftest import diagrams, random_diagram, random_partition
+from conftest import all_partitions_up_to, diagrams, random_diagram, random_partition
 
 
 def brute_minimum(m):

@@ -8,7 +8,8 @@ import pytest
 import hermitepw
 
 SRC = Path(hermitepw.__file__).parent
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 # Each module may import only from modules of an earlier layer.
 LAYERS = (
@@ -105,8 +106,7 @@ FLOAT_MATH = {"log", "log2", "log10", "log1p", "exp", "expm1", "sqrt", "pow", "p
 
 def test_only_float_is_the_reported_error():
     # the norm check is exact: the one float the package makes is
-    # NormReport.rel_error, float(rel) or 0.0, and the one float constant
-    # is the exported NORM_TOLERANCE
+    # NormReport.rel_error, float(rel) or 0.0
     calls, literals, bad = [], [], []
     for path, tree in _modules():
         for node in ast.walk(tree):
@@ -120,7 +120,7 @@ def test_only_float_is_the_reported_error():
                 literals.append((path.stem, node.value))
     assert not bad, bad
     assert calls == [("xhermite", "float(rel)")]
-    assert sorted(literals) == [("xhermite", 0.0), ("xhermite", 1e-10)]
+    assert sorted(literals) == [("xhermite", 0.0)]
 
 
 def test_no_runtime_dependency():
@@ -283,3 +283,109 @@ def test_memo_guard_reads_its_cases(monkeypatch, tmp_path, source, ok):
     else:
         with pytest.raises(AssertionError):
             test_memos_are_bounded()
+
+
+# Names of src/hermitepw that no production code reaches but that state a
+# result of the paper, each with the test that checks that result
+PAPER_RESULTS = {
+    "maya.rim": "tests/test_maya.py::TestRim::test_rim_equals_positive_bent_part",
+    "maya.MayaDiagram.bent_point": "tests/test_maya.py::TestBentDiagram::test_step_rule",
+    "minorder.inside_corners": "tests/test_minorder.py::TestInsideCorners::test_against_cell_rule",
+    "minorder.min_order_after_insert":
+        "tests/test_acceptance.py::test_criterion_7c_insertion_cases",
+    "hermite.conjugate_wronskian_identity":
+        "tests/test_hermite.py::TestConjugateIdentity::test_all_small_partitions",
+    "hermite.one_step_shift_check":
+        "tests/test_hermite.py::TestEquivalence::test_step_constants_compose_to_factor",
+    "hermite.darboux_step": "tests/test_painleve.py::TestChainSteps::test_random_flips_match_oracle",
+    "painleve.three_cycle": "tests/test_painleve.py::TestThreeCycle::test_gh_cycle",
+    "painleve.min_order_gh": "tests/test_painleve.py::TestMinOrder::test_orders_match_brute_force",
+    "painleve.min_order_o": "tests/test_painleve.py::TestMinOrder::test_orders_match_brute_force",
+}
+
+
+def _references(tree):
+    """Each name and each attribute name that a tree reads, with its node."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
+def _definitions():
+    """(path, qualified name, node) for each top-level function or class and
+    each non-dunder method of the package."""
+    for path, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path, node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((path, f"{node.name}.{sub.name}", sub) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not (sub.name.startswith("__") and sub.name.endswith("__")))
+
+
+def _tracer_targets(tree):
+    """The dotted parts of the strings in perfbench's ``TARGETS``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            for const in ast.walk(node.value):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    yield from const.value.split(".")
+
+
+def _unreached():
+    """Qualified names of the package's definitions with no production caller."""
+    # the package __init__ only re-exports, and __all__ holds strings
+    in_src = [(name, path, node.lineno) for path, tree in _modules() if path.stem != "__init__"
+              for name, node in _references(tree)]
+    outside = set()
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            outside.update(name for name, _ in _references(tree))
+            if path.name == "tracer.py":
+                outside.update(_tracer_targets(tree))
+    unreached = []
+    for path, qualname, node in _definitions():
+        name = qualname.rpartition(".")[2]
+        # a reference inside the definition itself (recursion) is no caller
+        called = name in outside or any(
+            n == name and not (p == path and node.lineno <= line <= node.end_lineno)
+            for n, p, line in in_src)
+        if not called:
+            unreached.append(f"{path.stem}.{qualname}")
+    return unreached
+
+
+def _test_exists(nodeid):
+    path, *names = nodeid.split("::")
+    scope = ast.parse((ROOT / path).read_text()).body
+    for name in names:
+        node = next((n for n in scope if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                     and n.name == name), None)
+        if node is None:
+            return False
+        scope = node.body
+    return True
+
+
+def test_src_names_have_a_production_caller():
+    """Every top-level function or class and every non-dunder method of
+    src/hermitepw is referenced from production code: from src/ outside its
+    own definition, __all__ and the package re-exports, from scripts/, or
+    from perfbench/, whose tracer names its targets in "module.attr"
+    strings.  A name with no such reference is kept only as a result of the
+    paper, listed in PAPER_RESULTS with the test that checks it.
+
+    References are matched by name alone, so an attribute read counts for
+    every method of that name: a ``to_json`` called on one class keeps the
+    ``to_json`` of every class.
+    """
+    unreached = _unreached()
+    assert sorted(set(unreached) - set(PAPER_RESULTS)) == []
+    # an entry whose name gained a caller, or whose test is gone, is stale
+    assert sorted(set(PAPER_RESULTS) - set(unreached)) == []
+    assert [t for t in PAPER_RESULTS.values() if not _test_exists(t)] == []

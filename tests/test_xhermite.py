@@ -15,7 +15,7 @@ from hermitepw.hermite import (
     pseudo_wronskian_matrix,
     wronskian,
 )
-from hermitepw.maya import MayaDiagram, Partition, all_partitions_up_to
+from hermitepw.maya import MayaDiagram, Partition
 from hermitepw.minorder import xhermite_min_origin
 from hermitepw.polys import IntPoly, RatFunc
 from hermitepw.xhermite import (
@@ -29,38 +29,37 @@ from hermitepw.xhermite import (
 )
 
 import norm_oracle
-from conftest import random_partition
+from conftest import admissible_degrees, all_partitions_up_to, random_partition
 
 
 class TestFamilyBookkeeping:
     def test_admissible_set(self):
         fam = XHermiteFamily(Partition((2, 2, 1, 1)))
-        assert fam.excluded_degrees() == [0, 1, 3, 4, 6, 7]
-        assert fam.admissible_degrees(5) == [2, 5, 8, 9, 10]
+        assert [n for n in range(8) if not fam.is_admissible(n)] == [0, 1, 3, 4, 6, 7]
+        assert admissible_degrees(fam.lam, 5) == [2, 5, 8, 9, 10]
 
     def test_admissible_set_other(self):
         fam = XHermiteFamily(Partition((4, 4, 1, 1)))
-        assert fam.admissible_degrees(6) == [6, 9, 10, 11, 14, 15]
+        assert admissible_degrees(fam.lam, 6) == [6, 9, 10, 11, 14, 15]
 
     def test_codimension(self):
+        # the excluded degrees number size(lam); the largest is
+        # size + lam_1 - 1, so every degree from 2 size on is admissible
         for lam in all_partitions_up_to(8):
             fam = XHermiteFamily(lam)
-            excl = fam.excluded_degrees()
-            assert len(excl) == lam.size
-            assert sorted(excl) == excl
-            assert all(not fam.is_admissible(n) for n in excl)
+            top = 2 * lam.size
+            assert sum(not fam.is_admissible(n) for n in range(top)) == lam.size, lam
+            assert all(fam.is_admissible(n) for n in range(top, top + 12)), lam
 
     def test_empty_partition_is_classical(self):
-        fam = XHermiteFamily(Partition())
-        assert fam.admissible_degrees(4) == [0, 1, 2, 3]
+        assert admissible_degrees(Partition(), 4) == [0, 1, 2, 3]
         assert exceptional_hermite(Partition(), 6) == hermite_poly(6)
 
 
 class TestConstruction:
     def test_degree_matches_label(self):
         for lam in all_partitions_up_to(8):
-            fam = XHermiteFamily(lam)
-            for n in fam.admissible_degrees(6):
+            for n in admissible_degrees(lam, 6):
                 if n > 25:
                     break
                 assert exceptional_hermite(lam, n).degree == n
@@ -75,7 +74,7 @@ class TestConstruction:
         for _ in range(60):
             lam = random_partition(rng, 8)
             fam = XHermiteFamily(lam)
-            n = rng.choice(fam.admissible_degrees(8))
+            n = rng.choice(admissible_degrees(lam, 8))
             enlarged = fam.diagram.add(fam.insertion_position(n))
             sign = insertion_sign(lam, n)
             assert exceptional_hermite(lam, n) == \
@@ -87,7 +86,7 @@ class TestConstruction:
         lam = Partition(parts)
         fam = XHermiteFamily(lam)
         high = next(n for n in range(301, 400) if fam.is_admissible(n))
-        for n in fam.admissible_degrees(30) + [high]:
+        for n in admissible_degrees(lam, 30) + [high]:
             indices = sorted(fam.diagram.t) + [fam.insertion_position(n)]
             assert exceptional_hermite(lam, n) == hermite_wronskian(indices), n
 
@@ -137,8 +136,7 @@ class TestEigen:
 
     def test_slope_minus_two(self):
         lam = Partition((2, 2, 1, 1))
-        fam = XHermiteFamily(lam)
-        degs = fam.admissible_degrees(4)
+        degs = admissible_degrees(lam, 4)
         vals = [eigen_check(lam, n).eigenvalue for n in degs]
         for n1, n2, v1, v2 in zip(degs, degs[1:], vals, vals[1:]):
             assert v2 - v1 == -2 * (n2 - n1)
@@ -146,7 +144,7 @@ class TestEigen:
     def test_index_equals_partition_size(self):
         for lam in (Partition((2, 2, 1, 1)), Partition((4, 4, 1, 1)),
                     Partition((3, 1)), Partition()):
-            for n in XHermiteFamily(lam).admissible_degrees(4):
+            for n in admissible_degrees(lam, 4):
                 assert eigen_check(lam, n).shifted_index == lam.size
 
     @pytest.mark.parametrize("corrupt", [lambda y: y + 1, lambda y: IntPoly((0, 1)) * y],
@@ -277,8 +275,7 @@ def test_member_below_corners_searches_once(monkeypatch, clear_memos, n):
 class TestMinOrderForm:
     def test_reproduces_polynomial(self):
         for lam in (Partition((2, 2, 1, 1)), Partition((4, 4, 1, 1)), Partition((3, 2))):
-            fam = XHermiteFamily(lam)
-            for n in fam.admissible_degrees(6):
+            for n in admissible_degrees(lam, 6):
                 form = min_order_form(lam, n)
                 assert form.scalar.denominator == 1
                 assert exceptional_hermite(lam, n) == form.scalar.numerator * form.poly
@@ -408,8 +405,7 @@ class TestNorms:
 
     def test_even_partition_norms(self, monkeypatch):
         lam = Partition((1, 1))
-        fam = XHermiteFamily(lam)
-        degs = fam.admissible_degrees(2)
+        degs = admissible_degrees(lam, 2)
         for n in degs:
             assert weight_and_norm_check(lam, n, n).ok
         assert weight_and_norm_check(lam, degs[0], degs[1]).ok
@@ -423,7 +419,7 @@ class TestNorms:
     def test_certificate_is_the_closed_form(self, monkeypatch, parts):
         lam = Partition(parts)
         fam = XHermiteFamily(lam)
-        degs = fam.admissible_degrees(6)
+        degs = admissible_degrees(lam, 6)
         seen = _spy_certificates(monkeypatch)
         for n in degs:
             for m in degs:
@@ -618,7 +614,7 @@ class TestNorms:
         # [0, L], split at 2 and 4 so it resolves the integrand near the
         # complex zeros of W
         lam = Partition(parts)
-        degs = XHermiteFamily(lam).admissible_degrees(3)
+        degs = admissible_degrees(lam, 3)
         pairs = [(degs[0], degs[0]), (degs[0], degs[2])]
         for n, m in pairs:
             assert self._quadrature_agrees(monkeypatch, lam, n, m, norm_oracle.norm_integral)
