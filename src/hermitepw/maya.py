@@ -310,9 +310,6 @@ class MayaDiagram:
 
         return cls(side(left), side(right))
 
-    def to_json(self):
-        return {"s": list(self.s), "t": list(self.t)}
-
     # -- element flips ------------------------------------------------------
 
     def add(self, m):

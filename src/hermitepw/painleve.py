@@ -24,13 +24,24 @@ exactly as the residual polynomial.  Every solution built here is odd: its
 log-derivatives are quotients of definite-parity pseudo-Wronskians and its
 linear term is odd.  The residual of an odd y has only even powers of t,
 so it is a polynomial in t^2 and B needs only half the bits of the bound.
+
+An O-family y is checked in its own variable x = t/sqrt3.  Its printed
+form in t carries the powers of 3 of the rescaled taus, about a third of
+its coefficient bits; Y(x) = sqrt3 y(sqrt3 x) is (N - 2xD)/D on the
+unscaled taus and has none of them.  Substituting t = sqrt3 x into the
+residual and multiplying by 9 gives
+
+    2 Y Y'' - (Y')^2 - 3 Y^4 - 24 x Y^3 - 12 (3 x^2 - a) Y^2 - 18 b,
+
+the same kernel with a factor 3 in its 8t, 4(t^2 - a) and 2b terms and in
+their share of the bound (see verify_piv).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .hermite import min_order_at, pseudo_wronskian
 from .maya import MayaDiagram
@@ -218,6 +229,72 @@ def _norm1(p: IntPoly) -> int:
     return sum(map(abs, p.coeffs))
 
 
+def _at_sqrt3_x(n: IntPoly, d: IntPoly):
+    """Y(x) = sqrt3 y(sqrt3 x) for an odd y = n/d, as a reduced integer pair,
+    or None when n and d do not have opposite definite parities.
+
+    Coefficient k of n gains 3^((k+1)/2) and coefficient k of d gains
+    3^(k/2), rounded down; for opposite parities the half powers of 3
+    cancel between them and the leading sqrt3.  x -> sqrt3 x is a ring
+    automorphism of Q(sqrt3)[x], so coprime n, d stay coprime and only
+    the integer content is left to divide out.
+    """
+    if {n.parity(), d.parity()} != {0, 1}:
+        return None
+    p3 = [3 ** j for j in range(max(n.degree, d.degree) // 2 + 2)]
+    num = [c * p3[(k + 1) >> 1] for k, c in enumerate(n.coeffs)]
+    den = [c * p3[k >> 1] for k, c in enumerate(d.coeffs)]
+    g = gcd(*num, *den)
+    if g != 1:
+        num = [c // g for c in num]
+        den = [c // g for c in den]
+    return IntPoly(num), IntPoly(den)
+
+
+def _residual(n: IntPoly, d: IntPoly, lam2: int, la: Fraction, lb: Fraction) -> IntPoly:
+    """The denominator-cleared residual of
+
+    2 y y'' - (y')^2 - 3 y^4 - 8 L t y^3 - 4 (L^2 t^2 - la) y^2 - 2 lb
+
+    at y = n/d, L = lam2, evaluated at one Kronecker point; with la = L a
+    and lb = L^2 b, the equation of PIV at L = 1, and of
+    Y(x) = sqrt3 y(sqrt3 x) at L = 3 (see verify_piv)."""
+    np_, dp = n.derivative(), d.derivative()
+    npp, dpp = np_.derivative(), dp.derivative()
+    scale = lcm(la.denominator, lb.denominator)
+    ia = la.numerator * (scale // la.denominator)
+    ib = lb.numerator * (scale // lb.denominator)
+
+    a0, a1, a2, b0, b1, b2 = map(_norm1, (n, np_, npp, d, dp, dpp))
+    w_norm = a1 * b0 + a0 * b1
+    bound = (scale * (2 * a0 * ((a2 * b0 + a0 * b2) * b0 + 2 * b1 * w_norm) + w_norm ** 2)
+             + a0 ** 2 * (3 * scale * a0 ** 2 + 8 * lam2 * scale * a0 * b0
+                          + 4 * (lam2 * lam2 * scale + abs(ia)) * b0 ** 2)
+             + 2 * abs(ib) * b0 ** 4)
+    nb = IntPoly.word_bytes(bound)
+    # an odd y has an even residual, whose digits span two packing words
+    stride = 2 if {n.parity(), d.parity()} == {0, 1} else 1
+    # the packing word holds every input coefficient; n, d != 0, so the
+    # bound is at least each of the six 1-norms and stride 1 keeps h = nb
+    h = max(-(-nb // stride), IntPoly.word_bytes(max(a0, a1, a2, b0, b1, b2)))
+    word = 8 * h
+    N, N1, N2, D, D1, D2 = (p.pack(h) for p in (n, np_, npp, d, dp, dpp))
+
+    w = N1 * D - N * D1
+    nn, nd, dd = N * N, N * D, D * D
+    quartic = (3 * scale * nn + ((8 * lam2 * scale * nd) << word)
+               + 4 * (((lam2 * lam2 * scale * dd) << (2 * word)) - ia * dd))
+    value = (N * (2 * scale * ((N2 * D - N * D2) * D - 2 * D1 * w) - N * quartic)
+             - scale * w * w - 2 * ib * dd * dd)
+    if value == 0:
+        return IntPoly()
+    # every term has degree at most 4 max(deg n, deg d) + 2
+    digits = IntPoly.unpack(value, stride * h, (4 * max(n.degree, d.degree) + 2) // stride + 1)
+    coeffs = [0] * (stride * len(digits.coeffs))
+    coeffs[::stride] = digits.coeffs
+    return IntPoly(coeffs)
+
+
 def verify_piv(sol: PivSolution) -> PivReport:
     """Exact check of the denominator-cleared equation
 
@@ -243,44 +320,38 @@ def verify_piv(sol: PivSolution) -> PivReport:
     and words of h bytes.  Either way each readback word holds every
     residual coefficient, so the value at xi is zero exactly when the
     residual is, and a nonzero value is read back as the residual.
+
+    An odd O-family y is a function of x = t/sqrt3, scaled up to integer
+    coefficients in t, so it is checked in x first.  With t = sqrt3 x and
+    Y(x) = sqrt3 y(sqrt3 x), y = Y/sqrt3, y' = Y'/3 and y'' = Y''/(3 sqrt3),
+    so 9 times the residual at t = sqrt3 x is
+
+        2 Y Y'' - (Y')^2 - 3 Y^4 - 24 x Y^3 - 12 (3 x^2 - a) Y^2 - 18 b:
+
+    the equation above with a factor L = 3 in its 8t, 4(t^2 - a) and 2b
+    terms, which read 8 L x, 4 L (L x^2 - a) and 2 L^2 b.  With a, b
+    standing for L a, L^2 b scaled to integers by s and |p| for the 1-norm,
+    the bound on every residual coefficient is
+
+        s (2|n| ((|n''||d| + |n||d''|)|d| + 2|d'||w|) + |w|^2)
+        + |n|^2 (3s |n|^2 + 8Ls |n||d| + 4(L^2 s + |a|) |d|^2) + 2|b| |d|^4,
+
+    |w| = |n'||d| + |n||d'|, at L = 1 as well.  On the O family 3a and 9b
+    are integers, so s = 1, and Y's coefficients have about a third fewer
+    bits than y's: the powers of 3 of _at_t_over_sqrt3 are gone.  The
+    identity holds for every y, so the family label only picks the cheaper
+    variable and cannot pass a wrong y.  A zero value is the zero
+    residual; a nonzero one, a failed check and only then, is read back on
+    y itself at L = 1, so the report holds the t-form residual.
     """
     n, d = sol.y.num, sol.y.den
     if n.is_zero():
         raise ValueError("y must be nonzero")
-    np_, dp = n.derivative(), d.derivative()
-    npp, dpp = np_.derivative(), dp.derivative()
-    scale = lcm(sol.a.denominator, sol.b.denominator)
-    ia = sol.a.numerator * (scale // sol.a.denominator)
-    ib = sol.b.numerator * (scale // sol.b.denominator)
-
-    a0, a1, a2, b0, b1, b2 = map(_norm1, (n, np_, npp, d, dp, dpp))
-    w_norm = a1 * b0 + a0 * b1
-    bound = (scale * (2 * a0 * ((a2 * b0 + a0 * b2) * b0 + 2 * b1 * w_norm) + w_norm ** 2)
-             + a0 ** 2 * (3 * scale * a0 ** 2 + 8 * scale * a0 * b0
-                          + 4 * (scale + abs(ia)) * b0 ** 2)
-             + 2 * abs(ib) * b0 ** 4)
-    nb = IntPoly.word_bytes(bound)
-    # an odd y has an even residual, whose digits span two packing words
-    stride = 2 if {n.parity(), d.parity()} == {0, 1} else 1
-    # the packing word holds every input coefficient; n, d != 0, so the
-    # bound is at least each of the six 1-norms and stride 1 keeps h = nb
-    h = max(-(-nb // stride), IntPoly.word_bytes(max(a0, a1, a2, b0, b1, b2)))
-    word = 8 * h
-    N, N1, N2, D, D1, D2 = (p.pack(h) for p in (n, np_, npp, d, dp, dpp))
-
-    w = N1 * D - N * D1
-    nn, nd, dd = N * N, N * D, D * D
-    quartic = (3 * scale * nn + ((8 * scale * nd) << word)
-               + 4 * (((scale * dd) << (2 * word)) - ia * dd))
-    value = (N * (2 * scale * ((N2 * D - N * D2) * D - 2 * D1 * w) - N * quartic)
-             - scale * w * w - 2 * ib * dd * dd)
-    if value == 0:
-        return PivReport(IntPoly())
-    # every term has degree at most 4 max(deg n, deg d) + 2
-    digits = IntPoly.unpack(value, stride * h, (4 * max(n.degree, d.degree) + 2) // stride + 1)
-    coeffs = [0] * (stride * len(digits.coeffs))
-    coeffs[::stride] = digits.coeffs
-    return PivReport(IntPoly(coeffs))
+    if sol.family == "o":
+        xy = _at_sqrt3_x(n, d)
+        if xy is not None and _residual(*xy, 3, 3 * sol.a, 9 * sol.b).is_zero():
+            return PivReport(IntPoly())
+    return PivReport(_residual(n, d, 1, sol.a, sol.b))
 
 
 def piv_catalog(max_param: int):

@@ -1,5 +1,6 @@
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 import math
 from math import lcm
 
@@ -13,9 +14,12 @@ import hermitepw.hermite as hermite
 from hermitepw.hermite import darboux_step, pseudo_wronskian, pseudo_wronskian_matrix
 from hermitepw.maya import MayaDiagram
 from hermitepw.minorder import minimal_girth_of_diagram
+import hermitepw.painleve as painleve
 from hermitepw.painleve import (
     PivSolution,
+    _at_sqrt3_x,
     _at_t_over_sqrt3,
+    _log_ratio,
     _min_order,
     gh_maya,
     min_order_gh,
@@ -308,22 +312,36 @@ class TestSolutions:
         assert blob["y"]["num"]["var"] == "t"
 
 
-def residual_oracle(sol):
-    """The residual of verify_piv multiplied out in Z[t], term by term."""
-    n, d = sol.y.num, sol.y.den
+@lru_cache(maxsize=1)  # a mutant with a wrong a or b keeps the y before it
+def y_terms(n, d):
+    """The parts of the cleared residual that depend on y = n/d alone,
+    multiplied out in Z[t]: 2 y y'' - y'^2 - 3 y^4, t y^3, t^2 y^2, y^2 and 1,
+    each times d^4."""
     np_, dp = n.derivative(), d.derivative()
     npp, dpp = np_.derivative(), dp.derivative()
-    scale = lcm(sol.a.denominator, sol.b.denominator)
-    ia = sol.a.numerator * (scale // sol.a.denominator)
-    ib = sol.b.numerator * (scale // sol.b.denominator)
-    t1 = 2 * n * (npp * d * d - n * dpp * d - 2 * np_ * dp * d + 2 * n * dp * dp)
+    n2, d2 = n * n, d * d
+    t1 = 2 * n * (npp * d2 - n * dpp * d - 2 * np_ * dp * d + 2 * n * dp * dp)
     t2 = (np_ * d - n * dp) ** 2
-    t3 = 3 * n ** 2 * n ** 2
-    t4 = 8 * T * n * n * n * d
-    n2d2 = n * n * d * d
-    return (scale * (t1 - t2 - t3 - t4)
-            - 4 * (scale * (T * T * n2d2) - ia * n2d2)
-            - 2 * ib * d ** 4)
+    n2d2 = n2 * d2
+    return t1 - t2 - 3 * n2 * n2, T * n2 * n * d, T * T * n2d2, n2d2, d2 * d2
+
+
+def kernel_oracle(n, d, lam2, a, b):
+    """The residual of 2 y y'' - y'^2 - 3 y^4 - 8 L t y^3 - 4 L (L t^2 - a) y^2
+    - 2 L^2 b at y = n/d, L = lam2, multiplied out in Z[t] term by term."""
+    la, lb = lam2 * a, lam2 * lam2 * b
+    scale = lcm(la.denominator, lb.denominator)
+    ia = la.numerator * (scale // la.denominator)
+    ib = lb.numerator * (scale // lb.denominator)
+    core, ty3, t2y2, y2, one = y_terms(n, d)
+    return (scale * (core - 8 * lam2 * ty3)
+            - 4 * (scale * lam2 * lam2 * t2y2 - ia * y2)
+            - 2 * ib * one)
+
+
+def residual_oracle(sol):
+    """The residual of verify_piv: the t-form kernel multiplied out."""
+    return kernel_oracle(sol.y.num, sol.y.den, 1, sol.a, sol.b)
 
 
 def mutants(sol):
@@ -355,6 +373,17 @@ def parity_polys(parity):
 odd_y = st.tuples(parity_polys(1), parity_polys(0)) | st.tuples(parity_polys(0), parity_polys(1))
 
 
+def odd_y_cases(test):
+    """Hypothesis odd y with coefficients up to 160 bits, a and b up to 70,
+    plus the examples at TOP."""
+    test = settings(max_examples=120, deadline=None)(test)
+    test = example((IntPoly((TOP, 0, -TOP)), IntPoly((0, 1, 0, TOP))),
+                   Fraction(-2 ** 70), Fraction(2 ** 70))(test)
+    # the half word is set by the 1-norm 10100 of n'', not by the bound
+    test = example((T ** 101, IntPoly.const(1)), Fraction(0), Fraction(0))(test)
+    return given(odd_y, wide_fractions, wide_fractions)(test)
+
+
 @pytest.fixture(scope="module")
 def catalogs():
     return [piv_catalog(n) for n in range(7)]
@@ -364,13 +393,16 @@ class TestVerifyPivResidual:
     """verify_piv reads its residual back from one Kronecker point."""
 
     def test_catalog_and_mutants_match_oracle(self, catalogs):
-        for sol, rep in catalogs[4]:
+        # the O entries pass in x = t/sqrt3; their failing mutants are read
+        # back in t, so the report is the t-form residual either way
+        for sol, rep in catalogs[6]:
             assert rep.ok and rep.residual == residual_oracle(sol) == IntPoly()
             for bad in mutants(sol):
                 want = residual_oracle(bad)
                 got = verify_piv(bad)
                 assert got.residual == want, (sol.family, sol.params, sol.branch)
-                assert not got.ok and not want.is_zero()
+                assert got.ok is want.is_zero()
+                assert not got.ok
 
     @given(wide_polys, wide_polys, wide_fractions, wide_fractions)
     @example(IntPoly((TOP,) * 6), IntPoly((-TOP,) * 6), Fraction(-2 ** 70), Fraction(2 ** 70))
@@ -383,14 +415,18 @@ class TestVerifyPivResidual:
         rep = verify_piv(sol)
         assert rep.residual == want and rep.ok is want.is_zero()
 
-    @given(odd_y, wide_fractions, wide_fractions)
-    # the half word is set by the 1-norm 10100 of n'', not by the bound
-    @example((T ** 101, IntPoly.const(1)), Fraction(0), Fraction(0))
-    @example((IntPoly((TOP, 0, -TOP)), IntPoly((0, 1, 0, TOP))),
-             Fraction(-2 ** 70), Fraction(2 ** 70))
-    @settings(max_examples=120, deadline=None)
+    @odd_y_cases
     def test_odd_y_matches_oracle(self, y, a, b):
-        sol = PivSolution("gh", (0, 0), 1, RatFunc(*y), a, b)
+        self._odd_y_matches_oracle("gh", y, a, b)
+
+    @odd_y_cases
+    def test_odd_y_matches_oracle_in_x(self, y, a, b):
+        # family "o" takes the x = t/sqrt3 path and its factor-3 bound
+        self._odd_y_matches_oracle("o", y, a, b)
+
+    @staticmethod
+    def _odd_y_matches_oracle(family, y, a, b):
+        sol = PivSolution(family, (0, 0), 1, RatFunc(*y), a, b)
         # reduction keeps the parities opposite, so the even readback runs
         assert {sol.y.num.parity(), sol.y.den.parity()} == {0, 1}
         want = residual_oracle(sol)
@@ -429,6 +465,72 @@ def y_oracle(sol):
         y = log_diff(h0, hp)
         return y - Rat(2 * T) if sol.branch == 3 else y
     return Rat(-2 * T, IntPoly.const(3)) + log_diff(_at_t_over_sqrt3(h0), _at_t_over_sqrt3(hp))
+
+
+class TestXForm:
+    """O solutions are verified as Y(x) = sqrt3 y(sqrt3 x), x = t/sqrt3."""
+
+    def test_map_is_the_unscaled_log_ratio(self, catalogs):
+        # N, D from the taus themselves, without the powers of 3 of
+        # _at_t_over_sqrt3: Y = -2x + N/D
+        seen = 0
+        for sol, _ in catalogs[6]:
+            if sol.family != "o":
+                continue
+            partner = tuple(p + s for p, s in zip(sol.params, O_PARTNER[sol.branch]))
+            n, d = _log_ratio(pseudo_wronskian(o_maya(*sol.params)),
+                              pseudo_wronskian(o_maya(*partner)))
+            want = RatFunc(n - 2 * T * d, d)
+            assert _at_sqrt3_x(sol.y.num, sol.y.den) == (want.num, want.den), \
+                (sol.params, sol.branch)
+            seen += 1
+        assert seen == 134
+
+    def _lams(self, monkeypatch, sol):
+        """The factors L of the residual kernel calls that verify_piv makes."""
+        lams = []
+        real = painleve._residual
+        monkeypatch.setattr(painleve, "_residual",
+                            lambda n, d, lam2, a, b: lams.append(lam2) or real(n, d, lam2, a, b))
+        rep = verify_piv(sol)
+        monkeypatch.undo()
+        return rep, lams
+
+    def test_paths(self, monkeypatch):
+        sol = piv_solution_o(1, 2, 1)
+        rep, lams = self._lams(monkeypatch, sol)
+        assert rep.ok and lams == [3]
+        assert self._lams(monkeypatch, piv_solution_gh(2, 4, 1))[1] == [1]
+        # a failure is read back in t
+        wrong_b = replace(sol, b=sol.b - Fraction(1, 3))
+        rep, lams = self._lams(monkeypatch, wrong_b)
+        assert lams == [3, 1] and rep.residual == residual_oracle(wrong_b)
+        # y + 1 has mixed parity: no image in x, straight to t
+        mixed = replace(sol, y=Rat.of(sol.y) + 1)
+        assert _at_sqrt3_x(mixed.y.num, mixed.y.den) is None
+        rep, lams = self._lams(monkeypatch, mixed)
+        assert lams == [1] and rep.residual == residual_oracle(mixed) != IntPoly()
+
+    @odd_y_cases
+    @example((IntPoly((TOP, 0, TOP, 0, TOP)), IntPoly((0, -TOP, 0, -TOP))),
+             Fraction(-2 ** 70), Fraction(-2 ** 70))
+    # y = 7t/3 and y = 1/(31t) overflow a word sized without the L of the
+    # 8Lt term or the L^2 of the t^2 term of the bound
+    @example((IntPoly((0, 7)), IntPoly((3,))), Fraction(0), Fraction(0))
+    @example((IntPoly((1,)), IntPoly((0, 31))), Fraction(0), Fraction(0))
+    def test_kernel_at_3_matches_oracle(self, y, a, b):
+        n, d = y
+        assert painleve._residual(n, d, 3, 3 * a, 9 * b) == kernel_oracle(n, d, 3, a, b)
+
+    def test_even_y_has_no_image(self):
+        # y = 1/(1 + t^2) and y = t: both parts even, or both odd
+        assert _at_sqrt3_x(IntPoly.const(1), IntPoly((1, 0, 1))) is None
+        assert _at_sqrt3_x(IntPoly((0, 1)), IntPoly((0, 1))) is None
+
+    def test_content_divided_out(self):
+        # y = 3t/(3 + t^2) maps to 9x/(3 + 3x^2) = 3x/(1 + x^2)
+        assert _at_sqrt3_x(IntPoly((0, 3)), IntPoly((3, 0, 1))) == \
+            (IntPoly((0, 3)), IntPoly((1, 0, 1)))
 
 
 def _murata_type(a, b):
