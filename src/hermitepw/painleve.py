@@ -35,15 +35,44 @@ residual and multiplying by 9 gives
 
 the same kernel with a factor 3 in its 8t, 4(t^2 - a) and 2b terms and in
 their share of the bound (see verify_piv).
+
+A tau enters y only through (log h0/hp)' = h0'/h0 - hp'/hp, and
+(log c h)' = (log h)' for a constant c: scaling h0 or hp scales N and D by
+the same constant, which the one reduction into a RatFunc removes.  So
+y, and every printed digit, is the same for any constant multiple of the
+taus, and the builders take each tau as its primitive part (content 1,
+positive leading coefficient), never carrying the determinant's constant.
+They build the taus by the Toda-type bilinear recurrences of the
+generalized Hermite and Okamoto polynomials (Noumi & Yamada 1998;
+Clarkson, J. Math. Phys. 44, 2003).  With B(tau) = tau tau'' - tau'^2,
+tau the middle of three consecutive taus on a line and ~ equality up to a
+nonzero constant:
+
+    GH(m, l+1) GH(m, l-1) ~ B(tau) - 2l tau^2,                   tau = GH(m, l), l >= 1;
+    O(a+1, b) O(a-1, b)   ~ B(tau) + (4x^2 + 2(b - 2a)) tau^2,     tau = O(a, b), a >= 1;
+    O(a, b+1) O(a, b-1)   ~ B(tau) + (4x^2 + 2(a - 1 - 2b)) tau^2, tau = O(a, b), b >= 1.
+
+The seeds are GH(m, 0) = 1, GH(m, 1) ~ H_m, and the four O(a, b) with
+a, b <= 1, pseudo-Wronskians of order at most 1.  GH(0, l) is a
+constant.  The O columns a = 0, 1 are built along (0, 1), then each row
+along (1, 0); the direction (1, -1) fits no such step.  Each step divides
+the primitive lower tau out of an integer polynomial that is a rational
+multiple of the product of two primitive polynomials.  By Gauss's lemma
+that multiple is an integer, so the division is exact over Z.  Adjacent
+taus are coprime, so a wrong constant, which adds a multiple of tau^2,
+leaves a remainder whenever the lower tau has positive degree.
+pseudo_wronskian keeps the determinants for everything else, and the
+tests hold the Toda-built taus to them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .hermite import min_order_at, pseudo_wronskian
+from .hermite import hermite_poly, min_order_at, pseudo_wronskian
 from .maya import MayaDiagram
 from .polys import IntPoly, RatFunc
 
@@ -148,6 +177,70 @@ class PivSolution:
                 "a": str(self.a), "b": str(self.b)}
 
 
+# Entries of each tau memo: a catalog with parameters <= p reaches
+# (p + 2)^2 taus of each family, so 256 hold p <= 14; a walk needs only the
+# last four entries it visited
+_TAU_MEMO_SIZE = 256
+
+
+def _toda_step(tau: IntPoly, below: IntPoly, quad: int, c: int) -> IntPoly:
+    """The tau after ``tau`` on its line, up to a constant:
+
+        [tau tau'' - tau'^2 + (4 quad x^2 + c) tau^2] / below,
+
+    primitive, with ``below`` the primitive tau before ``tau``.  The
+    division is exact over Z by Gauss's lemma; InexactDivisionError when
+    ``below`` does not divide, as for a wrong constant."""
+    d1 = tau.derivative()
+    q = tau.derivative(2) + IntPoly((c, 0, 4 * quad)) * tau
+    return (tau * q - d1 * d1).divexact(below).primitive()
+
+
+@functools.lru_cache(maxsize=_TAU_MEMO_SIZE)
+def _gh_entry(m: int, ell: int) -> IntPoly:
+    """GH(m, ell) up to a constant, primitive; the walk of _gh_tau has put
+    GH(m, ell - 1) and GH(m, ell - 2) in the memo."""
+    if ell == 0:
+        return IntPoly.const(1)
+    if ell == 1:
+        return hermite_poly(m).primitive()
+    # middle GH(m, ell - 1)
+    return _toda_step(_gh_entry(m, ell - 1), _gh_entry(m, ell - 2), 0, -2 * (ell - 1))
+
+
+def _gh_tau(m: int, ell: int) -> IntPoly:
+    """The primitive part of pseudo_wronskian(gh_maya(m, ell)), by Toda
+    steps up the line of fixed m."""
+    for j in range(ell + 1):
+        tau = _gh_entry(m, j)
+    return tau
+
+
+@functools.lru_cache(maxsize=_TAU_MEMO_SIZE)
+def _o_entry(a: int, b: int) -> IntPoly:
+    """O(a, b) up to a constant, primitive; the walk of _o_tau has put the
+    two taus before it on its line in the memo."""
+    if a <= 1 and b <= 1:
+        return pseudo_wronskian(o_maya(a, b)).primitive()
+    if a <= 1:  # along (0, 1), middle O(a, j) with j = b - 1
+        j = b - 1
+        return _toda_step(_o_entry(a, j), _o_entry(a, j - 1), 1, 2 * (a - 1 - 2 * j))
+    i = a - 1   # along (1, 0), middle O(i, b)
+    return _toda_step(_o_entry(i, b), _o_entry(i - 1, b), 1, 2 * (b - 2 * i))
+
+
+def _o_tau(a: int, b: int) -> IntPoly:
+    """The primitive part of pseudo_wronskian(o_maya(a, b)), by Toda steps
+    up the columns a = 0, 1 to row b, then along row b."""
+    cols = (a,) if a <= 1 else (0, 1)
+    for j in range(b + 1):
+        for i in cols:
+            tau = _o_entry(i, j)
+    for i in range(2, a + 1):
+        tau = _o_entry(i, b)
+    return tau
+
+
 def _log_ratio(h0: IntPoly, hp: IntPoly) -> tuple:
     """(N, D) = (h0' hp - h0 hp', h0 hp), unreduced: (log(h0/hp))' = N/D."""
     return h0.derivative() * hp - h0 * hp.derivative(), h0 * hp
@@ -163,24 +256,26 @@ def _at_t_over_sqrt3(h: IntPoly) -> IntPoly:
 
 
 def piv_solution_gh(m: int, ell: int, branch: int) -> PivSolution:
-    """GH-family solution; branch picks which flip of the cycle leads."""
+    """GH-family solution from the Toda-built taus of _gh_tau; branch picks
+    which flip of the cycle leads."""
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
     if branch == 2 and m <= 0:
         raise ValueError("branch 2 needs m > 0")
     if branch == 3 and ell <= 0:
         raise ValueError("branch 3 needs ell > 0")
-    h0 = pseudo_wronskian(gh_maya(m, ell))
+    if m < 0 or ell < 0:
+        raise ValueError("parameters must be non-negative")
     if branch == 1:
-        partner = gh_maya(m, ell + 1)
+        partner = (m, ell + 1)
         a, b = Fraction(-(1 + m + 2 * ell)), Fraction(-2 * m * m)
     elif branch == 2:
-        partner = gh_maya(m - 1, ell)
+        partner = (m - 1, ell)
         a, b = Fraction(2 * m + ell - 1), Fraction(-2 * ell * ell)
     else:
-        partner = gh_maya(m + 1, ell - 1)
+        partner = (m + 1, ell - 1)
         a, b = Fraction(ell - m - 1), Fraction(-2 * (m + ell) ** 2)
-    n, d = _log_ratio(h0, pseudo_wronskian(partner))
+    n, d = _log_ratio(_gh_tau(m, ell), _gh_tau(*partner))
     if branch == 3:
         n = n - IntPoly((0, 2)) * d
     y = RatFunc(n, d)
@@ -191,25 +286,26 @@ def piv_solution_gh(m: int, ell: int, branch: int) -> PivSolution:
 
 def piv_solution_o(ell1: int, ell2: int, branch: int) -> PivSolution:
     """O-family solution y = -2t/3 + (log h_0/h_partner)' at x = t/sqrt3,
-    taken on the parity-rescaled polynomials of _at_t_over_sqrt3."""
+    taken on the parity-rescaled Toda-built taus (_o_tau, _at_t_over_sqrt3)."""
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
     if branch == 1 and (ell1 < 1 or ell2 < 1):
         raise ValueError("branch 1 needs ell1, ell2 >= 1")
-    h0 = pseudo_wronskian(o_maya(ell1, ell2))
+    if ell1 < 0 or ell2 < 0:
+        raise ValueError("parameters must be non-negative")
     if branch == 1:
-        partner = o_maya(ell1 - 1, ell2 - 1)
+        partner = (ell1 - 1, ell2 - 1)
         a = Fraction(ell1 + ell2)
         b = Fraction(-2, 9) * (1 - 3 * ell1 + 3 * ell2) ** 2
     elif branch == 2:
-        partner = o_maya(ell1 + 1, ell2)
+        partner = (ell1 + 1, ell2)
         a = Fraction(-1 - 2 * ell1 + ell2)
         b = Fraction(-2, 9) * (2 + 3 * ell2) ** 2
     else:
-        partner = o_maya(ell1, ell2 + 1)
+        partner = (ell1, ell2 + 1)
         a = Fraction(-2 - 2 * ell2 + ell1)
         b = Fraction(-2, 9) * (1 + 3 * ell1) ** 2
-    n, d = _log_ratio(_at_t_over_sqrt3(h0), _at_t_over_sqrt3(pseudo_wronskian(partner)))
+    n, d = _log_ratio(_at_t_over_sqrt3(_o_tau(ell1, ell2)), _at_t_over_sqrt3(_o_tau(*partner)))
     y = RatFunc(3 * n - IntPoly((0, 2)) * d, 3 * d)
     if y.is_zero():
         raise ValueError(f"degenerate parameters: o({ell1},{ell2}) branch {branch} gives y = 0")

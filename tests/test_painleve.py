@@ -3,11 +3,13 @@ from fractions import Fraction
 from functools import lru_cache
 import math
 from math import lcm
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hermitepw.determinant as determinant
 import hermitepw.polys as polys
 from hermitepw.determinant import det
 import hermitepw.hermite as hermite
@@ -31,7 +33,7 @@ from hermitepw.painleve import (
     three_cycle,
     verify_piv,
 )
-from hermitepw.polys import IntPoly, RatFunc
+from hermitepw.polys import InexactDivisionError, IntPoly, RatFunc
 
 from ratfield import Rat, log_diff
 
@@ -270,6 +272,11 @@ class TestSolutions:
             piv_solution_o(0, 2, 1)
         with pytest.raises(ValueError):
             piv_solution_gh(2, 4, 4)
+        # negative parameters name no diagram
+        with pytest.raises(ValueError):
+            piv_solution_gh(2, -1, 1)
+        with pytest.raises(ValueError):
+            piv_solution_o(-1, 2, 2)
 
     def test_degenerate_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -531,6 +538,115 @@ class TestXForm:
         # y = 3t/(3 + t^2) maps to 9x/(3 + 3x^2) = 3x/(1 + x^2)
         assert _at_sqrt3_x(IntPoly((0, 3)), IntPoly((3, 0, 1))) == \
             (IntPoly((0, 3)), IntPoly((1, 0, 1)))
+
+
+@pytest.fixture
+def fresh_taus():
+    """Empty tau memos before the test and after it, so that no tau built
+    under a monkeypatch outlives the test."""
+    def clear():
+        painleve._gh_entry.cache_clear()
+        painleve._o_entry.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def toda_steps(top):
+    """(family, tau, below, quad, c, next) for every Toda step of both
+    families whose three taus have parameters <= top, with the constants
+    of the painleve docstring: the next tau is, up to a constant,
+    [tau tau'' - tau'^2 + (4 quad x^2 + c) tau^2] / below."""
+    gh = {(m, ell): pseudo_wronskian(gh_maya(m, ell)).primitive()
+          for m in range(top + 1) for ell in range(top + 1)}
+    o = {(a, b): pseudo_wronskian(o_maya(a, b)).primitive()
+         for a in range(top + 1) for b in range(top + 1)}
+    for m in range(top + 1):
+        for ell in range(1, top):
+            yield "gh", gh[m, ell], gh[m, ell - 1], 0, -2 * ell, gh[m, ell + 1]
+    for a in range(top + 1):
+        for b in range(top + 1):
+            if 1 <= a < top:
+                yield "o", o[a, b], o[a - 1, b], 1, 2 * (b - 2 * a), o[a + 1, b]
+            if 1 <= b < top:
+                yield "o", o[a, b], o[a, b - 1], 1, 2 * (a - 1 - 2 * b), o[a, b + 1]
+
+
+class TestTodaTaus:
+    """The catalog's taus come from Toda steps, up to a constant; the
+    determinants of pseudo_wronskian are their oracle."""
+
+    def test_taus_match_determinants(self, fresh_taus):
+        for p1 in range(9):
+            for p2 in range(9):
+                assert painleve._gh_tau(p1, p2) == \
+                    pseudo_wronskian(gh_maya(p1, p2)).primitive(), ("gh", p1, p2)
+                assert painleve._o_tau(p1, p2) == \
+                    pseudo_wronskian(o_maya(p1, p2)).primitive(), ("o", p1, p2)
+
+    def test_wrong_constant_raises(self):
+        # adjacent taus are coprime, so c +- 2 adds +-2 tau^2, which no
+        # nonconstant lower tau divides
+        raised = wrong = 0
+        for family, tau, below, quad, c, nxt in toda_steps(6):
+            assert painleve._toda_step(tau, below, quad, c) == nxt, family
+            for dc in (-2, 2):
+                if below.degree > 0:
+                    with pytest.raises(InexactDivisionError):
+                        painleve._toda_step(tau, below, quad, c + dc)
+                    raised += 1
+                elif tau.degree > 0:
+                    # a constant divisor stays silent: the tau is wrong, and
+                    # only the differential test above catches it
+                    assert painleve._toda_step(tau, below, quad, c + dc) != nxt
+                    wrong += 1
+        assert (raised, wrong) == (184, 16)
+
+    def test_wrong_constant_in_catalog_is_not_skipped(self, monkeypatch, fresh_taus):
+        # an inexact step must surface, not read as a ValueError that
+        # piv_catalog skips as undefined parameters
+        real = painleve._toda_step
+        monkeypatch.setattr(painleve, "_toda_step",
+                            lambda tau, below, quad, c: real(tau, below, quad, c + 2))
+        with pytest.raises(ArithmeticError):
+            piv_catalog(3)
+
+    def test_catalog_calls_only_seed_determinants(self, monkeypatch, fresh_taus):
+        # every det of a catalog pass has order <= 1: the O seeds, and no
+        # fallback to determinants of the taus themselves
+        orders = []
+        real = determinant.det
+
+        def spy(rows):
+            orders.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(determinant, "det", spy)
+        monkeypatch.setattr(hermite, "det", spy)
+        hermite._minimal_determinant.cache_clear()
+        assert len(piv_catalog(5)) == 182
+        assert orders and max(orders) <= 1, orders
+        # the spy sees a determinant of a tau: O(3, 3) has minimal order 3
+        orders.clear()
+        pseudo_wronskian(o_maya(3, 3))
+        assert orders == [3]
+
+    def test_walk_depth_does_not_grow(self, fresh_taus):
+        # each memo miss steps once from two entries the walk has just
+        # visited, so the stack stays shallow however long the line
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        # a build takes 15 frames; an entry that recursed into the entries
+        # before it would take one per step of its lines
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 25)
+        try:
+            assert painleve._gh_tau(1, 60).degree == 60
+            for p1, p2 in ((18, 1), (1, 18)):
+                assert painleve._o_tau(p1, p2).degree == o_maya(p1, p2).partition().size
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def _murata_type(a, b):
