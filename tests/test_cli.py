@@ -287,6 +287,21 @@ def test_catalog_bytes_pinned(capsys):
         "1ed2728f004fd8350ad54b78afaebc01ea8fb626d7f02a08d64f3e396c32b76b"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("piv --class o --l1 1 --l2 2 --branch 1 --verify",
+     "8381b0d8960e21a44d1cf9ed4bedf9575cc20caa4eb030f13836fefa202c5ba4"),
+    ("piv --class gh --m 2 --ell 4 --branch 3 --verify",
+     "5087c0dde74a312beb4bfc581fd4fb21a00e299811a6c742d06ddb21a22a4f63"),
+    ("piv catalog --max 4",
+     "1d9735578a05f459651218d0a2d296409148eba79b17cd1412fe037d3f51fa07"),
+])
+def test_piv_text_bytes_pinned(capsys, argv, digest):
+    # the printed y(t) of each family, and the catalog's text lines
+    code, out = run(capsys, "--format", "text", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("max_param, digest", [
     ("5", "edc43b19b22c0489c528280d2223d312915d8e72a06c30d78f3e9546a1b74c03"),
     ("6", "8bc04ef6ec38398e5b7cdbcb3c07325709b339cd15f316e396a5e6d0b288b0cb"),
