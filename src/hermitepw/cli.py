@@ -158,7 +158,9 @@ def cmd_piv(args):
             raise ValueError("o needs --l1 and --l2")
         sol = painleve.piv_solution_o(args.l1, args.l2, args.branch)
     payload = sol.to_json()
-    lines = [f"y(t) = {sol.y.pretty(var='t')}", f"a = {sol.a}, b = {sol.b}"]
+    num, den = (p.pretty("t") for p in sol.t_form())
+    y = num if den == "1" else f"({num}) / ({den})"
+    lines = [f"y(t) = {y}", f"a = {sol.a}, b = {sol.b}"]
     code = 0
     if args.verify:
         rep = painleve.verify_piv(sol)

@@ -6,35 +6,33 @@ fourth Painleve equation
 Each solution is a linear term plus the log-derivative of a ratio h0/hp
 of two pseudo-Wronskians of the generalized-Hermite (GH) or Okamoto (O)
 diagram families, whose chains of flips (``three_cycle``) are Darboux
-steps (``hermite.darboux_step``).  That is one fraction in Z[t]: with
-N = h0' hp - h0 hp' and D = h0 hp, y is N/D, (N - 2tD)/D or
-(3N - 2tD)/(3D), built in Z[t] and reduced once into a ``RatFunc``.
-The GH family substitutes x = t; the O family substitutes x = t/sqrt3.
-Every pseudo-Wronskian h of degree d has the parity of d, so
-3^(d/2) h(t/sqrt3) has integer coefficients, and the scalar 3^(d/2)
-drops out of the log-derivative: no sqrt3 ever appears.
-Verification clears denominators and checks the residual polynomial
+steps (``hermite.darboux_step``).  Each family has its own variable: x = t
+for GH, and x = t/sqrt3 for O, where Y(x) = sqrt3 y(sqrt3 x) solves
+PIV with a factor 3 in its t terms (Clarkson, J. Math. Phys. 44, 2003).
+In it a solution is one fraction in Z[x]: with N = h0' hp - h0 hp' and
+D = h0 hp, it is N/D or (N - 2xD)/D, built in Z[x] and reduced once into
+the ``RatFunc`` PivSolution.y.  With L = 1 for GH and L = 3 for O,
+verification clears denominators and checks the residual polynomial
 
-    2 y y'' - (y')^2 - 3 y^4 - 8 t y^3 - 4 (t^2 - a) y^2 - 2 b = 0
+    2 y y'' - (y')^2 - 3 y^4 - 8 L x y^3 - 4 L (L x^2 - a) y^2 - 2 L^2 b = 0
 
-identically, with no floating point anywhere.  The residual is evaluated
-at one point t = 2^B, with B from a proven bound on its coefficients, so a
-zero value means the zero polynomial and a nonzero value is read back
-exactly as the residual polynomial.  Every solution built here is odd: its
+identically, with no floating point anywhere; at L = 3 it is 9 times the
+residual of PIV at t = sqrt3 x.  The residual is evaluated at one point
+x = 2^B, with B from a proven bound on its coefficients, so a zero value
+means the zero polynomial and a nonzero value is read back exactly as the
+residual polynomial.  Every solution built here is odd: its
 log-derivatives are quotients of definite-parity pseudo-Wronskians and its
-linear term is odd.  The residual of an odd y has only even powers of t,
-so it is a polynomial in t^2 and B needs only half the bits of the bound.
+linear term is odd.  The residual of an odd y has only even powers of x,
+so it is a polynomial in x^2 and B needs only half the bits of the bound.
 
-An O-family y is checked in its own variable x = t/sqrt3.  Its printed
-form in t carries the powers of 3 of the rescaled taus, about a third of
-its coefficient bits; Y(x) = sqrt3 y(sqrt3 x) is (N - 2xD)/D on the
-unscaled taus and has none of them.  Substituting t = sqrt3 x into the
-residual and multiplying by 9 gives
-
-    2 Y Y'' - (Y')^2 - 3 Y^4 - 24 x Y^3 - 12 (3 x^2 - a) Y^2 - 18 b,
-
-the same kernel with a factor 3 in its 8t, 4(t^2 - a) and 2b terms and in
-their share of the bound (see verify_piv).
+The printed form of an O solution is y(t) = Y(t/sqrt3)/sqrt3 in Z[t]
+(PivSolution.t_form).  For Y = N/D odd, coefficient k of N is divided by
+3^((k+1)//2) and of D by 3^(k//2); the half powers of 3 cancel between
+them and the leading 1/sqrt3, and one power of 3 common to all clears the
+denominators.  x -> t/sqrt3 is a ring automorphism of Q(sqrt3)[x], so
+coprime N, D stay coprime, and dividing out the integer content, a power
+of 3, gives the pair that reducing y(t) in Z[t] would, with no polynomial
+gcd.
 
 A tau enters y only through (log h0/hp)' = h0'/h0 - hp'/hp, and
 (log c h)' = (log h)' for a constant c: scaling h0 or hp scales N and D by
@@ -162,7 +160,9 @@ def three_cycle(family: str, params) -> MayaChain:
 
 @dataclass(frozen=True)
 class PivSolution:
-    """Rational solution y(t) with exact parameters (a, b)."""
+    """Rational solution with exact parameters (a, b); y is the reduced
+    fraction in the family's own variable, x = t for GH and x = t/sqrt3
+    for O, where it is Y(x) = sqrt3 y(sqrt3 x)."""
 
     family: str
     params: tuple
@@ -171,9 +171,27 @@ class PivSolution:
     a: Fraction
     b: Fraction
 
+    def t_form(self) -> tuple:
+        """(num, den) of the printed y(t) in Z[t], reduced: one pass of
+        powers of 3 and one division by the integer content (see the module
+        docstring); ArithmeticError when an O fraction is not odd, since
+        then y(t) is not in Q(t)."""
+        n, d = self.y.num, self.y.den
+        if self.family == "gh":
+            return n, d
+        if {n.parity(), d.parity()} != {0, 1}:
+            raise ArithmeticError(f"{self.y!r} is not odd: no image in Z[t]")
+        e = max((n.degree + 1) // 2, d.degree // 2)
+        p3 = [3 ** j for j in range(e + 1)]
+        num = [c * p3[e - (k + 1) // 2] for k, c in enumerate(n.coeffs)]
+        den = [c * p3[e - k // 2] for k, c in enumerate(d.coeffs)]
+        g = gcd(*num, *den)
+        return IntPoly(c // g for c in num), IntPoly(c // g for c in den)
+
     def to_json(self):
+        num, den = self.t_form()
         return {"family": self.family, "params": list(self.params),
-                "branch": self.branch, "y": self.y.to_json(var="t"),
+                "branch": self.branch, "y": {"num": num.to_json("t"), "den": den.to_json("t")},
                 "a": str(self.a), "b": str(self.b)}
 
 
@@ -246,54 +264,55 @@ def _log_ratio(h0: IntPoly, hp: IntPoly) -> tuple:
     return h0.derivative() * hp - h0 * hp.derivative(), h0 * hp
 
 
-def _at_t_over_sqrt3(h: IntPoly) -> IntPoly:
-    """3^(d/2) h(t/sqrt3) for h of degree d: coefficient c_k becomes
-    c_k 3^((d-k)/2), integral because h has definite parity."""
-    if h.parity() is None:
-        raise ArithmeticError(f"mixed parity: {h} has no integral image at t/sqrt3")
-    d = h.degree
-    return IntPoly(c * 3 ** ((d - k) // 2) for k, c in enumerate(h.coeffs))
+def _check_args(p1: int, p2: int, branch: int):
+    if p1 < 0 or p2 < 0:
+        raise ValueError("parameters must be non-negative")
+    if branch not in (1, 2, 3):
+        raise ValueError("branch must be 1, 2 or 3")
+
+
+def _solution(family: str, params: tuple, branch: int, partner: tuple,
+              a: Fraction, b: Fraction) -> PivSolution:
+    """y = (log tau/tau_partner)', minus 2x for GH branch 3 and every O
+    branch, as the one reduced fraction (N - 2xD)/D in Z[x]."""
+    tau = _gh_tau if family == "gh" else _o_tau
+    n, d = _log_ratio(tau(*params), tau(*partner))
+    if family == "o" or branch == 3:
+        n = n - IntPoly((0, 2)) * d
+    y = RatFunc(n, d)
+    if y.is_zero():
+        raise ValueError(f"degenerate parameters: {family}({params[0]},{params[1]}) "
+                         f"branch {branch} gives y = 0")
+    return PivSolution(family, params, branch, y, a, b)
 
 
 def piv_solution_gh(m: int, ell: int, branch: int) -> PivSolution:
     """GH-family solution from the Toda-built taus of _gh_tau; branch picks
     which flip of the cycle leads."""
-    if branch not in (1, 2, 3):
-        raise ValueError("branch must be 1, 2 or 3")
-    if branch == 2 and m <= 0:
-        raise ValueError("branch 2 needs m > 0")
-    if branch == 3 and ell <= 0:
-        raise ValueError("branch 3 needs ell > 0")
-    if m < 0 or ell < 0:
-        raise ValueError("parameters must be non-negative")
+    _check_args(m, ell, branch)
     if branch == 1:
         partner = (m, ell + 1)
         a, b = Fraction(-(1 + m + 2 * ell)), Fraction(-2 * m * m)
     elif branch == 2:
+        if m == 0:
+            raise ValueError("branch 2 needs m > 0")
         partner = (m - 1, ell)
         a, b = Fraction(2 * m + ell - 1), Fraction(-2 * ell * ell)
     else:
+        if ell == 0:
+            raise ValueError("branch 3 needs ell > 0")
         partner = (m + 1, ell - 1)
         a, b = Fraction(ell - m - 1), Fraction(-2 * (m + ell) ** 2)
-    n, d = _log_ratio(_gh_tau(m, ell), _gh_tau(*partner))
-    if branch == 3:
-        n = n - IntPoly((0, 2)) * d
-    y = RatFunc(n, d)
-    if y.is_zero():
-        raise ValueError(f"degenerate parameters: gh({m},{ell}) branch {branch} gives y = 0")
-    return PivSolution("gh", (m, ell), branch, y, a, b)
+    return _solution("gh", (m, ell), branch, partner, a, b)
 
 
 def piv_solution_o(ell1: int, ell2: int, branch: int) -> PivSolution:
-    """O-family solution y = -2t/3 + (log h_0/h_partner)' at x = t/sqrt3,
-    taken on the parity-rescaled Toda-built taus (_o_tau, _at_t_over_sqrt3)."""
-    if branch not in (1, 2, 3):
-        raise ValueError("branch must be 1, 2 or 3")
-    if branch == 1 and (ell1 < 1 or ell2 < 1):
-        raise ValueError("branch 1 needs ell1, ell2 >= 1")
-    if ell1 < 0 or ell2 < 0:
-        raise ValueError("parameters must be non-negative")
+    """O-family solution Y(x) = -2x + (log tau/tau_partner)' in its own
+    variable x = t/sqrt3, from the Toda-built taus of _o_tau."""
+    _check_args(ell1, ell2, branch)
     if branch == 1:
+        if ell1 == 0 or ell2 == 0:
+            raise ValueError("branch 1 needs ell1, ell2 >= 1")
         partner = (ell1 - 1, ell2 - 1)
         a = Fraction(ell1 + ell2)
         b = Fraction(-2, 9) * (1 - 3 * ell1 + 3 * ell2) ** 2
@@ -305,15 +324,13 @@ def piv_solution_o(ell1: int, ell2: int, branch: int) -> PivSolution:
         partner = (ell1, ell2 + 1)
         a = Fraction(-2 - 2 * ell2 + ell1)
         b = Fraction(-2, 9) * (1 + 3 * ell1) ** 2
-    n, d = _log_ratio(_at_t_over_sqrt3(_o_tau(ell1, ell2)), _at_t_over_sqrt3(_o_tau(*partner)))
-    y = RatFunc(3 * n - IntPoly((0, 2)) * d, 3 * d)
-    if y.is_zero():
-        raise ValueError(f"degenerate parameters: o({ell1},{ell2}) branch {branch} gives y = 0")
-    return PivSolution("o", (ell1, ell2), branch, y, a, b)
+    return _solution("o", (ell1, ell2), branch, partner, a, b)
 
 
 @dataclass(frozen=True)
 class PivReport:
+    """The cleared residual of verify_piv, in the solution's own variable."""
+
     residual: IntPoly
 
     @property
@@ -325,38 +342,15 @@ def _norm1(p: IntPoly) -> int:
     return sum(map(abs, p.coeffs))
 
 
-def _at_sqrt3_x(n: IntPoly, d: IntPoly):
-    """Y(x) = sqrt3 y(sqrt3 x) for an odd y = n/d, as a reduced integer pair,
-    or None when n and d do not have opposite definite parities.
-
-    Coefficient k of n gains 3^((k+1)/2) and coefficient k of d gains
-    3^(k/2), rounded down; for opposite parities the half powers of 3
-    cancel between them and the leading sqrt3.  x -> sqrt3 x is a ring
-    automorphism of Q(sqrt3)[x], so coprime n, d stay coprime and only
-    the integer content is left to divide out.
-    """
-    if {n.parity(), d.parity()} != {0, 1}:
-        return None
-    p3 = [3 ** j for j in range(max(n.degree, d.degree) // 2 + 2)]
-    num = [c * p3[(k + 1) >> 1] for k, c in enumerate(n.coeffs)]
-    den = [c * p3[k >> 1] for k, c in enumerate(d.coeffs)]
-    g = gcd(*num, *den)
-    if g != 1:
-        num = [c // g for c in num]
-        den = [c // g for c in den]
-    return IntPoly(num), IntPoly(den)
-
-
-def _residual(n: IntPoly, d: IntPoly, lam2: int, la: Fraction, lb: Fraction) -> IntPoly:
+def _residual(n: IntPoly, d: IntPoly, lam: int, a: Fraction, b: Fraction) -> IntPoly:
     """The denominator-cleared residual of
 
-    2 y y'' - (y')^2 - 3 y^4 - 8 L t y^3 - 4 (L^2 t^2 - la) y^2 - 2 lb
+    2 y y'' - (y')^2 - 3 y^4 - 8 L x y^3 - 4 L (L x^2 - a) y^2 - 2 L^2 b
 
-    at y = n/d, L = lam2, evaluated at one Kronecker point; with la = L a
-    and lb = L^2 b, the equation of PIV at L = 1, and of
-    Y(x) = sqrt3 y(sqrt3 x) at L = 3 (see verify_piv)."""
+    at y = n/d, L = lam, evaluated at one Kronecker point (see verify_piv)."""
     np_, dp = n.derivative(), d.derivative()
     npp, dpp = np_.derivative(), dp.derivative()
+    la, lb = lam * a, lam * lam * b
     scale = lcm(la.denominator, lb.denominator)
     ia = la.numerator * (scale // la.denominator)
     ib = lb.numerator * (scale // lb.denominator)
@@ -364,8 +358,8 @@ def _residual(n: IntPoly, d: IntPoly, lam2: int, la: Fraction, lb: Fraction) -> 
     a0, a1, a2, b0, b1, b2 = map(_norm1, (n, np_, npp, d, dp, dpp))
     w_norm = a1 * b0 + a0 * b1
     bound = (scale * (2 * a0 * ((a2 * b0 + a0 * b2) * b0 + 2 * b1 * w_norm) + w_norm ** 2)
-             + a0 ** 2 * (3 * scale * a0 ** 2 + 8 * lam2 * scale * a0 * b0
-                          + 4 * (lam2 * lam2 * scale + abs(ia)) * b0 ** 2)
+             + a0 ** 2 * (3 * scale * a0 ** 2 + 8 * lam * scale * a0 * b0
+                          + 4 * (lam * lam * scale + abs(ia)) * b0 ** 2)
              + 2 * abs(ib) * b0 ** 4)
     nb = IntPoly.word_bytes(bound)
     # an odd y has an even residual, whose digits span two packing words
@@ -378,8 +372,8 @@ def _residual(n: IntPoly, d: IntPoly, lam2: int, la: Fraction, lb: Fraction) -> 
 
     w = N1 * D - N * D1
     nn, nd, dd = N * N, N * D, D * D
-    quartic = (3 * scale * nn + ((8 * lam2 * scale * nd) << word)
-               + 4 * (((lam2 * lam2 * scale * dd) << (2 * word)) - ia * dd))
+    quartic = (3 * scale * nn + ((8 * lam * scale * nd) << word)
+               + 4 * (((lam * lam * scale * dd) << (2 * word)) - ia * dd))
     value = (N * (2 * scale * ((N2 * D - N * D2) * D - 2 * D1 * w) - N * quartic)
              - scale * w * w - 2 * ib * dd * dd)
     if value == 0:
@@ -394,60 +388,43 @@ def _residual(n: IntPoly, d: IntPoly, lam2: int, la: Fraction, lb: Fraction) -> 
 def verify_piv(sol: PivSolution) -> PivReport:
     """Exact check of the denominator-cleared equation
 
-    2 y y'' - (y')^2 - 3 y^4 - 8 t y^3 - 4 (t^2 - a) y^2 - 2 b = 0.
+    2 y y'' - (y')^2 - 3 y^4 - 8 L x y^3 - 4 L (L x^2 - a) y^2 - 2 L^2 b = 0
 
-    With y = n/d, w = n'd - nd' and a, b scaled to integers by s, the
-    residual is
+    for y = sol.y in its family's variable x: L = 1 for GH, where x = t
+    and this is PIV itself, and L = 3 for O.  There y(x) = sqrt3 u(sqrt3 x)
+    for the solution u(t) of PIV, so u = y/sqrt3, u' = y'/3 and
+    u'' = y''/(3 sqrt3), and the equation is 9 times PIV at t = sqrt3 x:
+    the residual is zero exactly when the t residual is.
+
+    With y = n/d, w = n'd - nd' and L a, L^2 b scaled to integers a, b by
+    s (on the O family 3a and 9b are integers, so s = 1), the residual is
 
         n (2s((n''d - nd'')d - 2d'w) - n q) - s w^2 - 2b d^4,
-        q = 3s n^2 + 8st nd + 4(st^2 - a) d^2.
+        q = 3s n^2 + 8Ls x nd + 4(L^2 s x^2 - a) d^2.
 
-    It is evaluated once at t = xi = 2^(8 h), where multiplying by t is a
-    shift by one word of h bytes.  The 1-norm of a product is at most the
-    product of the 1-norms, so summing that bound over the terms bounds
-    every residual coefficient; it fits in a word of nb bytes.
+    It is evaluated once at x = xi = 2^(8 h), where multiplying by x is a
+    shift by one word of h bytes.  The 1-norm |p| of a product is at most
+    the product of the 1-norms, so every residual coefficient is at most
+
+        s (2|n| ((|n''||d| + |n||d''|)|d| + 2|d'||w|) + |w|^2)
+        + |n|^2 (3s |n|^2 + 8Ls |n||d| + 4(L^2 s + |a|) |d|^2) + 2|b| |d|^4,
+
+    |w| = |n'||d| + |n||d'|, which fits in a word of nb bytes.
 
     When n and d have definite, opposite parities, y is odd: y y'', y'^2,
-    y^4, t y^3 and t^2 y^2 are even, and so is d^4, so the residual is
-    R(t) = sum_j r_2j t^(2j) and R(xi) = sum_j r_2j (2^(16 h))^j.  Its
+    y^4, x y^3 and x^2 y^2 are even, and so is d^4, so the residual is
+    R(x) = sum_j r_2j x^(2j) and R(xi) = sum_j r_2j (2^(16 h))^j.  Its
     digits are then words of 2h bytes, and h = ceil(nb / 2) suffices for
     them; h is raised when needed so that every input coefficient, each
     bounded by its 1-norm, packs into one word.  Any other y keeps h = nb
     and words of h bytes.  Either way each readback word holds every
     residual coefficient, so the value at xi is zero exactly when the
     residual is, and a nonzero value is read back as the residual.
-
-    An odd O-family y is a function of x = t/sqrt3, scaled up to integer
-    coefficients in t, so it is checked in x first.  With t = sqrt3 x and
-    Y(x) = sqrt3 y(sqrt3 x), y = Y/sqrt3, y' = Y'/3 and y'' = Y''/(3 sqrt3),
-    so 9 times the residual at t = sqrt3 x is
-
-        2 Y Y'' - (Y')^2 - 3 Y^4 - 24 x Y^3 - 12 (3 x^2 - a) Y^2 - 18 b:
-
-    the equation above with a factor L = 3 in its 8t, 4(t^2 - a) and 2b
-    terms, which read 8 L x, 4 L (L x^2 - a) and 2 L^2 b.  With a, b
-    standing for L a, L^2 b scaled to integers by s and |p| for the 1-norm,
-    the bound on every residual coefficient is
-
-        s (2|n| ((|n''||d| + |n||d''|)|d| + 2|d'||w|) + |w|^2)
-        + |n|^2 (3s |n|^2 + 8Ls |n||d| + 4(L^2 s + |a|) |d|^2) + 2|b| |d|^4,
-
-    |w| = |n'||d| + |n||d'|, at L = 1 as well.  On the O family 3a and 9b
-    are integers, so s = 1, and Y's coefficients have about a third fewer
-    bits than y's: the powers of 3 of _at_t_over_sqrt3 are gone.  The
-    identity holds for every y, so the family label only picks the cheaper
-    variable and cannot pass a wrong y.  A zero value is the zero
-    residual; a nonzero one, a failed check and only then, is read back on
-    y itself at L = 1, so the report holds the t-form residual.
     """
     n, d = sol.y.num, sol.y.den
     if n.is_zero():
         raise ValueError("y must be nonzero")
-    if sol.family == "o":
-        xy = _at_sqrt3_x(n, d)
-        if xy is not None and _residual(*xy, 3, 3 * sol.a, 9 * sol.b).is_zero():
-            return PivReport(IntPoly())
-    return PivReport(_residual(n, d, 1, sol.a, sol.b))
+    return PivReport(_residual(n, d, 3 if sol.family == "o" else 1, sol.a, sol.b))
 
 
 def piv_catalog(max_param: int):

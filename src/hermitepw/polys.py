@@ -528,16 +528,5 @@ class RatFunc:
             return NotImplemented
         return RatFunc(self.num * k, self.den)
 
-    def pretty(self, var="x"):
-        if self.den == IntPoly.const(1):
-            return self.num.pretty(var)
-        return f"({self.num.pretty(var)}) / ({self.den.pretty(var)})"
-
-    def __str__(self):
-        return self.pretty()
-
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
-
-    def to_json(self, var="x"):
-        return {"num": self.num.to_json(var), "den": self.den.to_json(var)}

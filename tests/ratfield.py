@@ -79,3 +79,13 @@ class Rat(RatFunc):
 def log_diff(h_num, h_den):
     """(log(h_num/h_den))' as a reduced ratio."""
     return Rat(h_num.derivative() * h_den - h_num * h_den.derivative(), h_num * h_den)
+
+
+def at_t_over_sqrt3(h):
+    """3^(d/2) h(t/sqrt3) for h of degree d: coefficient c_k becomes
+    c_k 3^((d-k)/2), integral because h has definite parity.  The O-family
+    taus in t, for the determinant-side oracle of the printed y(t)."""
+    if h.parity() is None:
+        raise ArithmeticError(f"mixed parity: {h} has no integral image at t/sqrt3")
+    d = h.degree
+    return IntPoly(c * 3 ** ((d - k) // 2) for k, c in enumerate(h.coeffs))

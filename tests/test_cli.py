@@ -176,6 +176,13 @@ def test_diagram_needs_exactly_one_notation(capsys, command):
         assert capsys.readouterr().out == ""
 
 
+# a sign is checked before the rules of a branch
+NEGATIVE_PARAMETERS = (
+    ("piv", "--class", "gh", "--m", "-1", "--ell", "2", "--branch", "2"),
+    ("piv", "--class", "o", "--l1", "-1", "--l2", "0", "--branch", "1"),
+)
+
+
 @pytest.mark.parametrize("argv", [
     ("piv", "--class", "o", "--l1", "0", "--l2", "1", "--branch", "1"),
     ("xhermite", "--partition", "2,1", "--n", "2"),
@@ -184,6 +191,7 @@ def test_diagram_needs_exactly_one_notation(capsys, command):
     ("maya", "--partition", "1,2"),
     ("piv", "--class", "gh"),
     ("piv", "catalog", "--max", "-1"),
+    *NEGATIVE_PARAMETERS,
 ])
 def test_invalid_input_exit_code(capsys, argv):
     # exit 1 is reserved for a failed verification
@@ -192,6 +200,8 @@ def test_invalid_input_exit_code(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("hermitepw: error: ")
     assert captured.err.count("\n") == 1
+    if argv in NEGATIVE_PARAMETERS:
+        assert captured.err == "hermitepw: error: parameters must be non-negative\n"
 
 
 def test_internal_fault_is_not_bad_input(capsys, monkeypatch):
@@ -326,7 +336,6 @@ SCRIPT_RUNS = [
     ("shift_equivalence_demo.py", "4,4,3,1,1",
      "origin   9  girth 4  (8,5,4,2 | )             H_std = 3360 * H_shifted   [ok]", "stdout"),
     ("minimal_order_survey.py", "6", "biggest saving: (1,1,1,1,1,1) drops 5 orders", "stdout"),
-    ("piv_catalog_dump.py", "2", "38/38 solutions verified", "stderr"),
 ]
 
 

@@ -19,8 +19,6 @@ from hermitepw.minorder import minimal_girth_of_diagram
 import hermitepw.painleve as painleve
 from hermitepw.painleve import (
     PivSolution,
-    _at_sqrt3_x,
-    _at_t_over_sqrt3,
     _log_ratio,
     _min_order,
     gh_maya,
@@ -35,7 +33,7 @@ from hermitepw.painleve import (
 )
 from hermitepw.polys import InexactDivisionError, IntPoly, RatFunc
 
-from ratfield import Rat, log_diff
+from ratfield import Rat, at_t_over_sqrt3, log_diff
 
 T = IntPoly((0, 1))
 
@@ -261,7 +259,7 @@ class TestSolutions:
                     + Rat(IntPoly((0, 0, 0, 16)), IntPoly((-45, 0, 0, 0, 4)))
                     + Rat(IntPoly.const(1), T)
                     + Rat(IntPoly((0, -4)), IntPoly((-3, 0, 2))))
-        assert sol.y == expected
+        assert sol.t_form() == (expected.num, expected.den)
 
     def test_branch_preconditions(self):
         with pytest.raises(ValueError):
@@ -347,13 +345,15 @@ def kernel_oracle(n, d, lam2, a, b):
 
 
 def residual_oracle(sol):
-    """The residual of verify_piv: the t-form kernel multiplied out."""
-    return kernel_oracle(sol.y.num, sol.y.den, 1, sol.a, sol.b)
+    """The residual of verify_piv: the kernel multiplied out in the
+    solution's own variable, at L = 3 for O and L = 1 for GH."""
+    return kernel_oracle(sol.y.num, sol.y.den, 3 if sol.family == "o" else 1, sol.a, sol.b)
 
 
 def mutants(sol):
-    """A wrong a, a wrong b, the linear term flipped, and y + 1."""
-    linear = Rat(IntPoly((0, -2)), IntPoly.const(1 if sol.family == "gh" else 3))
+    """A wrong a, a wrong b, the linear term -2x flipped, and y + 1, each
+    on the stored fraction."""
+    linear = Rat(IntPoly((0, -2)))
     yield replace(sol, a=sol.a + 1)
     yield replace(sol, b=sol.b - Fraction(1, 3))
     yield replace(sol, y=sol.y - 2 * linear)
@@ -400,8 +400,7 @@ class TestVerifyPivResidual:
     """verify_piv reads its residual back from one Kronecker point."""
 
     def test_catalog_and_mutants_match_oracle(self, catalogs):
-        # the O entries pass in x = t/sqrt3; their failing mutants are read
-        # back in t, so the report is the t-form residual either way
+        # the O entries and their mutants are checked in x = t/sqrt3 at L = 3
         for sol, rep in catalogs[6]:
             assert rep.ok and rep.residual == residual_oracle(sol) == IntPoly()
             for bad in mutants(sol):
@@ -428,7 +427,7 @@ class TestVerifyPivResidual:
 
     @odd_y_cases
     def test_odd_y_matches_oracle_in_x(self, y, a, b):
-        # family "o" takes the x = t/sqrt3 path and its factor-3 bound
+        # family "o" checks at L = 3, with its factor-3 bound
         self._odd_y_matches_oracle("o", y, a, b)
 
     @staticmethod
@@ -463,23 +462,23 @@ O_PARTNER = {1: (-1, -1), 2: (1, 0), 3: (0, 1)}
 
 
 def y_oracle(sol):
-    """y the long way: the log-derivative reduced on its own, then the
-    linear term added in the field and reduced again."""
+    """The printed y(t) the long way, from determinants: the log-derivative
+    (of the taus at t/sqrt3 for O) reduced on its own, then the linear term
+    added in the field and reduced again."""
     diagram, step = (gh_maya, GH_PARTNER) if sol.family == "gh" else (o_maya, O_PARTNER)
     partner = tuple(p + s for p, s in zip(sol.params, step[sol.branch]))
     h0, hp = pseudo_wronskian(diagram(*sol.params)), pseudo_wronskian(diagram(*partner))
     if sol.family == "gh":
         y = log_diff(h0, hp)
         return y - Rat(2 * T) if sol.branch == 3 else y
-    return Rat(-2 * T, IntPoly.const(3)) + log_diff(_at_t_over_sqrt3(h0), _at_t_over_sqrt3(hp))
+    return Rat(-2 * T, IntPoly.const(3)) + log_diff(at_t_over_sqrt3(h0), at_t_over_sqrt3(hp))
 
 
 class TestXForm:
-    """O solutions are verified as Y(x) = sqrt3 y(sqrt3 x), x = t/sqrt3."""
+    """O solutions are stored and verified as Y(x) = sqrt3 y(sqrt3 x), x = t/sqrt3."""
 
     def test_map_is_the_unscaled_log_ratio(self, catalogs):
-        # N, D from the taus themselves, without the powers of 3 of
-        # _at_t_over_sqrt3: Y = -2x + N/D
+        # the stored fraction is -2x + N/D on the determinant taus themselves
         seen = 0
         for sol, _ in catalogs[6]:
             if sol.family != "o":
@@ -487,9 +486,7 @@ class TestXForm:
             partner = tuple(p + s for p, s in zip(sol.params, O_PARTNER[sol.branch]))
             n, d = _log_ratio(pseudo_wronskian(o_maya(*sol.params)),
                               pseudo_wronskian(o_maya(*partner)))
-            want = RatFunc(n - 2 * T * d, d)
-            assert _at_sqrt3_x(sol.y.num, sol.y.den) == (want.num, want.den), \
-                (sol.params, sol.branch)
+            assert sol.y == RatFunc(n - 2 * T * d, d), (sol.params, sol.branch)
             seen += 1
         assert seen == 134
 
@@ -498,25 +495,21 @@ class TestXForm:
         lams = []
         real = painleve._residual
         monkeypatch.setattr(painleve, "_residual",
-                            lambda n, d, lam2, a, b: lams.append(lam2) or real(n, d, lam2, a, b))
+                            lambda n, d, lam, a, b: lams.append(lam) or real(n, d, lam, a, b))
         rep = verify_piv(sol)
         monkeypatch.undo()
         return rep, lams
 
     def test_paths(self, monkeypatch):
-        sol = piv_solution_o(1, 2, 1)
-        rep, lams = self._lams(monkeypatch, sol)
-        assert rep.ok and lams == [3]
-        assert self._lams(monkeypatch, piv_solution_gh(2, 4, 1))[1] == [1]
-        # a failure is read back in t
-        wrong_b = replace(sol, b=sol.b - Fraction(1, 3))
-        rep, lams = self._lams(monkeypatch, wrong_b)
-        assert lams == [3, 1] and rep.residual == residual_oracle(wrong_b)
-        # y + 1 has mixed parity: no image in x, straight to t
-        mixed = replace(sol, y=Rat.of(sol.y) + 1)
-        assert _at_sqrt3_x(mixed.y.num, mixed.y.den) is None
-        rep, lams = self._lams(monkeypatch, mixed)
-        assert lams == [1] and rep.residual == residual_oracle(mixed) != IntPoly()
+        # one kernel call, passing or failing, in the solution's own variable
+        o, gh = piv_solution_o(1, 2, 1), piv_solution_gh(2, 4, 1)
+        for sol, lam in ((o, 3), (gh, 1)):
+            for case in (sol, replace(sol, b=sol.b - Fraction(1, 3)),
+                         replace(sol, y=Rat.of(sol.y) + 1)):
+                rep, lams = self._lams(monkeypatch, case)
+                assert lams == [lam]
+                assert rep.residual == residual_oracle(case)
+                assert rep.ok is (case is sol)
 
     @odd_y_cases
     @example((IntPoly((TOP, 0, TOP, 0, TOP)), IntPoly((0, -TOP, 0, -TOP))),
@@ -527,17 +520,33 @@ class TestXForm:
     @example((IntPoly((1,)), IntPoly((0, 31))), Fraction(0), Fraction(0))
     def test_kernel_at_3_matches_oracle(self, y, a, b):
         n, d = y
-        assert painleve._residual(n, d, 3, 3 * a, 9 * b) == kernel_oracle(n, d, 3, a, b)
+        assert painleve._residual(n, d, 3, a, b) == kernel_oracle(n, d, 3, a, b)
 
     def test_even_y_has_no_image(self):
-        # y = 1/(1 + t^2) and y = t: both parts even, or both odd
-        assert _at_sqrt3_x(IntPoly.const(1), IntPoly((1, 0, 1))) is None
-        assert _at_sqrt3_x(IntPoly((0, 1)), IntPoly((0, 1))) is None
+        # an even Y, 1/(1 + x^2), and the mixed 1/(1 + x) and Y + 1 leave a
+        # sqrt3 in y(t) = Y(t/sqrt3)/sqrt3
+        sol = piv_solution_o(1, 2, 1)
+        for y in (RatFunc(IntPoly.const(1), IntPoly((1, 0, 1))),
+                  RatFunc(IntPoly.const(1), IntPoly((1, 1))), Rat.of(sol.y) + 1):
+            with pytest.raises(ArithmeticError):
+                replace(sol, y=y).t_form()
 
     def test_content_divided_out(self):
-        # y = 3t/(3 + t^2) maps to 9x/(3 + 3x^2) = 3x/(1 + x^2)
-        assert _at_sqrt3_x(IntPoly((0, 3)), IntPoly((3, 0, 1))) == \
-            (IntPoly((0, 3)), IntPoly((1, 0, 1)))
+        # y(t) = Y(t/sqrt3)/sqrt3, by hand: content 3 goes, signs stay, and
+        # each pair is already reduced
+        sol = piv_solution_o(1, 2, 1)
+        cases = [
+            ((IntPoly((0, 3)), IntPoly((1, 0, 3))), (T, IntPoly((1, 0, 1)))),
+            ((IntPoly((1, 0, -2)), T), (IntPoly((3, 0, -2)), IntPoly((0, 3)))),
+            ((IntPoly((0, -1)), IntPoly.const(1)), (IntPoly((0, -1)), IntPoly.const(3))),
+            ((IntPoly.const(-1), T), (IntPoly.const(-1), T)),
+        ]
+        for (n, d), want in cases:
+            got = replace(sol, y=RatFunc(n, d)).t_form()
+            assert got == want == (RatFunc(*got).num, RatFunc(*got).den), (n, d)
+        # GH is already in t
+        gh = piv_solution_gh(2, 4, 1)
+        assert gh.t_form() == (gh.y.num, gh.y.den)
 
 
 @pytest.fixture
@@ -696,7 +705,8 @@ class TestOneReduction:
 
     def test_catalog_matches_field_oracle(self, catalogs):
         for sol, _ in catalogs[6]:
-            assert sol.y == y_oracle(sol), (sol.family, sol.params, sol.branch)
+            want = y_oracle(sol)
+            assert sol.t_form() == (want.num, want.den), (sol.family, sol.params, sol.branch)
 
     def test_one_gcd_per_solution(self, monkeypatch):
         calls = []

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import hermitepw
 import hermitepw.polys as polys
 from hermitepw.hermite import conj_hermite_poly, hermite_poly
-from hermitepw.painleve import _at_t_over_sqrt3, _log_ratio
+from hermitepw.painleve import _log_ratio, piv_solution_o
 from hermitepw.polys import (
     InexactDivisionError,
     IntPoly,
@@ -27,7 +27,7 @@ from hermitepw.polys import (
 
 from conftest import eval_at, int_polys, nonzero_polys, poly_from_json
 import norm_oracle
-from ratfield import Rat
+from ratfield import Rat, at_t_over_sqrt3
 
 X = IntPoly((0, 1))
 
@@ -495,18 +495,20 @@ class TestRatFunc:
         assert f.eval_at(4) == Fraction(1, 4)
 
     def test_json_round_trip(self):
-        f = Rat(IntPoly((1, 2)), IntPoly((0, 0, 3)))
-        assert Rat.from_json(f.to_json()) == f
+        # a PIV solution's JSON y is its printed t form
+        sol = piv_solution_o(1, 2, 1)
+        assert Rat.from_json(sol.to_json()["y"]) == Rat(*sol.t_form())
 
 
 class TestSqrt3:
-    """The O family's substitution x = t/sqrt3 by parity rescaling."""
+    """The O-family taus at t/sqrt3 by parity rescaling: the oracle of the
+    printed y(t) (ratfield.at_t_over_sqrt3)."""
 
     def test_rescaled_log_derivative(self):
         # 3 * H2(t/sqrt3) = 4t^2 - 6, and (1/sqrt3) * (H2'/H2)(t/sqrt3) = 4t / (2t^2 - 3)
         h2 = IntPoly((-2, 0, 4))
-        assert _at_t_over_sqrt3(h2) == IntPoly((-6, 0, 4))
-        got = Rat(*_log_ratio(_at_t_over_sqrt3(h2), IntPoly.const(1)))
+        assert at_t_over_sqrt3(h2) == IntPoly((-6, 0, 4))
+        got = Rat(*_log_ratio(at_t_over_sqrt3(h2), IntPoly.const(1)))
         assert got == Rat(IntPoly((0, 4)), IntPoly((-3, 0, 2)))
 
     @staticmethod
@@ -541,10 +543,10 @@ class TestSqrt3:
             h1 = pseudo_wronskian(MayaDiagram.parse(m1))
             num = h0.derivative() * h1 - h1.derivative() * h0
             den = h0 * h1
-            got = Rat(*_log_ratio(_at_t_over_sqrt3(h0), _at_t_over_sqrt3(h1)))
+            got = Rat(*_log_ratio(at_t_over_sqrt3(h0), at_t_over_sqrt3(h1)))
             for t0 in (1, 2, Fraction(1, 2), -3):
                 assert got.eval_at(t0) == self._oracle(num, den, t0)
 
     def test_mixed_parity_rejected(self):
         with pytest.raises(ArithmeticError):
-            _at_t_over_sqrt3(IntPoly((1, 1)))
+            at_t_over_sqrt3(IntPoly((1, 1)))

@@ -142,11 +142,12 @@ def test_hermite_stays_in_integer_polynomials():
     assert not bad, bad
 
 
-# What polys.RatFunc may define: the reduced value, its printing, and the
-# subtraction and integer scaling of the xh_ladder benchmark check
+# What polys.RatFunc may define: the reduced value, and the subtraction
+# and integer scaling of the xh_ladder benchmark check; a PIV solution is
+# printed from PivSolution.t_form
 RATFUNC_NAMES = {
     "__doc__", "__slots__", "__init__", "_reduce", "is_zero", "__eq__", "__hash__",
-    "__sub__", "__rmul__", "pretty", "__str__", "__repr__", "to_json",
+    "__sub__", "__rmul__", "__repr__",
 }
 
 
@@ -180,9 +181,9 @@ def test_polys_imports_no_fraction():
 
 
 def test_painleve_builds_one_ratfunc_per_solution():
-    # y is built in Z[t] and reduced once: each solution builder calls
-    # RatFunc exactly once, and nothing else names it but the import and
-    # the annotation of PivSolution.y
+    # y is built in Z[x] and reduced once: both solution builders end in
+    # _solution, which calls RatFunc exactly once, and nothing else names
+    # it but the import and the annotation of PivSolution.y
     tree = ast.parse((SRC / "painleve.py").read_text())
     allowed, calls = set(), {}
     for node in tree.body:
@@ -195,7 +196,7 @@ def test_painleve_builds_one_ratfunc_per_solution():
             if found:
                 calls[node.name] = len(found)
                 allowed.update(map(id, found))
-    assert calls == {"piv_solution_gh": 1, "piv_solution_o": 1}, calls
+    assert calls == {"_solution": 1}, calls
     bad = [f"painleve:{node.lineno} names RatFunc" for node in ast.walk(tree)
            if ((isinstance(node, ast.Name) and node.id == "RatFunc")
                or (isinstance(node, ast.Attribute) and node.attr == "RatFunc"))
