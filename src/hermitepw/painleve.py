@@ -173,9 +173,10 @@ class PivSolution:
 
     def t_form(self) -> tuple:
         """(num, den) of the printed y(t) in Z[t], reduced: one pass of
-        powers of 3 and one division by the integer content (see the module
-        docstring); ArithmeticError when an O fraction is not odd, since
-        then y(t) is not in Q(t)."""
+        positive powers of 3, which keeps the sign of y.den's leading
+        coefficient, and one division by the integer content (see the
+        module docstring); ArithmeticError when an O fraction is not odd,
+        since then y(t) is not in Q(t)."""
         n, d = self.y.num, self.y.den
         if self.family == "gh":
             return n, d
