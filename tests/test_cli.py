@@ -95,6 +95,29 @@ def test_xhermite_bytes_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# one member for each case (a)-(d) of the insertion theorem, text then JSON
+@pytest.mark.parametrize("partition, n, text_digest, json_digest", [
+    ("2,2,1,1", "2",
+     "2c0646947f8f4e5cdd9ce3fb0ada85012e594d622dec7471e3973c0a6850e2a2",
+     "9b79e600476a33331f973dc30c9ac2edee0e0ed5bf19fdb0a436d62b329af32e"),
+    ("4,4,1,1", "9",
+     "9177c892d397e8fbbc4ed41f643aeeef25de5302d076c9bd1f596869d66a211f",
+     "d64b1361f1edc6aa96730ef10607039307e90203fb78b8aac42b722ef0788a7c"),
+    ("4,4,1,1", "10",
+     "ff069ecaa85d69760b06bd1f4444a2891a57d93930e88941a78e1755fb277db4",
+     "bcf0bdcf7d763610d5f4297f8ebad5d895f16472d4ce7b7fa77f72a5c8c9f3f2"),
+    ("4,4,1,1", "14",
+     "423b4143ca14bec0ffc7a8079258e235ea50f790dbd26a1772f29c82de1605a7",
+     "178fdff12957c1e50f78030f0af2267fcffd7b5aff1ef606bce4097ec35a5f22"),
+], ids=["a", "b", "c", "d"])
+def test_xhermite_min_order_bytes_pinned(capsys, partition, n, text_digest, json_digest):
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        code, out = run(capsys, "--format", fmt, "xhermite", "--partition", partition,
+                        "--n", n, "--min-order")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_xhermite_failed_eigen_check_exits_1(capsys, monkeypatch):
     # P_5 of (2,2,1,1) off by one is no eigenfunction: a failed
     # verification, reported on one stderr line, not a traceback

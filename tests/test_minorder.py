@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -212,6 +214,17 @@ class TestXhermiteMinOrigin:
         assert xhermite_min_origin(lam2, 11) == (3, 8)
         assert xhermite_min_origin(lam2, 14) == (4, 3)
         assert xhermite_min_origin(lam2, 15) == (4, 3)
+
+    def test_outputs_pinned(self):
+        # every admissible member with |lam| <= 10 and n < |lam| + 30
+        lines = []
+        for lam in all_partitions_up_to(10):
+            m, offset = MayaDiagram.from_partition(lam), lam.size - lam.length
+            lines += [f"{lam}|{n}|{xhermite_min_origin(lam, n)}"
+                      for n in range(lam.size + 30) if n - offset not in m]
+        assert len(lines) == 4170
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "f25c58584ecc3d61d92589f0b9efa5255e4e6471e2c6f09db5fbb7e0cfeffe1b"
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
