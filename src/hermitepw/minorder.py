@@ -15,34 +15,27 @@ diagram: ``hermite.pseudo_wronskian`` evaluates at its smallest origin, and
 ``hermite.check_min_origin`` checks a claimed origin against it.
 ``minimal_girth`` walks the standard diagram of a partition once for the
 minimal girth, its origins and the corner inventory, cross-checked against
-the corner-distance formula; the CLI's ``minorder`` prints that inventory,
-and ``xhermite_min_origin`` takes its two corner labels from it, memoised
-per partition.
+the corner-distance formula; the CLI's ``minorder`` prints that inventory.
 
-Two views of the level sets are needed:
-
-* ``valleys_at_level`` - proper corners only; the reported corner labels
-  k_r are the largest of these, matching the corner-based bookkeeping of
-  the incremental results below.
-* ``girth_level_set`` - every k with g(k) = r, valley or not.  The origin
-  sets produced by ``min_order_after_insert`` come from these: after an
-  insertion, walk points that merely pass through a level can become
-  proper valleys, so restricting to prior valleys would drop origins
-  (checked exhaustively against brute force in the tests).
+How the minimal girth r and its origins change when one element is
+inserted is the theorem of ``_insert``, cases (a)-(d) on the corner labels
+k_r and k_{r+1} (the largest valley at each level).  Its origins come from
+the full level sets L_v = ``girth_level_set``, not from the valleys alone:
+after an insertion, walk points that merely pass through a level can become
+valleys.  ``min_order_after_insert`` applies the theorem to any diagram;
+``xhermite_min_origin`` applies it to the standard diagram of a partition,
+whose theorem inputs are memoised per partition, and picks one origin.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 from .maya import MayaDiagram, Partition
 
 __all__ = [
     "girth_level_set",
-    "valleys_at_level",
-    "corner_label",
     "CornerReport",
     "minimal_girth",
     "minimal_girth_of_diagram",
@@ -72,17 +65,6 @@ def girth_level_set(m: MayaDiagram, r: int):
     r on each side holds every point of level r."""
     lo, walk = _valley_walk(m, max(r, 0))
     return [k for k, g in enumerate(walk, lo) if g == r]
-
-
-def valleys_at_level(m: MayaDiagram, r: int):
-    """Corner origins at girth level r: k with g(k) = r, k-1 in M, k not in M."""
-    return [k for k in girth_level_set(m, r) if (k - 1) in m and k not in m]
-
-
-def corner_label(m: MayaDiagram, r: int) -> Optional[int]:
-    """k_r: the largest corner origin at level r, or None when there is none."""
-    vs = valleys_at_level(m, r)
-    return vs[-1] if vs else None
 
 
 def minimal_girth_of_diagram(m: MayaDiagram):
@@ -188,80 +170,68 @@ class InsertReport:
     origins: tuple     # ascending minimal-girth origins after insertion
 
 
-def min_order_after_insert(m: MayaDiagram, new: int) -> InsertReport:
-    """Minimal girth and origins of M u {new}, by constant-size case analysis.
+def _levels(m: MayaDiagram):
+    """(M, r, k_r, k_{r+1}, L_r, L_{r+1}, L_{r+2}): the inputs of the
+    insertion theorem for M, with r its minimal girth, L_v its girth level
+    sets and k_v the largest valley in L_v (None when L_v has none)."""
+    r, _ = minimal_girth_of_diagram(m)
+    sets = [girth_level_set(m, v) for v in (r, r + 1, r + 2)]
+    k_r, k_r1 = (max((k for k in level if (k - 1) in m and k not in m), default=None)
+                 for level in sets[:2])
+    return (m, r, k_r, k_r1, *sets)
 
-    Cases on the position of ``new`` against the corner labels k_r and
-    k_{r+1}:
+
+def _insert(levels, new: int) -> InsertReport:
+    """Minimal girth and origins of M u {new} from the theorem inputs of M.
+
+    Cases on the position of ``new`` against the corner labels:
       (a) new < k_r:              r-1, origins {k in L_r : k > new}
       (b) new = k_r:              r,   origins {new+1} u {k in L_{r+1} : k > new}
       (c) k_r < new < k_{r+1}:    r,   origins {k in L_{r+1} : k > new}
       (d) otherwise:              r+1, origins L_r u {k in L_{r+2} : k > new}
-    where L_r is the full girth level set.  Agrees with recomputation from
-    scratch; the level sets (not just valleys) are required in (b)-(d).
     """
+    _, r, k_r, k_r1, l_r, l_r1, l_r2 = levels
+    if new < k_r:
+        return InsertReport("a", r - 1, tuple(k for k in l_r if k > new))
+    if new == k_r:
+        return InsertReport("b", r, tuple(sorted({new + 1} | {k for k in l_r1 if k > new})))
+    if k_r1 is not None and new < k_r1:
+        return InsertReport("c", r, tuple(k for k in l_r1 if k > new))
+    return InsertReport("d", r + 1, tuple(sorted({*l_r, *(k for k in l_r2 if k > new)})))
+
+
+def min_order_after_insert(m: MayaDiagram, new: int) -> InsertReport:
+    """Minimal girth and origins of M u {new}, by the constant-size case
+    analysis of ``_insert``; agrees with a search of M u {new}."""
     if new in m:
         raise ValueError(f"{new} is already in the diagram")
-    r, _ = minimal_girth_of_diagram(m)
-    k_r = corner_label(m, r)
-    k_r1 = corner_label(m, r + 1)
-    if new < k_r:
-        case = "a"
-        r2 = r - 1
-        origins = [k for k in girth_level_set(m, r) if k > new]
-    elif new == k_r:
-        case = "b"
-        r2 = r
-        origins = sorted({new + 1} | {k for k in girth_level_set(m, r + 1) if k > new})
-    elif k_r1 is not None and k_r < new < k_r1:
-        case = "c"
-        r2 = r
-        origins = [k for k in girth_level_set(m, r + 1) if k > new]
-    else:
-        case = "d"
-        r2 = r + 1
-        origins = sorted(set(girth_level_set(m, r)) |
-                         {k for k in girth_level_set(m, r + 2) if k > new})
-    return InsertReport(case, r2, tuple(origins))
+    return _insert(_levels(m), new)
 
 
-# Entries of the corner memo: one per exceptional Hermite family in use
-_CORNER_MEMO_SIZE = 16
+# Entries of the theorem-input memo: one per exceptional Hermite family in use
+_LEVELS_MEMO_SIZE = 16
 
 
-@functools.lru_cache(maxsize=_CORNER_MEMO_SIZE)
-def _corners(lam: Partition):
-    """(standard diagram M, r, k_r, k_{r+1}) of a partition: its minimal
-    girth and corner labels, read from the corner inventory of
-    ``minimal_girth``.  Memoised per partition."""
-    report = minimal_girth(lam)
-    labels = {g: k for k, g in report.corners}   # level -> largest valley
-    r = report.r
-    return MayaDiagram.from_partition(lam), r, labels[r], labels.get(r + 1)
+@functools.lru_cache(maxsize=_LEVELS_MEMO_SIZE)
+def _standard_levels(lam: Partition):
+    """``_levels`` of the standard diagram of a partition, memoised."""
+    return _levels(MayaDiagram.from_partition(lam))
 
 
 def xhermite_min_origin(lam: Partition, n: int):
     """(minimal order, one minimal origin) for the degree-n member of the
-    family indexed by lam, via the corner labels of the base diagram.
+    family indexed by lam: the insertion theorem at the position
+    pos = n + length - size in the standard diagram.
 
-    The admissible degrees are those whose insertion position
-    n + length - size is a hole of the standard diagram.  The corner data
-    come from ``_corners``, one ``minimal_girth`` walk per partition.
+    The admissible degrees are those whose pos is a hole of the standard
+    diagram.  Of the theorem's origins the largest below pos is picked, or
+    the largest when none is below, so the member is on the expansion path
+    ``hermite.pseudo_wronskian_with`` whenever an origin allows it.
     """
-    m, r, k_r, k_r1 = _corners(lam)
-    offset = lam.size - lam.length
-    pos = n - offset
-    if n < 0 or pos in m:
+    levels = _standard_levels(lam)
+    pos = n - (lam.size - lam.length)
+    if n < 0 or pos in levels[0]:
         raise ValueError(f"degree {n} is not admissible for {lam}")
-    if k_r1 is not None and k_r1 > k_r:
-        if n < k_r + offset:
-            return r - 1, k_r
-        if n < k_r1 + offset:
-            return r, k_r1
-        return r + 1, k_r
-    else:
-        if n < k_r + offset:
-            return r - 1, k_r
-        if n == k_r + offset:
-            return r, k_r + 1
-        return r + 1, k_r
+    rep = _insert(levels, pos)
+    below = [k for k in rep.origins if k < pos]
+    return rep.r, (below or rep.origins)[-1]

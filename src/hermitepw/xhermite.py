@@ -20,8 +20,8 @@ Each request on a family member builds its pieces once.  The family (with
 its standard diagram, a cached property), the weight Wronskian W of a
 partition and the record of (lam, n) each sit behind a fixed 16-entry
 ``functools.lru_cache``.  The record holds P_n and its ``MinOrderForm``,
-built together at the minimal origin k that the corner rule
-(``minorder.xhermite_min_origin``) gives and one minimal-girth search
+built together at the minimal origin k that ``minorder.xhermite_min_origin``
+picks from the insertion theorem's origins and one minimal-girth search
 confirms.  At k the matrix of P_n is the family's fixed rows plus one row
 D^j H_(pos-k); when pos >= k, P_n comes from the Laplace expansion along
 that row (``hermite.pseudo_wronskian_with``), whose cofactors belong to
@@ -120,8 +120,8 @@ def exceptional_hermite(lam: Partition, n: int) -> IntPoly:
     """The degree-n family member: the defining Wronskian, which is
     ``insertion_sign`` times the pseudo-Wronskian of the enlarged diagram.
     It is read from the member's memoised record (``_member``), built at
-    minimal order; a corner-rule origin that the minimal-girth search does
-    not confirm raises ArithmeticError."""
+    minimal order; an origin that the minimal-girth search does not confirm
+    raises ArithmeticError."""
     return _member(lam, n)[0]
 
 
@@ -211,7 +211,8 @@ def min_order_form(lam: Partition, n: int) -> MinOrderForm:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _member(lam: Partition, n: int):
     """(P_n, its MinOrderForm), built once per (lam, n) at the minimal
-    origin k that ``xhermite_min_origin`` gives by the corner rule.
+    origin k that ``xhermite_min_origin`` picks, which also rejects an
+    inadmissible degree.
 
     One minimal-girth search of the enlarged diagram M u {pos} confirms the
     claim (order, k), or raises ArithmeticError.  At that origin the
@@ -223,10 +224,8 @@ def _member(lam: Partition, n: int):
     P_n = insertion_sign * ratio * H_(M u {pos} - k), with the exact shift
     ratio, in one division that raises on a remainder.
     """
-    fam = _family(lam)
-    if not fam.is_admissible(n):
-        raise ValueError(f"degree {n} is not admissible for {lam}")
     order, origin = xhermite_min_origin(lam, n)
+    fam = _family(lam)
     pos = fam.insertion_position(n)
     enlarged = fam.diagram.add(pos)
     if pos >= origin:

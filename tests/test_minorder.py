@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 import hermitepw.minorder as minorder
 from hermitepw.maya import MayaDiagram, Partition
 from hermitepw.minorder import (
-    corner_label,
     durfee_symbol,
     girth_level_set,
     inside_corners,
     min_order_after_insert,
     minimal_girth,
     minimal_girth_of_diagram,
-    valleys_at_level,
     xhermite_min_origin,
 )
 
@@ -27,6 +25,11 @@ def brute_minimum(m):
     vals = {k: m.shift(-k).girth for k in range(lo, hi + 1)}
     r = min(vals.values())
     return r, [k for k in range(lo, hi + 1) if vals[k] == r]
+
+
+def corner_label(lam, v):
+    # k_v from the corner inventory: the largest valley at girth level v
+    return max((k for k, g in minimal_girth(lam).corners if g == v), default=None)
 
 
 class TestGirth:
@@ -74,21 +77,25 @@ class TestMinimalGirth:
 
 class TestLevelSets:
     def test_levels_vs_valleys(self):
-        m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
+        lam = Partition((2, 2, 1, 1))
+        m = MayaDiagram.from_partition(lam)
         assert girth_level_set(m, 2) == [6]
         assert girth_level_set(m, 3) == [3, 5, 7]
-        assert valleys_at_level(m, 3) == [3]
-        assert corner_label(m, 3) == 3
-        assert corner_label(m, 2) == 6
+        assert [k for k, g in minimal_girth(lam).corners if g == 3] == [3]
+        assert corner_label(lam, 3) == 3
+        assert corner_label(lam, 2) == 6
+        assert minorder._levels(m)[1:5] == (2, 6, 3, [6])
 
     def test_corner_labels_golden(self):
-        m = MayaDiagram.from_partition(Partition((4, 4, 1, 1)))
-        assert corner_label(m, 3) == 3
-        assert corner_label(m, 4) == 8
+        lam = Partition((4, 4, 1, 1))
+        assert corner_label(lam, 3) == 3
+        assert corner_label(lam, 4) == 8
+        assert minorder._levels(MayaDiagram.from_partition(lam))[1:4] == (3, 3, 8)
 
     def test_empty_level(self):
+        # r = 0 at the one valley 0; level 1 holds -1 and 1, neither a valley
         m = MayaDiagram.parse("|")
-        assert corner_label(m, 1) is None
+        assert minorder._levels(m) == (m, 0, 0, None, [0], [-1, 1], [-2, 2])
 
     @given(diagrams, st.integers(min_value=-6, max_value=6),
            st.integers(min_value=0, max_value=13))
@@ -191,6 +198,24 @@ class TestInsert:
             assert list(rep.origins) == origins, (m, new)
         assert all(v > 0 for v in seen.values()), seen
 
+    def test_theorem_exhaustive(self):
+        # every family member with |lam| <= 12 and n < |lam| + 40: the four
+        # cases against a search of the enlarged diagram, and the pick rule
+        seen = {"a": 0, "b": 0, "c": 0, "d": 0}
+        for lam in all_partitions_up_to(12):
+            m, offset = MayaDiagram.from_partition(lam), lam.size - lam.length
+            for n in range(lam.size + 40):
+                pos = n - offset
+                if pos in m:
+                    continue
+                rep = min_order_after_insert(m, pos)
+                seen[rep.case] += 1
+                r, origins = minimal_girth_of_diagram(m.add(pos))
+                assert (rep.r, list(rep.origins)) == (r, origins), (lam, n)
+                pick = max((k for k in origins if k < pos), default=origins[-1])
+                assert xhermite_min_origin(lam, n) == (r, pick), (lam, n)
+        assert seen == {"a": 429, "b": 272, "c": 98, "d": 10081}
+
     def test_monotone_by_one(self, rng):
         for _ in range(120):
             m = random_diagram(rng, max_girth=5, max_val=9)
@@ -234,9 +259,7 @@ class TestXhermiteMinOrigin:
 
     def test_large_n_tail(self):
         for lam in (Partition((2, 1)), Partition((3, 3)), Partition((2, 2, 2))):
-            m = MayaDiagram.from_partition(lam)
-            r, _ = minimal_girth_of_diagram(m)
-            k_r = corner_label(m, r)
+            _, r, k_r, *_ = minorder._levels(MayaDiagram.from_partition(lam))
             n = 40
             assert xhermite_min_origin(lam, n) == (r + 1, k_r)
 
@@ -254,23 +277,32 @@ class TestXhermiteMinOrigin:
             assert origin in rep.origins, (lam, n, origin, rep)
 
     def test_corner_data_from_one_walk(self):
-        # the memoised (M, r, k_r, k_{r+1}) against the three-walk search
+        # the memoised record against the corner inventory of minimal_girth's
+        # one walk and the level sets
         for lam in all_partitions_up_to(10):
             m = MayaDiagram.from_partition(lam)
-            r, _ = minimal_girth_of_diagram(m)
-            assert minorder._corners(lam) == (m, r, corner_label(m, r), corner_label(m, r + 1))
+            r = minimal_girth(lam).r
+            levels = [girth_level_set(m, v) for v in (r, r + 1, r + 2)]
+            assert minorder._standard_levels(lam) == (
+                m, r, corner_label(lam, r), corner_label(lam, r + 1), *levels)
 
     def test_fifty_calls_walk_the_base_diagram_once(self, monkeypatch):
-        walks = []
-        real = MayaDiagram.girth_walk
+        # the record is built once, from walks of the base diagram only, and
+        # no later call walks at all
+        walks, builds = [], []
+        real_walk, real_levels = MayaDiagram.girth_walk, minorder._levels
         monkeypatch.setattr(MayaDiagram, "girth_walk",
-                            lambda m, lo, hi: walks.append(m) or real(m, lo, hi))
+                            lambda m, lo, hi: walks.append(m) or real_walk(m, lo, hi))
+        monkeypatch.setattr(minorder, "_levels", lambda m: builds.append(m) or real_levels(m))
         lam = Partition((4, 4, 1, 1))
         m, offset = MayaDiagram.from_partition(lam), lam.size - lam.length
         degrees = [n for n in range(80) if n - offset not in m][:50]
-        minorder._corners.cache_clear()
-        for n in degrees:
+        minorder._standard_levels.cache_clear()
+        xhermite_min_origin(lam, degrees[0])
+        first = len(walks)
+        for n in degrees[1:]:
             xhermite_min_origin(lam, n)
         assert len(degrees) == 50
-        assert walks == [MayaDiagram.from_partition(lam)]
-        assert minorder._corners.cache_info().maxsize == 16
+        assert builds == [m]
+        assert first > 0 and walks == [m] * first
+        assert minorder._standard_levels.cache_info().maxsize == 16

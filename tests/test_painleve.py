@@ -1,6 +1,8 @@
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+import itertools
 import math
 from math import lcm
 import sys
@@ -698,6 +700,34 @@ class TestMurata:
         assert not bad, bad
         points = [(sol.a, sol.b) for sol, _ in entries]
         assert len(set(points)) == len(points)
+
+    def test_box_coverage(self):
+        # how often the builders, at parameters <= 6, reach each Murata point
+        # of the box |a| <= 4, |2n - a + off| <= 4 (off = 1 for type I, 1/3
+        # for type III); bounds 4 to 12 give the same coverage
+        hits = Counter()
+        for builder in (piv_solution_gh, piv_solution_o):
+            for p1, p2, branch in itertools.product(range(7), range(7), (1, 2, 3)):
+                try:
+                    sol = builder(p1, p2, branch)
+                except ValueError:
+                    continue
+                hits[sol.a, sol.b] += 1
+        third = Fraction(1, 3)
+        missing = {
+            "I": {(Fraction(a), 0) for a in (-3, -1, 1, 3)},
+            "III": {(Fraction(a), Fraction(b, 9)) for a, b in (
+                (0, -2), (1, -8), (1, -32), (2, -50), (2, -98), (3, -128), (3, -200),
+                (4, -242))},
+        }
+        for kind, off, size in (("I", 1, 22), ("III", third, 36)):
+            # k = 2n - a, so k and a have one parity
+            box = {(Fraction(a), -2 * (k + off) ** 2)
+                   for a in range(-4, 5) for k in range(-5, 5)
+                   if (k - a) % 2 == 0 and abs(k + off) <= 4}
+            assert len(box) == size, kind
+            assert {p: hits[p] for p in box if hits[p] != 1} == \
+                dict.fromkeys(missing[kind], 0), kind
 
 
 class TestOneReduction:
