@@ -22,9 +22,10 @@ g_i = e^{x^2} th_{s_i},
     det[A^j th_{s_i}] = det[e^{-x^2} D^j g_i] = e^{-p x^2} Wr[g_i]
                       = e^{-p x^2} e^{p x^2} Wr[th_{s_i}] = Wr[th_{s_i}],
 
-whatever the s_i.  Its rows D^j th_s = 2^j s!/(s-j)! th_{s-j} vanish for
-j > s, so when the smallest s are 0, 1, 2, ... their rows are zero right
-of the diagonal and ``det`` skips their elimination steps.
+whatever the s_i.  Its rows D^j th_s = 2^j s!/(s-j)! th_{s-j}, like the
+rows D^j H_t of the defining matrix, vanish for j > s and hold a constant
+at j = s, so ``det`` expands along the rows of small s before it
+eliminates, wherever those s fall.
 ``pure_conjugate_wronskian`` builds these rows, and
 ``_direct_pseudo_wronskian`` evaluates every s-only diagram through it;
 every other diagram takes the determinant of ``pseudo_wronskian_matrix``,
@@ -173,12 +174,13 @@ def hermite_wronskian(indices):
 def _derivative_row(family, n, width):
     """[D^j P_n for j < width] for P = H or th (``family`` is its memo):
     D^j P_n = 2^j n!/(n-j)! P_{n-j}, zero for j > n; the factor scales the
-    memoised P_{n-j}, with no derivative chain."""
+    memoised P_{n-j}, with no derivative chain, and the scaled tuple, still
+    trimmed, is wrapped as it is by ``IntPoly._trimmed``."""
     row, c = [], 1
-    for j in range(width):
-        row.append(c * family(n - j) if j <= n else IntPoly())
+    for j in range(min(width, n + 1)):
+        row.append(IntPoly._trimmed(tuple([c * x for x in family(n - j).coeffs])))
         c *= 2 * (n - j)
-    return row
+    return row + [IntPoly()] * (width - len(row))
 
 
 def _defining_rows(m: MayaDiagram, width):

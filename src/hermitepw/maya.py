@@ -146,10 +146,20 @@ class MayaDiagram:
         return cls((), tuple(sorted(filled_nonneg, reverse=True)))
 
     @classmethod
+    def _of(cls, s, t):
+        """The diagram (s | t) of two tuples known to be strictly
+        decreasing and non-negative, without the checks of the public
+        constructor, which receives outside input."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "s", s)
+        object.__setattr__(m, "t", t)
+        return m
+
+    @classmethod
     def from_partition(cls, p: Partition):
         """Standard-form diagram of a partition: m_i = lambda_i + length - i."""
         ell = p.length
-        return cls((), tuple(p.parts[i] + ell - (i + 1) for i in range(ell)))
+        return cls._of((), tuple([part + ell - i for i, part in enumerate(p.parts, 1)]))
 
     # -- membership and enumeration -------------------------------------
 
@@ -214,20 +224,26 @@ class MayaDiagram:
     # -- shifts ----------------------------------------------------------
 
     def shift(self, k):
-        """The diagram M + k."""
+        """The diagram M + k.
+
+        For k > 0 each t moves up by k, each m in [-k, 0) crosses the
+        origin to m + k and is an element there when -m-1 is not in s, and
+        the holes of s at or above k stay below it; k < 0 is the mirror
+        image with s and t exchanged.  Both tuples are built descending, so
+        the result skips the checks of the public constructor.
+        """
         k = int(k)
         if k == 0:
             return self
-        new_t = [v + k for v in self.t if v + k >= 0]
+        s, t = self.s, self.t
         if k > 0:
-            holes_set = set(-v - 1 for v in self.s)
-            new_t.extend(m + k for m in range(-k, 0) if m not in holes_set)
-        new_s = [-(h + k) - 1 for h in (-v - 1 for v in self.s) if h + k < 0]
-        if k < 0:
-            filled = set(self.t)
-            new_s.extend(-(j + k) - 1 for j in range(0, -k) if j not in filled)
-        return MayaDiagram(tuple(sorted(new_s, reverse=True)),
-                           tuple(sorted(new_t, reverse=True)))
+            new_t = tuple([v + k for v in t] + [k - 1 - d for d in range(k) if d not in s])
+            new_s = tuple([v - k for v in s if v >= k])
+        else:
+            j = -k
+            new_s = tuple([v + j for v in s] + [j - 1 - d for d in range(j) if d not in t])
+            new_t = tuple([v - j for v in t if v >= j])
+        return MayaDiagram._of(new_s, new_t)
 
     def standardize(self):
         """Return (D, k) with D = M - k in standard form and k = min(Z \\ M)."""

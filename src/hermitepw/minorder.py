@@ -9,13 +9,16 @@ the two degenerate corners, and every minimal-girth origin is a valley.
 Below min(Z \\ M) the walk only falls and past max(M) it only rises, so
 every valley lies in [min_hole, max_element + 1].
 
-Every walk here runs over that window, written once in ``_valley_walk``.
+``_valleys`` lists the valleys without walking the window: it visits only
+the points next to an entry of s or t and the origin, where membership can
+change, so its cost is O(|s| + |t|) however far apart the entries lie.
 ``minimal_girth_of_diagram`` is the one minimal-girth search of a labelled
 diagram: ``hermite.pseudo_wronskian`` evaluates at its smallest origin, and
 ``hermite.check_min_origin`` checks a claimed origin against it.
-``minimal_girth`` walks the standard diagram of a partition once for the
-minimal girth, its origins and the corner inventory, cross-checked against
-the corner-distance formula; the CLI's ``minorder`` prints that inventory.
+``minimal_girth`` reads the same valleys of the standard diagram of a
+partition for the minimal girth, its origins and the corner inventory,
+cross-checked against the corner-distance formula; the CLI's ``minorder``
+prints that inventory.
 
 How the minimal girth r and its origins change when one element is
 inserted is the theorem of ``_insert``, cases (a)-(d) on the corner labels
@@ -49,29 +52,44 @@ __all__ = [
 ]
 
 
-def _valley_walk(m: MayaDiagram, widen=0):
-    """(lo, [girth(M - k) for k = lo, lo + 1, ...]) over the window
-    [min_hole, max_element + 1] widened by ``widen`` on each side.
+def _valleys(m: MayaDiagram):
+    """[(k, girth(M - k))] for every valley k (k - 1 in M, k not in M),
+    ascending, in O(|s| + |t|) steps and one sort of as many points.
 
-    The unwidened window holds every valley; outside it the walk moves
-    away from its minimum by 1 per step.
+    Membership changes only at a hole -v-1 (v in s), at an element of t,
+    one past either, or at the origin, so between consecutive such points
+    the walk is straight: down by 1 per element, up by 1 per hole.  Below
+    the first point every integer is an element and no hole lies.
     """
-    lo = m.min_hole() - widen
-    return lo, m.girth_walk(lo, m.max_element() + 1 + widen)
+    holes, filled = {-v - 1 for v in m.s}, set(m.t)
+    points = sorted({0, *holes, *filled, *(h + 1 for h in holes), *(v + 1 for v in filled)})
+    g = len(m.t) - len(m.s) - points[0]
+    out, prev, before = [], points[0], True
+    for k in points:
+        g += prev - k if before else k - prev
+        here = k in filled if k >= 0 else k not in holes
+        if before and not here:
+            out.append((k, g))
+        prev, before = k, here
+    return out
 
 
 def girth_level_set(m: MayaDiagram, r: int):
-    """All k with girth(M - k) = r, ascending: the valley window widened by
-    r on each side holds every point of level r."""
-    lo, walk = _valley_walk(m, max(r, 0))
+    """All k with girth(M - k) = r, ascending: the valley window
+    [min_hole, max_element + 1] widened by r on each side holds every
+    point of level r, since outside that window the walk moves away from
+    its minimum by 1 per step."""
+    lo = m.min_hole() - max(r, 0)
+    walk = m.girth_walk(lo, m.max_element() + 1 + max(r, 0))
     return [k for k, g in enumerate(walk, lo) if g == r]
 
 
 def minimal_girth_of_diagram(m: MayaDiagram):
-    """(minimal girth, ascending list of all minimal-girth origins)."""
-    lo, walk = _valley_walk(m)
-    r = min(walk)
-    return r, [k for k, g in enumerate(walk, lo) if g == r]
+    """(minimal girth, ascending list of all minimal-girth origins), from
+    the valleys alone."""
+    valleys = _valleys(m)
+    r = min(g for _, g in valleys)
+    return r, [k for k, g in valleys if g == r]
 
 
 @dataclass(frozen=True)
@@ -89,17 +107,15 @@ def minimal_girth(lam: Partition) -> CornerReport:
     Cross-checked internally against min over j of lambda_{j+1} + j, the
     corner-distance formula (j = 0..length).
     """
-    m = MayaDiagram.from_partition(lam)
-    # the search window holds every valley, so one walk gives r, its
+    # every minimal-girth origin is a valley, so the valleys give r, its
     # origins and the corners
-    lo, walk = _valley_walk(m)
-    r = min(walk)
+    corners = tuple(_valleys(MayaDiagram.from_partition(lam)))
+    r = min(g for _, g in corners)
     formula = min(lam.part(j + 1) + j for j in range(lam.length + 1))
     if r != formula:
         raise ArithmeticError(f"minimal girth {r} of {lam} disagrees with the "
                               f"corner-distance formula {formula}")
-    origins = tuple(k for k, g in enumerate(walk, lo) if g == r)
-    corners = tuple((k, g) for k, g in enumerate(walk, lo) if (k - 1) in m and k not in m)
+    origins = tuple(k for k, g in corners if g == r)
     return CornerReport(r, origins, corners)
 
 

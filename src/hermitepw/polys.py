@@ -178,6 +178,14 @@ class IntPoly:
     def const(cls, c):
         return cls((int(c),))
 
+    @classmethod
+    def _trimmed(cls, coeffs):
+        """The polynomial of a tuple already trimmed, taken without a copy;
+        a trimmed polynomial times a nonzero integer stays trimmed."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
     # -- basic structure ----------------------------------------------
 
     @property
@@ -249,7 +257,7 @@ class IntPoly:
         if isinstance(other, int):
             if other == 0:
                 return IntPoly()
-            return IntPoly(tuple(c * other for c in self.coeffs))
+            return IntPoly._trimmed(tuple([c * other for c in self.coeffs]))
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs

@@ -13,7 +13,13 @@ from hermitepw.maya import (
     rim,
 )
 
-from conftest import all_partitions_up_to, diagrams, partitions, random_partition
+from conftest import (
+    all_partitions_up_to,
+    diagrams,
+    frobenius_sides,
+    partitions,
+    random_partition,
+)
 
 
 def _bent_points(m, lo, hi):
@@ -61,8 +67,12 @@ class TestPartition:
 
 class TestMayaBasics:
     def test_validation(self):
+        # outside input; shift and from_partition build their results
+        # without these checks
         with pytest.raises(ValueError):
             MayaDiagram((1, 2), ())
+        with pytest.raises(ValueError):
+            MayaDiagram((1, 1), ())
         with pytest.raises(ValueError):
             MayaDiagram((), (2, 2))
         with pytest.raises(ValueError):
@@ -104,7 +114,9 @@ class TestPartitionBijection:
 
     def test_round_trip_exhaustive(self):
         for lam in all_partitions_up_to(12):
-            assert MayaDiagram.from_partition(lam).partition() == lam
+            m = MayaDiagram.from_partition(lam)
+            assert m.partition() == lam
+            assert MayaDiagram(m.s, m.t) == m
 
     def test_round_trip_randomized_large(self):
         rng = random.Random(31337)
@@ -131,6 +143,17 @@ class TestShift:
     @given(diagrams, st.integers(min_value=-15, max_value=15))
     def test_shift_inverse(self, m, k):
         assert m.shift(k).shift(-k) == m
+
+    @given(st.builds(MayaDiagram, frobenius_sides(6, 14), frobenius_sides(6, 14)),
+           st.integers(min_value=-15, max_value=15))
+    @settings(max_examples=300)
+    def test_shift_matches_membership(self, m, k):
+        # shift builds its Frobenius symbol without the constructor's checks:
+        # the result must be the diagram {x + k : x in M}, and a valid one
+        shifted = m.shift(k)
+        assert all((x + k in shifted) == (x in m) for x in range(-40, 41))
+        rebuilt = MayaDiagram(shifted.s, shifted.t)
+        assert rebuilt == shifted and hash(rebuilt) == hash(shifted)
 
     def test_standardize(self):
         m = MayaDiagram.parse("5,2,1|2,1")

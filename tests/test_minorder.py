@@ -74,6 +74,34 @@ class TestMinimalGirth:
         rep = minimal_girth(Partition((2, 2, 1, 1)))
         assert rep.corners == ((0, 4), (3, 3), (6, 2))
 
+    def test_valleys_match_the_full_walk_exhaustive(self):
+        # the valleys come from the entries of (s | t) alone; the full walk
+        # over a window wider than [min_hole, max_element + 1] is the oracle,
+        # for every partition of size <= 12 at every origin of that window
+        cases = 0
+        for lam in all_partitions_up_to(12):
+            std = MayaDiagram.from_partition(lam)
+            for j in range(std.min_hole() - 1, std.max_element() + 3):
+                m = std.shift(-j)
+                lo, hi = m.min_hole() - 3, m.max_element() + 4
+                walk = dict(zip(range(lo, hi + 1), m.girth_walk(lo, hi)))
+                valleys = [(k, g) for k, g in walk.items() if k - 1 in m and k not in m]
+                r = min(walk.values())
+                assert minorder._valleys(m) == valleys, (lam, j)
+                assert minimal_girth_of_diagram(m) == (r, [k for k, g in walk.items() if g == r])
+                cases += 1
+            rep = minimal_girth(lam)
+            assert list(rep.corners) == minorder._valleys(std)
+        assert cases == 3238
+
+    def test_valley_search_does_not_walk(self, monkeypatch):
+        # its cost follows the Frobenius symbol, not the distance between
+        # its entries: the girth walk is never taken
+        monkeypatch.setattr(MayaDiagram, "girth_walk", None)
+        m = MayaDiagram((3,), (10 ** 6, 2))
+        assert minimal_girth_of_diagram(m) == (3, [0])
+        assert minorder._valleys(m) == [(-4, 5), (0, 3), (3, 4), (10 ** 6 + 1, 10 ** 6)]
+
 
 class TestLevelSets:
     def test_levels_vs_valleys(self):

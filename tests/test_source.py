@@ -129,6 +129,41 @@ def test_no_runtime_dependency():
     assert project["dependencies"] == []
 
 
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_setting_is_read_from_the_environment():
+    # the library has no knobs: its constants (the determinant's clearing
+    # bound, the memo sizes) are fixed in the source, so no module reads
+    # os.environ or os.getenv
+    found = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_NAMES:
+                found.append(f"{path.stem}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.stem}:{node.lineno} from os import {a.name}"
+                          for a in node.names if a.name in _ENVIRONMENT_NAMES | {"*"}]
+    assert not found, found
+
+
+@pytest.mark.parametrize("source, ok", [
+    ("import os\nSEP = os.sep\n", True),
+    ("import os\nN = int(os.environ.get('N', 2))\n", False),
+    ("import os\nN = os.getenv('N')\n", False),
+    ("from os import environ\n", False),
+    ("from os import getenv as g\n", False),
+], ids=["sep", "environ", "getenv", "import_environ", "import_getenv"])
+def test_environment_guard_reads_its_cases(monkeypatch, tmp_path, source, ok):
+    (tmp_path / "m.py").write_text(source)
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    if ok:
+        test_no_setting_is_read_from_the_environment()
+    else:
+        with pytest.raises(AssertionError):
+            test_no_setting_is_read_from_the_environment()
+
+
 def test_hermite_stays_in_integer_polynomials():
     # Darboux steps are checked as identities in Z[x]: hermite never
     # builds a rational function
