@@ -25,8 +25,9 @@ g_i = e^{x^2} th_{s_i},
 whatever the s_i.  Its rows D^j th_s = 2^j s!/(s-j)! th_{s-j}, like the
 rows D^j H_t of the defining matrix, vanish for j > s and hold a constant
 at j = s, so ``det`` expands along the rows of small s before it
-eliminates, wherever those s fall.
-``pure_conjugate_wronskian`` builds these rows, and
+eliminates, wherever those s fall.  ``_derivative_row`` builds each row
+of either family once per (family, n, width), under a bounded memo.
+``pure_conjugate_wronskian`` reads these rows, and
 ``_direct_pseudo_wronskian`` evaluates every s-only diagram through it;
 every other diagram takes the determinant of ``pseudo_wronskian_matrix``,
 which stays the defining matrix.
@@ -52,10 +53,12 @@ one entry serves every shift of it) and rescales it exactly.
 ``min_order_at`` checks a claimed minimal origin against one such search
 and rescales from the same smallest origin, returning the shifted
 diagram, the ratio and its polynomial.  The checks ``verify_equivalence``,
-``one_step_shift_check`` and ``conjugate_wronskian_identity`` compute the
+``one_step_shift_check`` and ``conjugate_wronskian_identity`` take the
 determinants at their own orders instead (the Wronskian form for s-only
-diagrams), so the identity is always tested against determinants it did
-not produce.
+diagrams).  ``verify_equivalence`` may read a side at its smallest
+minimal-girth origin from the memo, which holds that side's direct
+determinant, but never a rescaled one; so the identity is always tested
+against determinants it did not produce.
 
 Adding one element t >= 0 to a diagram B adds one row to its matrix, so
 the Laplace expansion along that row gives
@@ -171,16 +174,25 @@ def hermite_wronskian(indices):
     return wronskian([hermite_poly(i) for i in indices])
 
 
+# Entries of the derivative-row memo, keyed by (family, n, width).  One
+# shift_sweep pass reads 323-347 distinct rows (seeds 7-101), about 0.7 MB;
+# 512 holds them all, where 256 rebuilds some.
+_ROW_MEMO_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_ROW_MEMO_SIZE)
 def _derivative_row(family, n, width):
-    """[D^j P_n for j < width] for P = H or th (``family`` is its memo):
+    """(D^j P_n for j < width) for P = H or th (``family`` is its memo):
     D^j P_n = 2^j n!/(n-j)! P_{n-j}, zero for j > n; the factor scales the
     memoised P_{n-j}, with no derivative chain, and the scaled tuple, still
-    trimmed, is wrapped as it is by ``IntPoly._trimmed``."""
+    trimmed, is wrapped as it is by ``IntPoly._trimmed``.  The row is an
+    immutable tuple, built only up to ``width``; a caller that needs a list
+    copies it."""
     row, c = [], 1
     for j in range(min(width, n + 1)):
         row.append(IntPoly._trimmed(tuple([c * x for x in family(n - j).coeffs])))
         c *= 2 * (n - j)
-    return row + [IntPoly()] * (width - len(row))
+    return tuple(row) + (IntPoly(),) * (width - len(row))
 
 
 def _defining_rows(m: MayaDiagram, width):
@@ -399,12 +411,25 @@ class EquivalenceReport:
         }
 
 
+def _direct_side(m: MayaDiagram, smallest: int) -> IntPoly:
+    """H_M as the direct determinant at M's own order, where ``smallest``
+    is M's smallest minimal-girth origin.  At 0 it is read through
+    ``_minimal_determinant``, which holds exactly that determinant; any
+    other M is computed and kept out of the memo."""
+    if smallest == 0:
+        return _minimal_determinant(m)
+    return _direct_pseudo_wronskian(m)
+
+
 def verify_equivalence(m: MayaDiagram, k: int) -> EquivalenceReport:
-    """Compute H_M and H_{M-k} as direct determinants and check the scalar
-    identity."""
+    """Compute H_M and H_{M-k} as direct determinants, each at its own
+    order, and check the scalar identity."""
     fac = equivalence_factor(m, k)
-    h_m = _direct_pseudo_wronskian(m)
-    h_sh = _direct_pseudo_wronskian(m.shift(-k))
+    # the minimal-girth origins of M - k are those of M less k, so one
+    # search places both sides
+    smallest = minimal_girth_of_diagram(m)[1][0]
+    h_m = _direct_side(m, smallest)
+    h_sh = _direct_side(m.shift(-k), smallest - k)
     ok = h_m * fac.gamma_product == h_sh * fac.eps_product
     return EquivalenceReport(m, k, fac, h_m, h_sh, ok)
 

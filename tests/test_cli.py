@@ -299,6 +299,12 @@ def test_error_while_printing_is_not_bad_input(capsys, monkeypatch):
      "6b924620f99f7e19a16152967a98e23ed83f59c1fa98f16d0adcb4232bf5a204"),
     ("equiv --frobenius 5,3,1| --k 2",
      "1d49269781e30630e1068947a933a6ff064ea18c32142b5794ef46b8b0b08c04"),
+    # rows wider than the pins above: order 2 against 13 (twelve s, one t)
+    # and order 4 against 14 (t-only)
+    ("equiv --partition 12,1 --k 13",
+     "00e5d7514c5cb1900a54a323fb69937b032a45aac7c953ad32c1bbc46ee39ccf"),
+    ("equiv --partition 3,3,2,1 --k -10",
+     "4329bfe7a3738d9f1158ffc7d479b3885c7898d603bbc4b22c48a4143db6d1b7"),
     # each diagram notation alone, on every subcommand that takes both
     ("pw --frobenius 1|0",
      "4e8d38b73e85f6a62dfbdc7300aba4c7e723da7a1dc8839c56edb06d75a162b9"),

@@ -95,13 +95,56 @@ class TestHermiteFamilies:
         assert hermite_poly(5).derivative() == 10 * hermite_poly(4)
         assert conj_hermite_poly(5).derivative() == 10 * conj_hermite_poly(4)
 
-    @given(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=22))
-    def test_derivative_shortcut(self, n, order):
-        # D^j P_n = 2^j n!/(n-j)! P_{n-j}, zero for j > n, for P = H and th
-        row = _derivative_row(_hermite_h, n, order + 1)
-        assert row == [hermite_poly(n).derivative(j) for j in range(order + 1)]
-        row = _derivative_row(_hermite_th, n, order + 1)
-        assert row == [conj_hermite_poly(n).derivative(j) for j in range(order + 1)]
+    @given(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=23))
+    @example(9, 5)      # below n + 1
+    @example(9, 10)     # at n + 1
+    @example(9, 14)     # above n + 1: zero entries past D^n
+    @example(0, 3)
+    def test_derivative_shortcut(self, n, width):
+        # D^j P_n = 2^j n!/(n-j)! P_{n-j}, zero for j > n, for P = H and th;
+        # the memo's rows are immutable tuples of exactly ``width`` entries
+        for family, poly in ((_hermite_h, hermite_poly), (_hermite_th, conj_hermite_poly)):
+            row = _derivative_row(family, n, width)
+            assert type(row) is tuple
+            assert row == tuple(poly(n).derivative(j) for j in range(width))
+
+    def test_row_built_only_to_its_width(self):
+        # a row of width w reads P_n .. P_{n-w+1} and no lower index, so its
+        # memo entry holds w entries however large n is
+        calls = []
+
+        def family(k):
+            calls.append(k)
+            return _hermite_h(k)
+
+        try:
+            row = _derivative_row(family, 300, 3)
+            assert calls == [300, 299, 298]
+            assert row == tuple(hermite_poly(300).derivative(j) for j in range(3))
+            assert _derivative_row(family, 300, 3) is row
+            assert calls == [300, 299, 298]
+        finally:
+            _derivative_row.cache_clear()
+
+    def test_det_leaves_memoised_rows_unchanged(self):
+        # det and the cofactors' column slicing work on copies, so every
+        # memoised row comes out of them as it went in
+        _derivative_row.cache_clear()
+        _cofactors.cache_clear()
+        b, s_only = MayaDiagram.parse("3|6,4,1,0"), MayaDiagram.parse("7,4,2,1,0|")
+        keys = [(_hermite_h, t, w) for t in b.t for w in (b.girth, b.girth + 1)]
+        keys += [(_hermite_th, v, s_only.girth) for v in s_only.s]
+        rows = {key: _derivative_row(*key) for key in keys}
+        before = {key: [e.coeffs for e in row] for key, row in rows.items()}
+        det(pseudo_wronskian_matrix(b))
+        _cofactors(b)
+        pseudo_wronskian_with(b, 2)
+        pure_conjugate_wronskian(s_only)
+        for (family, n, w), row in rows.items():
+            assert _derivative_row(family, n, w) is row
+            assert [e.coeffs for e in row] == before[family, n, w]
+            poly = hermite_poly if family is _hermite_h else conj_hermite_poly
+            assert row == tuple(poly(n).derivative(j) for j in range(w))
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -113,16 +156,20 @@ class TestHermiteFamilies:
     def test_matches_recurrence(self, sign):
         family = hermite_poly if sign < 0 else conj_hermite_poly
         (_hermite_h if sign < 0 else _hermite_th).cache_clear()
+        _derivative_row.cache_clear()
         for n, want in enumerate(_recurrence_oracle(400, sign)):
             assert family(n) == want, n
 
     def test_memo_concurrent_calls(self):
         _hermite_h.cache_clear()
         _hermite_th.cache_clear()
+        _derivative_row.cache_clear()
         results = []
 
         def worker():
-            results.append((hermite_poly(80), conj_hermite_poly(80)))
+            results.append((hermite_poly(80), conj_hermite_poly(80),
+                            _derivative_row(_hermite_h, 80, 12),
+                            _derivative_row(_hermite_th, 80, 12)))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -137,7 +184,9 @@ class TestHermiteFamilies:
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 8
         assert all(r == results[0] for r in results)
-        assert results[0] == (_recurrence_oracle(80, -1)[80], _recurrence_oracle(80, +1)[80])
+        h, th = _recurrence_oracle(80, -1)[80], _recurrence_oracle(80, +1)[80]
+        assert results[0] == (h, th, tuple(h.derivative(j) for j in range(12)),
+                              tuple(th.derivative(j) for j in range(12)))
 
     def test_memo_is_bounded(self):
         # an unbounded memo would keep every index ever requested
@@ -213,6 +262,7 @@ class TestPseudoWronskian:
     def test_memo_keyed_by_minimal_diagram(self):
         m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
         _minimal_determinant.cache_clear()
+        _derivative_row.cache_clear()
         pseudo_wronskian(m)
         pseudo_wronskian(m.shift(-6))   # the minimal form of m
         info = _minimal_determinant.cache_info()
@@ -223,6 +273,7 @@ class TestPseudoWronskian:
         # form at the smaller one
         m = MayaDiagram.from_partition(Partition((4, 4, 3, 1, 1)))
         _minimal_determinant.cache_clear()
+        _derivative_row.cache_clear()
         pseudo_wronskian(m.shift(5))
         _minimal_determinant(m.shift(-3))
         assert _minimal_determinant.cache_info().hits == 1
@@ -273,6 +324,7 @@ class TestPseudoWronskian:
         monkeypatch.setattr(hermite, "minimal_girth_of_diagram",
                             lambda d: calls.append(d) or real(d))
         _minimal_determinant.cache_clear()
+        _derivative_row.cache_clear()
         small, ratio, h = min_order_at(m, 9, 4)
         assert calls == [m]
         assert small == m.shift(-9)
@@ -313,6 +365,7 @@ class TestInsertedRow:
     def test_cofactors_memoised_per_base(self):
         b = MayaDiagram.parse("2|5,1")
         _cofactors.cache_clear()
+        _derivative_row.cache_clear()
         for t in (0, 3, 4, 40, 300):
             pseudo_wronskian_with(b, t)
         info = _cofactors.cache_info()
@@ -356,6 +409,27 @@ def _equivalence_factor_oracle(m, k):
             term *= 2 * h - 2 * i
         gamma_prod *= term
     return eps_prod, gamma_prod
+
+
+@st.composite
+def raised_checks(draw):
+    """(M, k) for verify_equivalence: the standard diagram of a partition
+    of size <= 12, with one side at a minimal-girth origin and the other
+    raised to a girth up to 14 at its highest origin (s-heavy) or its
+    lowest (t-heavy), either way round."""
+    total, parts = draw(st.integers(min_value=1, max_value=12)), []
+    while total:
+        parts.append(draw(st.integers(min_value=1, max_value=total)))
+        total -= parts[-1]
+    std = MayaDiagram.from_partition(Partition(tuple(sorted(parts, reverse=True))))
+    r, origins = minimal_girth_of_diagram(std)
+    low = draw(st.sampled_from(origins))
+    g = draw(st.integers(min_value=r + 1, max_value=14))
+    at_g = [k for k in range(std.min_hole() - 14, std.max_element() + 16)
+            if std.shift(-k).girth == g]
+    high = draw(st.sampled_from([max(at_g), min(at_g)]))
+    a, b = draw(st.sampled_from([(low, high), (high, low)]))
+    return std.shift(-a), b - a
 
 
 class TestEquivalence:
@@ -458,10 +532,60 @@ class TestEquivalence:
         for m, k in cases:
             assert not m.shift(-k).t
             assert verify_equivalence(m, k).match
+        # with the memo warm, so that the sides at their smallest origin
+        # are read from it
+        for m, k in cases:
+            pseudo_wronskian(m)
+            pseudo_wronskian(m.shift(-k))
+        hits = _minimal_determinant.cache_info().hits
         real = hermite.equivalence_factor
         monkeypatch.setattr(hermite, "equivalence_factor", lambda m, k: corrupt(real(m, k)))
         for m, k in cases:
             assert not verify_equivalence(m, k).match, (m, k)
+        assert _minimal_determinant.cache_info().hits > hits
+
+    def test_smallest_origin_side_read_from_memo(self, monkeypatch):
+        # (4,4,3,1,1) is minimal at origins 3 and 9: only the side at 3 is
+        # read through the memo, whichever side of the check it is
+        import hermitepw.hermite as hermite
+
+        m = MayaDiagram.from_partition(Partition((4, 4, 3, 1, 1)))
+        small = m.shift(-3)
+        reads, real = [], hermite._minimal_determinant
+        monkeypatch.setattr(hermite, "_minimal_determinant",
+                            lambda d: reads.append(d) or real(d))
+        for origin, k in ((3, -5), (3, 8), (9, -6), (-2, 5)):
+            reads.clear()
+            assert verify_equivalence(m.shift(-origin), k).match
+            assert reads == [small], (origin, k)
+        reads.clear()
+        assert verify_equivalence(m.shift(-9), 5).match
+        assert reads == []
+
+    def test_raised_side_stays_out_of_the_memo(self):
+        m = MayaDiagram.from_partition(Partition((4, 4, 3, 1, 1)))
+        _minimal_determinant.cache_clear()
+        _derivative_row.cache_clear()
+        pseudo_wronskian(m)
+        size = _minimal_determinant.cache_info().currsize
+        for origin, k in ((3, -5), (3, 8), (9, 6), (-2, 12)):
+            assert verify_equivalence(m.shift(-origin), k).match
+        info = _minimal_determinant.cache_info()
+        assert info.currsize == size == 1
+        assert info.hits == 2
+
+    @given(raised_checks())
+    @example((MayaDiagram((), (13, 1)), 13))          # order 2 against 13, s-heavy
+    @example((MayaDiagram((), (6, 5, 3, 1)), -10))    # order 4 against 14, t-only
+    @settings(max_examples=30, deadline=None)
+    def test_reports_match_the_defining_oracle(self, case):
+        # both report polynomials are the direct determinants of their own
+        # diagrams, memo read or not
+        m, k = case
+        rep = verify_equivalence(m, k)
+        assert rep.match
+        assert rep.h_m == bareiss_intpoly(pseudo_wronskian_matrix(m))
+        assert rep.h_shifted == bareiss_intpoly(pseudo_wronskian_matrix(m.shift(-k)))
 
 
 class TestOneStepShifts:

@@ -635,6 +635,7 @@ class TestTodaTaus:
         monkeypatch.setattr(determinant, "det", spy)
         monkeypatch.setattr(hermite, "det", spy)
         hermite._minimal_determinant.cache_clear()
+        hermite._derivative_row.cache_clear()
         assert len(piv_catalog(5)) == 182
         assert orders and max(orders) <= 1, orders
         # the spy sees a determinant of a tau: O(3, 3) has minimal order 3
