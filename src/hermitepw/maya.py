@@ -4,13 +4,15 @@ A Maya diagram is a set M of integers containing all sufficiently
 negative integers and finitely many non-negative ones.  It is stored by
 its Frobenius symbol: the descending list ``s`` of hole distances below
 the origin and the descending list ``t`` of filled positions at or above
-the origin.  The infinite set itself is never materialized; membership
-and all derived data come straight from the two finite lists.
+the origin.  The infinite set itself is never materialized, not even a
+window of it: membership comes straight from the two finite lists, and the
+partition, the bent points and the extreme hole and element come from the
+sparse girth walk ``MayaDiagram.walk``, whose cost follows |s| + |t| and not
+the distance between the entries.
 """
 
 from __future__ import annotations
 
-import bisect
 import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -174,14 +176,8 @@ class MayaDiagram:
         return len(self.s) + len(self.t)
 
     def min_hole(self):
-        """min(Z \\ M): the smallest integer not in the diagram."""
-        if self.s:
-            return -self.s[0] - 1
-        h = 0
-        filled = set(self.t)
-        while h in filled:
-            h += 1
-        return h
+        """min(Z \\ M): the first point of the walk outside the diagram."""
+        return next(k for k, _, here in self.walk() if not here)
 
     def max_element(self):
         """max(M): largest element (negative when t is empty)."""
@@ -193,33 +189,28 @@ class MayaDiagram:
             m -= 1
         return m
 
-    def elements_down_to(self, stop) -> Iterator[int]:
-        """Elements of M in decreasing order, while >= stop."""
-        for v in self.t:
-            if v < stop:
-                return
-            yield v
-        holes = set(-v - 1 for v in self.s)
-        m = -1
-        while m >= stop:
-            if m not in holes:
-                yield m
-            m -= 1
+    def walk(self):
+        """The girth walk g(k) = girth(M - k) at the points where membership
+        can change: [(k, g(k), k in M)], ascending.
 
-    def holes(self):
-        """Holes below max(0, max_element + 1), ascending.
-
-        Together with the ray [max(0, max_element + 1), oo) this is the
-        complete complement of the diagram.
+        g(k) counts the holes below k and the elements at or above k, so it
+        falls by 1 through each element and rises by 1 through each hole.
+        Membership changes only at a hole -v-1 (v in s), at an element of t,
+        one past either, or at the origin, so the walk is straight from each
+        point to the next.  Below the first point every integer is an
+        element, and from the last point on every integer is a hole.  The
+        cost is O(|s| + |t|) steps and one sort of as many points, however
+        far apart the entries lie.
         """
-        out = [-v - 1 for v in self.s]
-        top = self.max_element()
-        filled = set(self.t)
-        out.extend(j for j in range(0, top) if j not in filled)
+        holes, filled = {-v - 1 for v in self.s}, set(self.t)
+        points = sorted({0, *holes, *filled, *(h + 1 for h in holes), *(v + 1 for v in filled)})
+        g, prev, here, out = len(self.t) - len(self.s) - points[0], points[0], True, []
+        for k in points:
+            g += prev - k if here else k - prev
+            here = k in filled if k >= 0 else k not in holes
+            out.append((k, g, here))
+            prev = k
         return out
-
-    def _hole_ray_start(self):
-        return max(0, self.max_element() + 1)
 
     # -- shifts ----------------------------------------------------------
 
@@ -253,50 +244,31 @@ class MayaDiagram:
     # -- bent diagram -----------------------------------------------------
 
     def bent_point(self, n):
+        """The bent point at n, from g(n) on the walk: holes_below +
+        filled_at_or_above = g(n), and filled_at_or_above - holes_below =
+        |t| - |s| - n."""
         n = int(n)
-        holes = self.holes()
-        holes_below = bisect.bisect_left(holes, n) + max(0, n - self._hole_ray_start())
-        filled_above = sum(1 for v in self.t if v >= n)
-        if n < 0:
-            holes_set = set(-v - 1 for v in self.s)
-            filled_above += sum(1 for m in range(n, 0) if m not in holes_set)
-        return BentPoint(n, holes_below, filled_above)
-
-    def girth_walk(self, lo, hi):
-        """[girth(M - k) for k in lo..hi], in one pass over the window.
-
-        girth(M - k) counts the holes below k and the elements at or above
-        k, so the walk falls by 1 through each element and rises by 1
-        through each hole.
-        """
-        if lo > hi:
-            raise ValueError("empty window")
-        filled, holes = set(self.t), set(-v - 1 for v in self.s)
-        if lo >= 0:
-            g = len(self.s) + sum(1 for v in self.t if v >= lo) \
-                + sum(1 for j in range(lo) if j not in filled)
-        else:
-            g = len(self.t) + sum(1 for h in holes if h < lo) \
-                + sum(1 for m in range(lo, 0) if m not in holes)
-        out = [g]
-        for k in range(lo, hi):
-            g += -1 if (k in filled if k >= 0 else k not in holes) else 1
-            out.append(g)
-        return out
+        c = len(self.t) - len(self.s) - n
+        g = c   # below the first point of the walk no hole lies
+        for k, g_k, here in self.walk():
+            if k > n:
+                break
+            g = g_k + (k - n if here else n - k)
+        return BentPoint(n, (g - c) // 2, (g + c) // 2)
 
     def partition(self) -> Partition:
-        """The partition of the unlabelled diagram (shift invariant)."""
-        holes = self.holes()
-        if not holes:
-            return Partition()
-        lowest = holes[0]
-        parts = []
-        for m in self.elements_down_to(lowest + 1):
-            lam = bisect.bisect_left(holes, m)
-            if lam == 0:
-                break
-            parts.append(lam)
-        return Partition(tuple(parts))
+        """The partition of the unlabelled diagram (shift invariant).
+
+        Each element above the lowest hole gives the part "holes below it",
+        so each run of elements on the walk, from an element point to the
+        next point, gives that many equal parts.
+        """
+        walk, parts = self.walk(), []
+        for (k, g, here), (end, _, _) in zip(walk, walk[1:]):
+            holes_below = (g - len(self.t) + len(self.s) + k) // 2
+            if here and holes_below:
+                parts += [holes_below] * (end - k)
+        return Partition(tuple(reversed(parts)))
 
     # -- formatting --------------------------------------------------------
 

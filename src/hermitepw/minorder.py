@@ -9,9 +9,12 @@ the two degenerate corners, and every minimal-girth origin is a valley.
 Below min(Z \\ M) the walk only falls and past max(M) it only rises, so
 every valley lies in [min_hole, max_element + 1].
 
-``_valleys`` lists the valleys without walking the window: it visits only
-the points next to an entry of s or t and the origin, where membership can
-change, so its cost is O(|s| + |t|) however far apart the entries lie.
+Valleys and level sets come from one sparse walk, ``MayaDiagram.walk``:
+g at the points next to an entry of s or t and at the origin, where
+membership can change, and straight in between.  ``_valleys`` reads the
+valleys off it and ``girth_level_set`` finds at most one point of a level
+on each straight stretch, so both cost O(|s| + |t|) however far apart the
+entries lie, and no window of integers is walked.
 ``minimal_girth_of_diagram`` is the one minimal-girth search of a labelled
 diagram: ``hermite.pseudo_wronskian`` evaluates at its smallest origin, and
 ``hermite.check_min_origin`` checks a claimed origin against it.
@@ -54,34 +57,29 @@ __all__ = [
 
 def _valleys(m: MayaDiagram):
     """[(k, girth(M - k))] for every valley k (k - 1 in M, k not in M),
-    ascending, in O(|s| + |t|) steps and one sort of as many points.
-
-    Membership changes only at a hole -v-1 (v in s), at an element of t,
-    one past either, or at the origin, so between consecutive such points
-    the walk is straight: down by 1 per element, up by 1 per hole.  Below
-    the first point every integer is an element and no hole lies.
-    """
-    holes, filled = {-v - 1 for v in m.s}, set(m.t)
-    points = sorted({0, *holes, *filled, *(h + 1 for h in holes), *(v + 1 for v in filled)})
-    g = len(m.t) - len(m.s) - points[0]
-    out, prev, before = [], points[0], True
-    for k in points:
-        g += prev - k if before else k - prev
-        here = k in filled if k >= 0 else k not in holes
+    ascending: the points of ``MayaDiagram.walk`` outside M that end a
+    stretch of elements, where below the first point every integer is one."""
+    out, before = [], True
+    for k, g, here in m.walk():
         if before and not here:
             out.append((k, g))
-        prev, before = k, here
+        before = here
     return out
 
 
 def girth_level_set(m: MayaDiagram, r: int):
-    """All k with girth(M - k) = r, ascending: the valley window
-    [min_hole, max_element + 1] widened by r on each side holds every
-    point of level r, since outside that window the walk moves away from
-    its minimum by 1 per step."""
-    lo = m.min_hole() - max(r, 0)
-    walk = m.girth_walk(lo, m.max_element() + 1 + max(r, 0))
-    return [k for k, g in enumerate(walk, lo) if g == r]
+    """All k with girth(M - k) = r, ascending.  The walk is straight from
+    each point to the next, so each stretch holds at most one such k; below
+    the first point it falls by 1 per step, and from the last point on it
+    rises by 1 per step."""
+    walk = m.walk()
+    (k0, g0, _), (kn, gn, _) = walk[0], walk[-1]
+    out = [k0 - (r - g0)] if r > g0 else []
+    for (k, g, here), (end, _, _) in zip(walk, walk[1:]):
+        d = g - r if here else r - g
+        if 0 <= d < end - k:
+            out.append(k + d)
+    return out + ([kn + r - gn] if r >= gn else [])
 
 
 def minimal_girth_of_diagram(m: MayaDiagram):

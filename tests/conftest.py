@@ -37,6 +37,26 @@ def admissible_degrees(lam, count):
     return out
 
 
+def split_window(m, lo, hi):
+    """(holes, elements) of m in [lo, hi), each ascending, by testing every
+    integer: the dense oracle of the sparse girth walk."""
+    window = range(lo, hi)
+    return [k for k in window if k not in m], [k for k in window if k in m]
+
+
+def walk_at(m, k):
+    """(g(k), k in m) read off the sparse walk of m: from the last point at
+    or below k the walk is straight, falling through elements and rising
+    through holes, and below the first point every integer is an element."""
+    walk = m.walk()
+    (k0, g0, _), here = walk[0], True
+    for point in walk:
+        if point[0] > k:
+            break
+        k0, g0, here = point
+    return g0 + (k0 - k if here else k - k0), here
+
+
 def random_diagram(rng, max_girth=6, max_val=12):
     p = rng.randint(0, max_girth)
     q = rng.randint(0, max_girth - p)

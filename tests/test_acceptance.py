@@ -39,7 +39,13 @@ from hermitepw.painleve import (
 from hermitepw.xhermite import NORM_DPS, XHermiteFamily, _weight, eigen_check, \
     exceptional_hermite, weight_and_norm_check
 
-from conftest import admissible_degrees, all_partitions_up_to, random_diagram, random_partition
+from conftest import (
+    admissible_degrees,
+    all_partitions_up_to,
+    random_diagram,
+    random_partition,
+    split_window,
+)
 from norm_oracle import NORM_TOLERANCE, norm_integral
 
 _PROPERTY_BUDGET = 300.0
@@ -208,7 +214,8 @@ def test_criterion_7c_insertion_cases():
     for _ in range(500):
         lam = random_partition(rng, 12)
         m = MayaDiagram.from_partition(lam).shift(rng.randint(-5, 5))
-        choices = m.holes() + [m._hole_ray_start() + i for i in range(4)]
+        # every hole below max(0, max(M) + 1) and the next four
+        choices = split_window(m, m.min_hole(), max(0, m.max_element() + 1) + 4)[0]
         new = rng.choice(choices)
         rep = min_order_after_insert(m, new)
         r, origins = minimal_girth_of_diagram(m.add(new))

@@ -72,6 +72,29 @@ def test_minorder_subcommand(capsys):
     assert blob["durfee"] == {"mu": [2], "nu": [3, 3], "p": 1, "q": 2}
 
 
+def test_minorder_of_a_billion_fits_in_512_mb():
+    # five short lines need no more than the Frobenius symbol; the cap on
+    # the address space acts on the child only, so a regression to a dense
+    # walk fails fast with a MemoryError instead of filling the machine
+    import resource
+
+    cap = 512 * 2 ** 20
+    src = Path(hermitepw.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hermitepw.cli", "minorder", "--partition", "1000000000"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "partition: (1000000000)",
+        "minimal girth: 1",
+        "origins: 0",
+        "durfee symbol at origin 0: [ | 1000000000]_{0x1}",
+        "minimal frobenius: ( | 1000000000)",
+    ]
+
+
 def test_xhermite_subcommand(capsys):
     code, out = run(capsys, "--format", "json", "xhermite", "--partition", "2,2,1,1",
                     "--n", "9", "--min-order", "--verify-ode")

@@ -38,7 +38,7 @@ from hermitepw.minorder import minimal_girth_of_diagram
 from hermitepw.polys import IntPoly
 from hermitepw.xhermite import XHermiteFamily, eigen_check, exceptional_hermite
 
-from conftest import all_partitions_up_to, diagrams, frobenius_sides, random_diagram
+from conftest import all_partitions_up_to, diagrams, frobenius_sides, random_diagram, split_window
 from test_determinant import bareiss_intpoly
 
 X = IntPoly((0, 1))
@@ -386,15 +386,13 @@ def _equivalence_factor_oracle(m, k):
     if k < 0:
         eps, gamma = _equivalence_factor_oracle(m.shift(-k), -k)
         return gamma, eps
-    holes = m.holes()
-    ray_start = m._hole_ray_start()
-    top = m.max_element()
+    lowest, top = m.min_hole(), m.max_element()
 
     def holes_below(i):
-        return [h for h in holes if h < i] + list(range(ray_start, max(ray_start, i)))
+        return split_window(m, lowest, i)[0]
 
     def elements_above(i):
-        return list(m.elements_down_to(i + 1)) if i < top else []
+        return split_window(m, i + 1, top + 1)[1]
 
     eps_prod = 1
     for i in (i for i in range(k) if i in m):

@@ -19,6 +19,7 @@ from conftest import (
     frobenius_sides,
     partitions,
     random_partition,
+    walk_at,
 )
 
 
@@ -197,16 +198,16 @@ class TestBentDiagram:
             assert (a.holes_below, a.filled_at_or_above) == \
                 (b.holes_below, b.filled_at_or_above)
 
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            MayaDiagram.parse("|").girth_walk(3, 2)
-
     @given(diagrams, st.integers(min_value=-12, max_value=12),
            st.integers(min_value=0, max_value=16))
     @settings(max_examples=100)
     def test_girth_walk(self, m, lo, width):
-        assert m.girth_walk(lo, lo + width) == \
-            [m.shift(-k).girth for k in range(lo, lo + width + 1)]
+        # the sparse walk, read straight between its ascending points, is
+        # the shifted girth and the membership on every window
+        ks = [k for k, _, _ in m.walk()]
+        assert ks == sorted(set(ks))
+        assert [walk_at(m, k) for k in range(lo, lo + width + 1)] == \
+            [(m.shift(-k).girth, k in m) for k in range(lo, lo + width + 1)]
 
 
 class TestRim:

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hermitepw.minorder as minorder
-from hermitepw.maya import MayaDiagram, Partition
+from hermitepw.maya import BentPoint, MayaDiagram, Partition
 from hermitepw.minorder import (
     durfee_symbol,
     girth_level_set,
@@ -16,7 +16,14 @@ from hermitepw.minorder import (
     xhermite_min_origin,
 )
 
-from conftest import all_partitions_up_to, diagrams, random_diagram, random_partition
+from conftest import (
+    all_partitions_up_to,
+    diagrams,
+    random_diagram,
+    random_partition,
+    split_window,
+    walk_at,
+)
 
 
 def brute_minimum(m):
@@ -41,7 +48,8 @@ class TestGirth:
     def test_walk_matches_shifted_girth(self, rng):
         for _ in range(50):
             m = random_diagram(rng, max_girth=5, max_val=9)
-            assert m.girth_walk(-6, 6) == [m.shift(-k).girth for k in range(-6, 7)]
+            assert [walk_at(m, k)[0] for k in range(-6, 7)] == \
+                [m.shift(-k).girth for k in range(-6, 7)]
 
 
 class TestMinimalGirth:
@@ -75,16 +83,17 @@ class TestMinimalGirth:
         assert rep.corners == ((0, 4), (3, 3), (6, 2))
 
     def test_valleys_match_the_full_walk_exhaustive(self):
-        # the valleys come from the entries of (s | t) alone; the full walk
-        # over a window wider than [min_hole, max_element + 1] is the oracle,
-        # for every partition of size <= 12 at every origin of that window
+        # the valleys come from the entries of (s | t) alone; the shifted
+        # girth over a window wider than [min_hole, max_element + 1] is the
+        # oracle, for every partition of size <= 12 at every origin of that
+        # window
         cases = 0
         for lam in all_partitions_up_to(12):
             std = MayaDiagram.from_partition(lam)
             for j in range(std.min_hole() - 1, std.max_element() + 3):
                 m = std.shift(-j)
                 lo, hi = m.min_hole() - 3, m.max_element() + 4
-                walk = dict(zip(range(lo, hi + 1), m.girth_walk(lo, hi)))
+                walk = {k: m.shift(-k).girth for k in range(lo, hi + 1)}
                 valleys = [(k, g) for k, g in walk.items() if k - 1 in m and k not in m]
                 r = min(walk.values())
                 assert minorder._valleys(m) == valleys, (lam, j)
@@ -96,11 +105,65 @@ class TestMinimalGirth:
 
     def test_valley_search_does_not_walk(self, monkeypatch):
         # its cost follows the Frobenius symbol, not the distance between
-        # its entries: the girth walk is never taken
-        monkeypatch.setattr(MayaDiagram, "girth_walk", None)
+        # its entries: each search reads one sparse walk of the 7 points next
+        # to the entries and the origin, and no integer is tested on its own
+        walks, real_walk = [], MayaDiagram.walk
+        monkeypatch.setattr(MayaDiagram, "walk", lambda m: walks.append(real_walk(m)) or walks[-1])
+        monkeypatch.setattr(MayaDiagram, "__contains__", None)
         m = MayaDiagram((3,), (10 ** 6, 2))
         assert minimal_girth_of_diagram(m) == (3, [0])
         assert minorder._valleys(m) == [(-4, 5), (0, 3), (3, 4), (10 ** 6 + 1, 10 ** 6)]
+        assert [len(w) for w in walks] == [7, 7]
+
+
+# conftest.diagrams has every entry in [0, 10]: holes and elements of t lie
+# in [-11, 10], outside [-11, 11] the walk moves away from its minimum by 1
+# per step, and every point of level <= 7 lies in [-18, 18]
+ORACLE_WINDOW = range(-30, 31)
+
+
+class TestSparseWalk:
+    @given(diagrams, st.integers(min_value=0, max_value=7))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_shift_oracle(self, m, r):
+        g = {k: m.shift(-k).girth for k in ORACLE_WINDOW}
+        holes, elements = split_window(m, ORACLE_WINDOW.start, ORACLE_WINDOW.stop)
+        assert (m.min_hole(), m.max_element()) == (holes[0], elements[-1])
+        assert m.shift(-holes[0]) == MayaDiagram.from_partition(m.partition())
+        for n in range(-13, 14):
+            below = sum(1 for h in holes if h < n)
+            assert m.bent_point(n) == BentPoint(n, below, sum(1 for e in elements if e >= n))
+            assert sum(m.bent_point(n)[1:]) == g[n]
+        assert minorder._valleys(m) == \
+            [(k, g[k]) for k in ORACLE_WINDOW if k - 1 in m and k not in m]
+        low = min(g.values())
+        assert minimal_girth_of_diagram(m) == (low, [k for k in ORACLE_WINDOW if g[k] == low])
+        assert girth_level_set(m, r) == [k for k in ORACLE_WINDOW if g[k] == r]
+
+    def test_far_apart_entries_closed_forms(self, monkeypatch):
+        # no integer is tested on its own, so the distance between the
+        # entries costs nothing
+        monkeypatch.setattr(MayaDiagram, "__contains__", None)
+        # holes -4, 0, 1 and 3..10^6-1: g(k) = k + 1 on [3, 10^6] and k - 1
+        # from 10^6 + 1 on
+        m = MayaDiagram((3,), (10 ** 6, 2))
+        assert m.partition() == Partition((10 ** 6, 3, 1, 1, 1))
+        assert (m.min_hole(), m.max_element()) == (-4, 10 ** 6)
+        assert m.bent_point(5 * 10 ** 5) == BentPoint(5 * 10 ** 5, 5 * 10 ** 5, 1)
+        assert m.bent_point(10 ** 6 + 1) == BentPoint(10 ** 6 + 1, 10 ** 6, 0)
+        assert minorder._valleys(m) == [(-4, 5), (0, 3), (3, 4), (10 ** 6 + 1, 10 ** 6)]
+        assert minimal_girth_of_diagram(m) == (3, [0])
+        assert girth_level_set(m, 4) == [-1, 1, 3]
+        assert girth_level_set(m, 10 ** 6) == [1 - 10 ** 6, 10 ** 6 - 1, 10 ** 6 + 1]
+        # the standard diagram of (10^9): g(k) = 1 - k below 0 and 1 + k up to 10^9
+        m = MayaDiagram((), (10 ** 9,))
+        assert m.partition() == Partition((10 ** 9,))
+        assert (m.min_hole(), m.max_element()) == (0, 10 ** 9)
+        assert m.bent_point(10 ** 9) == BentPoint(10 ** 9, 10 ** 9, 1)
+        assert minorder._valleys(m) == [(0, 1), (10 ** 9 + 1, 10 ** 9)]
+        assert minimal_girth_of_diagram(m) == (1, [0])
+        assert girth_level_set(m, 2) == [-1, 1]
+        assert girth_level_set(m, 10 ** 9) == [1 - 10 ** 9, 10 ** 9 - 1, 10 ** 9 + 1]
 
 
 class TestLevelSets:
@@ -217,7 +280,8 @@ class TestInsert:
         for _ in range(500):
             lam = random_partition(rng, 12)
             m = MayaDiagram.from_partition(lam).shift(rng.randint(-4, 4))
-            choices = m.holes() + [m._hole_ray_start() + i for i in range(4)]
+            # every hole below max(0, max(M) + 1) and the next four
+            choices = split_window(m, m.min_hole(), max(0, m.max_element() + 1) + 4)[0]
             new = rng.choice(choices)
             rep = min_order_after_insert(m, new)
             seen[rep.case] += 1
@@ -248,7 +312,7 @@ class TestInsert:
         for _ in range(120):
             m = random_diagram(rng, max_girth=5, max_val=9)
             r0, _ = minimal_girth_of_diagram(m)
-            new = rng.choice(m.holes() + [m._hole_ray_start()])
+            new = rng.choice(split_window(m, m.min_hole(), max(0, m.max_element() + 1) + 1)[0])
             r1, _ = minimal_girth_of_diagram(m.add(new))
             assert abs(r1 - r0) <= 1
 
@@ -318,9 +382,8 @@ class TestXhermiteMinOrigin:
         # the record is built once, from walks of the base diagram only, and
         # no later call walks at all
         walks, builds = [], []
-        real_walk, real_levels = MayaDiagram.girth_walk, minorder._levels
-        monkeypatch.setattr(MayaDiagram, "girth_walk",
-                            lambda m, lo, hi: walks.append(m) or real_walk(m, lo, hi))
+        real_walk, real_levels = MayaDiagram.walk, minorder._levels
+        monkeypatch.setattr(MayaDiagram, "walk", lambda m: walks.append(m) or real_walk(m))
         monkeypatch.setattr(minorder, "_levels", lambda m: builds.append(m) or real_levels(m))
         lam = Partition((4, 4, 1, 1))
         m, offset = MayaDiagram.from_partition(lam), lam.size - lam.length
