@@ -19,7 +19,6 @@ from .minorder import (
     inside_corners,
     min_order_after_insert,
     minimal_girth,
-    xhermite_min_origin,
 )
 from .painleve import (
     gh_maya,
@@ -53,5 +52,4 @@ __all__ = [
     "piv_solution_gh", "piv_solution_o", "poly_gcd",
     "pseudo_wronskian", "pure_conjugate_wronskian", "rim", "three_cycle",
     "verify_equivalence", "verify_piv", "weight_and_norm_check", "wronskian",
-    "xhermite_min_origin",
 ]

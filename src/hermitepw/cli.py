@@ -48,12 +48,13 @@ def cmd_maya(args):
     m = _diagram_from(args)
     std, k = m.standardize()
     lam = m.partition()
+    conj = lam.conjugate()
     payload = {
         "frobenius": str(m),
         "girth": m.girth,
         "partition": lam.to_json(),
         "partition_size": lam.size,
-        "conjugate": lam.conjugate().to_json(),
+        "conjugate": conj.to_json(),
         "standard_frobenius": str(std),
         "standard_shift": k,
     }
@@ -61,7 +62,7 @@ def cmd_maya(args):
         f"frobenius: {m}",
         f"girth: {m.girth}",
         f"partition: {lam} (size {lam.size})",
-        f"conjugate: {lam.conjugate()}",
+        f"conjugate: {conj}",
         f"standard form: {std} (diagram = standard + {k})",
     ]
 
@@ -115,10 +116,9 @@ def cmd_xhermite(args):
     ok = True
     if args.min_order:
         form = xhermite.min_order_form(lam, n)
-        payload["min_order"] = form.to_json()
         same = form.scalar.denominator == 1 and \
             poly == form.scalar.numerator * form.poly
-        payload["min_order"]["consistent"] = same
+        payload["min_order"] = {**form.to_json(), "n": n, "consistent": same}
         ok = ok and same
         lines.append(f"minimal order {form.order} at origin {form.origin}: "
                      f"P_{n} = {form.scalar} * H[{form.diagram}]")

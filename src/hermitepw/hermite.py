@@ -51,8 +51,10 @@ the determinant at the smallest origin found by
 ``minorder.minimal_girth_of_diagram`` (memoised per minimal diagram, so
 one entry serves every shift of it) and rescales it exactly.
 ``min_order_at`` checks a claimed minimal origin against one such search
-and rescales from the same smallest origin, returning the shifted
-diagram, the ratio and its polynomial.  The checks ``verify_equivalence``,
+and rescales from the same smallest origin.  It returns a
+``MinOrderForm``, the one record of a polynomial at minimal order
+(H = scalar * pseudo_wronskian(diagram)) that the PIV and exceptional
+Hermite layers return too.  The checks ``verify_equivalence``,
 ``one_step_shift_check`` and ``conjugate_wronskian_identity`` take the
 determinants at their own orders instead (the Wronskian form for s-only
 diagrams).  ``verify_equivalence`` may read a side at its smallest
@@ -102,6 +104,7 @@ __all__ = [
     "pseudo_wronskian_matrix",
     "pseudo_wronskian",
     "check_min_origin",
+    "MinOrderForm",
     "min_order_at",
     "pseudo_wronskian_with",
     "pure_conjugate_wronskian",
@@ -117,6 +120,14 @@ __all__ = [
 ]
 
 
+# Entries of each Hermite memo, keyed by n.  One pass of a benchmark
+# workload from empty memos (seeds 7 and 11) reads 30-33 indices of H and
+# 35-38 of th on shift_sweep and at most 7 on catalog.  xh_ladder reads 146
+# distinct indices of H in ascending order: they fill the memo, but no
+# evicted index is read again.
+_HERMITE_MEMO_SIZE = 128
+
+
 def _hermite_memo(sign):
     """A memo of H_n for sign = -1, of th_n = i^-n H_n(ix) for sign = +1
     (n >= 0), keyed by n alone.
@@ -125,7 +136,7 @@ def _hermite_memo(sign):
     sign^m n! 2^(n-2m) / (m! (n-2m)!).  From 2^n at the top, each next
     coefficient is the last times sign (n-2m+2)(n-2m+1) / (4m), exactly.
     """
-    @functools.lru_cache(maxsize=128)
+    @functools.lru_cache(maxsize=_HERMITE_MEMO_SIZE)
     def family(n):
         coeffs = [0] * (n + 1)
         c = coeffs[n] = 1 << n
@@ -219,9 +230,13 @@ def _direct_pseudo_wronskian(m: MayaDiagram) -> IntPoly:
     return det(pseudo_wronskian_matrix(m))
 
 
-# Keyed by the minimal diagram, so every shift of a diagram reaches the
-# same entry.
-_minimal_determinant = functools.lru_cache(maxsize=256)(_direct_pseudo_wronskian)
+# Entries of the minimal-determinant memo, keyed by the minimal diagram, so
+# every shift of a diagram reaches the same entry.  One pass from an empty
+# memo (seeds 7 and 11) reads 116-117 minimal diagrams on shift_sweep, 11
+# on xh_ladder and 4 on catalog.
+_MIN_DET_MEMO_SIZE = 256
+
+_minimal_determinant = functools.lru_cache(maxsize=_MIN_DET_MEMO_SIZE)(_direct_pseudo_wronskian)
 
 
 def _from_smallest_origin(m: MayaDiagram, k: int) -> IntPoly:
@@ -266,15 +281,33 @@ def check_min_origin(m: MayaDiagram, origin: int, order: int):
     return origins
 
 
-def min_order_at(m: MayaDiagram, origin: int, order: int):
-    """(M - origin, ratio, H_{M-origin}) with H_M = ratio * H_{M-origin},
-    for a claimed minimal-girth ``origin`` of M at girth ``order``.  A
-    claim the minimal-girth search does not confirm raises; the same
+@dataclass(frozen=True)
+class MinOrderForm:
+    """A polynomial at minimal order: it equals scalar * poly, where poly is
+    the pseudo-Wronskian of ``diagram``, the diagram shifted to ``origin``,
+    whose girth ``order`` is minimal."""
+
+    origin: int
+    order: int
+    diagram: MayaDiagram
+    scalar: Fraction
+    poly: IntPoly
+
+    def to_json(self):
+        return {"origin": self.origin, "frobenius": str(self.diagram),
+                "order": self.order, "scalar": str(self.scalar),
+                "poly": self.poly.to_json()}
+
+
+def min_order_at(m: MayaDiagram, origin: int, order: int, scale: int = 1) -> MinOrderForm:
+    """The form of scale * H_M at a claimed minimal-girth ``origin`` of M at
+    girth ``order``: scalar = scale * ratio with H_M = ratio * H_{M-origin}.
+    A claim the minimal-girth search does not confirm raises; the same
     search gives the smallest origin that H_{M-origin} is rescaled from."""
     smallest = check_min_origin(m, origin, order)[0]
     small = m.shift(-origin)
-    return (small, equivalence_factor(m, origin).ratio,
-            _from_smallest_origin(small, smallest - origin))
+    return MinOrderForm(origin, order, small, scale * equivalence_factor(m, origin).ratio,
+                        _from_smallest_origin(small, smallest - origin))
 
 
 # Entries of the cofactor memo: one base diagram serves every member of an

@@ -24,13 +24,15 @@ cross-checked against the corner-distance formula; the CLI's ``minorder``
 prints that inventory.
 
 How the minimal girth r and its origins change when one element is
-inserted is the theorem of ``_insert``, cases (a)-(d) on the corner labels
-k_r and k_{r+1} (the largest valley at each level).  Its origins come from
-the full level sets L_v = ``girth_level_set``, not from the valleys alone:
-after an insertion, walk points that merely pass through a level can become
-valleys.  ``min_order_after_insert`` applies the theorem to any diagram;
-``xhermite_min_origin`` applies it to the standard diagram of a partition,
-whose theorem inputs are memoised per partition, and picks one origin.
+inserted is the theorem of ``min_order_after_insert``, its one entry: cases
+(a)-(d) on the corner labels k_r and k_{r+1} (the largest valley at each
+level).  Its origins come from the full level sets L_v =
+``girth_level_set``, not from the valleys alone: after an insertion, walk
+points that merely pass through a level can become valleys.  The theorem's
+inputs are memoised per diagram, so the members of an exceptional Hermite
+family, which all insert into its standard diagram, walk it once.  Which
+degree inserts where, and which of the returned origins a member is built
+at, is ``xhermite``'s business.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "durfee_symbol",
     "InsertReport",
     "min_order_after_insert",
-    "xhermite_min_origin",
 ]
 
 
@@ -184,27 +185,36 @@ class InsertReport:
     origins: tuple     # ascending minimal-girth origins after insertion
 
 
+# Entries of the theorem-input memo, keyed by the diagram: one per
+# exceptional Hermite family in use, whose members all insert into its
+# standard diagram
+_LEVELS_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_LEVELS_MEMO_SIZE)
 def _levels(m: MayaDiagram):
-    """(M, r, k_r, k_{r+1}, L_r, L_{r+1}, L_{r+2}): the inputs of the
-    insertion theorem for M, with r its minimal girth, L_v its girth level
-    sets and k_v the largest valley in L_v (None when L_v has none)."""
+    """(r, k_r, k_{r+1}, L_r, L_{r+1}, L_{r+2}): the inputs of the insertion
+    theorem for M, with r its minimal girth, L_v its girth level sets and
+    k_v the largest valley in L_v (None when L_v has none)."""
     r, _ = minimal_girth_of_diagram(m)
     sets = [girth_level_set(m, v) for v in (r, r + 1, r + 2)]
     k_r, k_r1 = (max((k for k in level if (k - 1) in m and k not in m), default=None)
                  for level in sets[:2])
-    return (m, r, k_r, k_r1, *sets)
+    return (r, k_r, k_r1, *sets)
 
 
-def _insert(levels, new: int) -> InsertReport:
-    """Minimal girth and origins of M u {new} from the theorem inputs of M.
-
-    Cases on the position of ``new`` against the corner labels:
+def min_order_after_insert(m: MayaDiagram, new: int) -> InsertReport:
+    """Minimal girth and origins of M u {new}, from the memoised theorem
+    inputs of M, by cases on the position of ``new`` against the corner
+    labels; agrees with a search of M u {new}:
       (a) new < k_r:              r-1, origins {k in L_r : k > new}
       (b) new = k_r:              r,   origins {new+1} u {k in L_{r+1} : k > new}
       (c) k_r < new < k_{r+1}:    r,   origins {k in L_{r+1} : k > new}
       (d) otherwise:              r+1, origins L_r u {k in L_{r+2} : k > new}
     """
-    _, r, k_r, k_r1, l_r, l_r1, l_r2 = levels
+    if new in m:
+        raise ValueError(f"{new} is already in the diagram")
+    r, k_r, k_r1, l_r, l_r1, l_r2 = _levels(m)
     if new < k_r:
         return InsertReport("a", r - 1, tuple(k for k in l_r if k > new))
     if new == k_r:
@@ -212,40 +222,3 @@ def _insert(levels, new: int) -> InsertReport:
     if k_r1 is not None and new < k_r1:
         return InsertReport("c", r, tuple(k for k in l_r1 if k > new))
     return InsertReport("d", r + 1, tuple(sorted({*l_r, *(k for k in l_r2 if k > new)})))
-
-
-def min_order_after_insert(m: MayaDiagram, new: int) -> InsertReport:
-    """Minimal girth and origins of M u {new}, by the constant-size case
-    analysis of ``_insert``; agrees with a search of M u {new}."""
-    if new in m:
-        raise ValueError(f"{new} is already in the diagram")
-    return _insert(_levels(m), new)
-
-
-# Entries of the theorem-input memo: one per exceptional Hermite family in use
-_LEVELS_MEMO_SIZE = 16
-
-
-@functools.lru_cache(maxsize=_LEVELS_MEMO_SIZE)
-def _standard_levels(lam: Partition):
-    """``_levels`` of the standard diagram of a partition, memoised."""
-    return _levels(MayaDiagram.from_partition(lam))
-
-
-def xhermite_min_origin(lam: Partition, n: int):
-    """(minimal order, one minimal origin) for the degree-n member of the
-    family indexed by lam: the insertion theorem at the position
-    pos = n + length - size in the standard diagram.
-
-    The admissible degrees are those whose pos is a hole of the standard
-    diagram.  Of the theorem's origins the largest below pos is picked, or
-    the largest when none is below, so the member is on the expansion path
-    ``hermite.pseudo_wronskian_with`` whenever an origin allows it.
-    """
-    levels = _standard_levels(lam)
-    pos = n - (lam.size - lam.length)
-    if n < 0 or pos in levels[0]:
-        raise ValueError(f"degree {n} is not admissible for {lam}")
-    rep = _insert(levels, pos)
-    below = [k for k in rep.origins if k < pos]
-    return rep.r, (below or rep.origins)[-1]

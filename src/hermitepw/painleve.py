@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .hermite import hermite_poly, min_order_at, pseudo_wronskian
+from .hermite import MinOrderForm, hermite_poly, min_order_at, pseudo_wronskian
 from .maya import MayaDiagram
 from .polys import IntPoly, RatFunc
 
@@ -85,7 +85,6 @@ __all__ = [
     "PivReport",
     "verify_piv",
     "piv_catalog",
-    "MinOrderSpec",
     "min_order_gh",
     "min_order_o",
 ]
@@ -446,35 +445,19 @@ def piv_catalog(max_param: int):
     return out
 
 
-@dataclass(frozen=True)
-class MinOrderSpec:
-    """Smallest equivalent determinant of a GH or O diagram."""
-
-    order: int
-    origin: int
-    diagram: MayaDiagram
-    poly: IntPoly
-    constant: Fraction    # full pseudo-Wronskian = constant * poly
-
-
-def _min_order(m: MayaDiagram, order: int, origin: int) -> MinOrderSpec:
-    small, constant, poly = min_order_at(m, origin, order)
-    return MinOrderSpec(order, origin, small, poly, constant)
-
-
-def min_order_gh(m: int, ell: int) -> MinOrderSpec:
+def min_order_gh(m: int, ell: int) -> MinOrderForm:
     """Minimal order of GH(m, ell) is min(m, ell): the plain Wronskian block
     when ell <= m, an all-conjugate determinant at origin m + ell otherwise."""
     if m < 1 or ell < 1:
         raise ValueError("parameters must be >= 1")
     if ell <= m:
-        return _min_order(gh_maya(m, ell), ell, 0)
-    return _min_order(gh_maya(m, ell), m, m + ell)
+        return min_order_at(gh_maya(m, ell), 0, ell)
+    return min_order_at(gh_maya(m, ell), m + ell, m)
 
 
-def min_order_o(ell1: int, ell2: int) -> MinOrderSpec:
+def min_order_o(ell1: int, ell2: int) -> MinOrderForm:
     """Minimal order of O(ell1, ell2) is max(ell1, ell2), attained at the
     origin 3 * min(ell1, ell2)."""
     if ell1 < 1 or ell2 < 1:
         raise ValueError("parameters must be >= 1")
-    return _min_order(o_maya(ell1, ell2), max(ell1, ell2), 3 * min(ell1, ell2))
+    return min_order_at(o_maya(ell1, ell2), 3 * min(ell1, ell2), max(ell1, ell2))

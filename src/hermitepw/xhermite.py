@@ -16,13 +16,16 @@ insertion position to M: B_-1(P_n, W) = 2(size - n) P_n W with W = H_M
 and B the form of ``hermite.hirota``, which ``eigen_check`` evaluates as
 one residual hirota(P_n, W, -1, 2(size - n)) in Z[x].
 
-Each request on a family member builds its pieces once.  The family (with
-its standard diagram, a cached property), the weight Wronskian W of a
-partition and the record of (lam, n) each sit behind a fixed 16-entry
-``functools.lru_cache``.  The record holds P_n and its ``MinOrderForm``,
-built together at the minimal origin k that ``minorder.xhermite_min_origin``
-picks from the insertion theorem's origins and one minimal-girth search
-confirms.  At k the matrix of P_n is the family's fixed rows plus one row
+Each request on a family member builds its pieces once.  The family
+record of a partition, whose standard diagram and weight Wronskian W are
+cached properties, and the record of (lam, n) each sit behind a fixed
+16-entry ``functools.lru_cache``.  The member record holds P_n and its
+``hermite.MinOrderForm``, built together at the minimal origin k that
+``XHermiteFamily.min_origin`` picks.  The family maps the degree to its
+insertion position pos, ``minorder.min_order_after_insert`` gives the
+minimal order and origins of M u {pos}, and the pick takes the largest
+origin below pos, or the largest; one minimal-girth search confirms it.
+At k the matrix of P_n is the family's fixed rows plus one row
 D^j H_(pos-k); when pos >= k, P_n comes from the Laplace expansion along
 that row (``hermite.pseudo_wronskian_with``), whose cofactors belong to
 the family, so a member above the corners costs no determinant.
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hermite import (
+    MinOrderForm,
     check_min_origin,
     equivalence_factor,
     hirota,
@@ -58,7 +62,7 @@ from .hermite import (
     pseudo_wronskian_with,
 )
 from .maya import MayaDiagram, Partition
-from .minorder import xhermite_min_origin
+from .minorder import min_order_after_insert
 from .polys import IntPoly, RatFunc, count_real_roots
 
 __all__ = [
@@ -68,7 +72,6 @@ __all__ = [
     "apply_T_lambda",
     "EigenReport",
     "eigen_check",
-    "MinOrderForm",
     "min_order_form",
     "NORM_DPS",
     "NormReport",
@@ -78,13 +81,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class XHermiteFamily:
-    """Degree bookkeeping for the family indexed by a partition."""
+    """Degree bookkeeping for the family indexed by a partition, with the
+    standard diagram M and the weight W = H_M, each built on first use."""
 
     lam: Partition
 
     @functools.cached_property
     def diagram(self) -> MayaDiagram:
         return MayaDiagram.from_partition(self.lam)
+
+    @functools.cached_property
+    def weight(self) -> IntPoly:
+        w = pseudo_wronskian(self.diagram)
+        if w.is_zero():
+            raise ZeroDivisionError("vanishing weight Wronskian")
+        return w
 
     @property
     def ell(self):
@@ -99,11 +110,26 @@ class XHermiteFamily:
         """Degree minus insertion position: size - length."""
         return self.size - self.ell
 
+    def is_admissible(self, n):
+        return n >= 0 and n - self.offset not in self.diagram
+
     def insertion_position(self, n):
+        """The position n - offset of the degree-n member in M; an
+        inadmissible degree raises ValueError."""
+        if not self.is_admissible(n):
+            raise ValueError(f"degree {n} is not admissible for {self.lam}")
         return n - self.offset
 
-    def is_admissible(self, n):
-        return n >= 0 and self.insertion_position(n) not in self.diagram
+    def min_origin(self, n):
+        """(minimal order, one minimal origin) of the degree-n member: the
+        insertion theorem at its position pos.  Of the theorem's origins
+        the largest below pos is picked, or the largest when none is below,
+        so the member is on the expansion path of ``_member`` whenever an
+        origin allows it."""
+        pos = self.insertion_position(n)
+        rep = min_order_after_insert(self.diagram, pos)
+        below = [k for k in rep.origins if k < pos]
+        return rep.r, (below or rep.origins)[-1]
 
 
 # Entries of each memo below: a request reuses its own member and its
@@ -129,19 +155,8 @@ def insertion_sign(lam: Partition, n: int) -> int:
     """Sign relating the defining Wronskian to the pseudo-Wronskian of the
     enlarged diagram: (-1)^(count of diagram elements above the insertion)."""
     fam = _family(lam)
-    if not fam.is_admissible(n):
-        raise ValueError(f"degree {n} is not admissible for {lam}")
     pos = fam.insertion_position(n)
     return (-1) ** sum(1 for t in fam.diagram.t if t > pos)
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _weight(lam: Partition) -> IntPoly:
-    """W = H_M of the standard diagram M of lam, memoised per partition."""
-    w = pseudo_wronskian(_family(lam).diagram)
-    if w.is_zero():
-        raise ZeroDivisionError("vanishing weight Wronskian")
-    return w
 
 
 def apply_T_lambda(lam: Partition, y: IntPoly) -> RatFunc:
@@ -151,7 +166,7 @@ def apply_T_lambda(lam: Partition, y: IntPoly) -> RatFunc:
 
     with W = H_M and B the Hirota form of ``hermite.hirota``.
     """
-    w = _weight(lam)
+    w = _family(lam).weight
     return RatFunc(hirota(y, w, -1), w)
 
 
@@ -174,29 +189,12 @@ def eigen_check(lam: Partition, n: int) -> EigenReport:
     their memos; the residual is computed on every call.  A nonzero
     residual is a construction bug and raises."""
     y = exceptional_hermite(lam, n)
-    w = _weight(lam)
+    w = _family(lam).weight
     c = 2 * (lam.size - n)
     residual = hirota(y, w, -1, c)
     if not residual.is_zero():
         raise ArithmeticError(f"T[P_{n}] is not {c} P_{n} for {lam}")
     return EigenReport(n, c, lam.size, residual)
-
-
-@dataclass(frozen=True)
-class MinOrderForm:
-    """Smallest determinant representation of one family member."""
-
-    n: int
-    origin: int
-    diagram: MayaDiagram        # the shifted, minimal-girth diagram
-    order: int
-    scalar: Fraction            # P_n = scalar * pseudo_wronskian(diagram)
-    poly: IntPoly
-
-    def to_json(self):
-        return {"n": self.n, "origin": self.origin, "frobenius": str(self.diagram),
-                "order": self.order, "scalar": str(self.scalar),
-                "poly": self.poly.to_json()}
 
 
 def min_order_form(lam: Partition, n: int) -> MinOrderForm:
@@ -211,8 +209,8 @@ def min_order_form(lam: Partition, n: int) -> MinOrderForm:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _member(lam: Partition, n: int):
     """(P_n, its MinOrderForm), built once per (lam, n) at the minimal
-    origin k that ``xhermite_min_origin`` picks, which also rejects an
-    inadmissible degree.
+    origin k that ``XHermiteFamily.min_origin`` picks, after
+    ``insertion_sign`` has rejected an inadmissible degree.
 
     One minimal-girth search of the enlarged diagram M u {pos} confirms the
     claim (order, k), or raises ArithmeticError.  At that origin the
@@ -220,26 +218,28 @@ def _member(lam: Partition, n: int):
     pos - k.  When pos >= k that row is D^j H_(pos-k), and the minimal
     determinant is ``pseudo_wronskian_with(B, pos - k)``: its cofactors
     C_j(B) are memoised, so members above the corners share them.
-    Otherwise it is ``pseudo_wronskian`` of the shifted diagram.  Then
-    P_n = insertion_sign * ratio * H_(M u {pos} - k), with the exact shift
-    ratio, in one division that raises on a remainder.
+    Otherwise ``min_order_at`` takes it from the shifted diagram.  Either
+    way P_n = scalar * H_(M u {pos} - k) with scalar = insertion_sign *
+    ratio, the exact shift ratio, in one division that raises on a
+    remainder.
     """
-    order, origin = xhermite_min_origin(lam, n)
+    sign = insertion_sign(lam, n)
     fam = _family(lam)
+    order, origin = fam.min_origin(n)
     pos = fam.insertion_position(n)
     enlarged = fam.diagram.add(pos)
     if pos >= origin:
         check_min_origin(enlarged, origin, order)
-        small = enlarged.shift(-origin)
-        ratio = equivalence_factor(enlarged, origin).ratio
-        h = pseudo_wronskian_with(fam.diagram.shift(-origin), pos - origin)
+        form = MinOrderForm(origin, order, enlarged.shift(-origin),
+                            sign * equivalence_factor(enlarged, origin).ratio,
+                            pseudo_wronskian_with(fam.diagram.shift(-origin), pos - origin))
     else:
-        small, ratio, h = min_order_at(enlarged, origin, order)
-    scalar = insertion_sign(lam, n) * ratio
-    poly = (scalar.numerator * h).divexact(IntPoly.const(scalar.denominator))
+        form = min_order_at(enlarged, origin, order, sign)
+    scalar = form.scalar
+    poly = (scalar.numerator * form.poly).divexact(IntPoly.const(scalar.denominator))
     if poly.degree != n:
         raise ArithmeticError(f"P_{n} of {lam} came out with degree {poly.degree}")
-    return poly, MinOrderForm(n, origin, small, order, scalar, h)
+    return poly, form
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,7 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     if not lam.is_even():
         raise ValueError(f"partition {lam} is not even")
     fam = _family(lam)
-    w = _weight(lam)
+    w = fam.weight
     if count_real_roots(w) != 0:
         raise ArithmeticError(f"weight denominator has a real zero for {lam}")
     pn = exceptional_hermite(lam, n)

@@ -36,7 +36,7 @@ from hermitepw.painleve import (
     piv_solution_o,
     verify_piv,
 )
-from hermitepw.xhermite import NORM_DPS, XHermiteFamily, _weight, eigen_check, \
+from hermitepw.xhermite import NORM_DPS, XHermiteFamily, eigen_check, \
     exceptional_hermite, weight_and_norm_check
 
 from conftest import (
@@ -274,7 +274,7 @@ def test_criterion_8_orthogonality_certificate():
     t0 = time.perf_counter()
     for lam in (Partition((1, 1)), Partition((2, 2))):
         degs = admissible_degrees(lam, 4)
-        w = _weight(lam)
+        w = XHermiteFamily(lam).weight
         # the certificate is exact, and the trapezoid oracle reaches the
         # tolerance against it, on and off the diagonal
         for n, m in [(n, n) for n in degs] + [(degs[0], degs[2])]:

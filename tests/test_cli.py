@@ -63,6 +63,16 @@ def test_maya_subcommand(capsys):
     assert blob["conjugate"] == [5, 3, 3, 2]
 
 
+def test_maya_computes_the_conjugate_once(capsys, monkeypatch):
+    # the JSON and the text lines share one conjugate
+    calls = []
+    real = Partition.conjugate
+    monkeypatch.setattr(Partition, "conjugate", lambda lam: calls.append(lam) or real(lam))
+    assert main(["maya", "--partition", "3,2,1"]) == 0
+    assert calls == [Partition((3, 2, 1))]
+    assert "conjugate: (3,2,1)" in capsys.readouterr().out
+
+
 def test_minorder_subcommand(capsys):
     code, out = run(capsys, "--format", "json", "minorder", "--partition", "4,4,1,1")
     assert code == 0
@@ -139,6 +149,15 @@ def test_xhermite_min_order_bytes_pinned(capsys, partition, n, text_digest, json
                         "--n", n, "--min-order")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+@pytest.mark.parametrize("n", ["3", "-1"])
+def test_xhermite_inadmissible_degree_is_bad_input(capsys, n):
+    # position n - 2 is filled for 3, and -1 is no degree: one error line
+    assert main(["xhermite", "--partition", "2,2,1,1", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hermitepw: error: degree {n} is not admissible for (2,2,1,1)\n"
 
 
 def test_xhermite_failed_eigen_check_exits_1(capsys, monkeypatch):

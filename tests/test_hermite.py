@@ -325,11 +325,11 @@ class TestPseudoWronskian:
                             lambda d: calls.append(d) or real(d))
         _minimal_determinant.cache_clear()
         _derivative_row.cache_clear()
-        small, ratio, h = min_order_at(m, 9, 4)
+        form = min_order_at(m, 9, 4)
         assert calls == [m]
-        assert small == m.shift(-9)
-        assert ratio == equivalence_factor(m, 9).ratio
-        assert h == det(pseudo_wronskian_matrix(small))
+        assert (form.origin, form.order, form.diagram) == (9, 4, m.shift(-9))
+        assert form.scalar == equivalence_factor(m, 9).ratio
+        assert form.poly == det(pseudo_wronskian_matrix(form.diagram))
         assert _minimal_determinant.cache_info().misses == 1
 
 

@@ -13,8 +13,8 @@ from hermitepw.minorder import (
     min_order_after_insert,
     minimal_girth,
     minimal_girth_of_diagram,
-    xhermite_min_origin,
 )
+from hermitepw.xhermite import XHermiteFamily
 
 from conftest import (
     all_partitions_up_to,
@@ -24,6 +24,11 @@ from conftest import (
     split_window,
     walk_at,
 )
+
+
+def min_origin(lam, n):
+    """The (order, origin) that xhermite builds the degree-n member at."""
+    return XHermiteFamily(lam).min_origin(n)
 
 
 def brute_minimum(m):
@@ -175,18 +180,18 @@ class TestLevelSets:
         assert [k for k, g in minimal_girth(lam).corners if g == 3] == [3]
         assert corner_label(lam, 3) == 3
         assert corner_label(lam, 2) == 6
-        assert minorder._levels(m)[1:5] == (2, 6, 3, [6])
+        assert minorder._levels(m)[:4] == (2, 6, 3, [6])
 
     def test_corner_labels_golden(self):
         lam = Partition((4, 4, 1, 1))
         assert corner_label(lam, 3) == 3
         assert corner_label(lam, 4) == 8
-        assert minorder._levels(MayaDiagram.from_partition(lam))[1:4] == (3, 3, 8)
+        assert minorder._levels(MayaDiagram.from_partition(lam))[:3] == (3, 3, 8)
 
     def test_empty_level(self):
         # r = 0 at the one valley 0; level 1 holds -1 and 1, neither a valley
         m = MayaDiagram.parse("|")
-        assert minorder._levels(m) == (m, 0, 0, None, [0], [-1, 1], [-2, 2])
+        assert minorder._levels(m) == (0, 0, None, [0], [-1, 1], [-2, 2])
 
     @given(diagrams, st.integers(min_value=-6, max_value=6),
            st.integers(min_value=0, max_value=13))
@@ -292,7 +297,8 @@ class TestInsert:
 
     def test_theorem_exhaustive(self):
         # every family member with |lam| <= 12 and n < |lam| + 40: the four
-        # cases against a search of the enlarged diagram, and the pick rule
+        # cases against a search of the enlarged diagram, and xhermite's
+        # pick of the origin a member is built at
         seen = {"a": 0, "b": 0, "c": 0, "d": 0}
         for lam in all_partitions_up_to(12):
             m, offset = MayaDiagram.from_partition(lam), lam.size - lam.length
@@ -305,7 +311,7 @@ class TestInsert:
                 r, origins = minimal_girth_of_diagram(m.add(pos))
                 assert (rep.r, list(rep.origins)) == (r, origins), (lam, n)
                 pick = max((k for k in origins if k < pos), default=origins[-1])
-                assert xhermite_min_origin(lam, n) == (r, pick), (lam, n)
+                assert min_origin(lam, n) == (r, pick), (lam, n)
         assert seen == {"a": 429, "b": 272, "c": 98, "d": 10081}
 
     def test_monotone_by_one(self, rng):
@@ -320,24 +326,24 @@ class TestInsert:
 class TestXhermiteMinOrigin:
     def test_branch_selection(self):
         lam = Partition((2, 2, 1, 1))
-        assert xhermite_min_origin(lam, 2) == (1, 6)
-        assert xhermite_min_origin(lam, 5) == (1, 6)
-        assert xhermite_min_origin(lam, 8) == (2, 7)
-        assert xhermite_min_origin(lam, 9) == (3, 6)
+        assert min_origin(lam, 2) == (1, 6)
+        assert min_origin(lam, 5) == (1, 6)
+        assert min_origin(lam, 8) == (2, 7)
+        assert min_origin(lam, 9) == (3, 6)
         lam2 = Partition((4, 4, 1, 1))
-        assert xhermite_min_origin(lam2, 6) == (2, 3)
-        assert xhermite_min_origin(lam2, 9) == (3, 8)
-        assert xhermite_min_origin(lam2, 10) == (3, 8)
-        assert xhermite_min_origin(lam2, 11) == (3, 8)
-        assert xhermite_min_origin(lam2, 14) == (4, 3)
-        assert xhermite_min_origin(lam2, 15) == (4, 3)
+        assert min_origin(lam2, 6) == (2, 3)
+        assert min_origin(lam2, 9) == (3, 8)
+        assert min_origin(lam2, 10) == (3, 8)
+        assert min_origin(lam2, 11) == (3, 8)
+        assert min_origin(lam2, 14) == (4, 3)
+        assert min_origin(lam2, 15) == (4, 3)
 
     def test_outputs_pinned(self):
         # every admissible member with |lam| <= 10 and n < |lam| + 30
         lines = []
         for lam in all_partitions_up_to(10):
             m, offset = MayaDiagram.from_partition(lam), lam.size - lam.length
-            lines += [f"{lam}|{n}|{xhermite_min_origin(lam, n)}"
+            lines += [f"{lam}|{n}|{min_origin(lam, n)}"
                       for n in range(lam.size + 30) if n - offset not in m]
         assert len(lines) == 4170
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
@@ -345,15 +351,15 @@ class TestXhermiteMinOrigin:
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
-            xhermite_min_origin(Partition((2, 2, 1, 1)), 3)
+            min_origin(Partition((2, 2, 1, 1)), 3)
         with pytest.raises(ValueError):
-            xhermite_min_origin(Partition((1,)), -1)
+            min_origin(Partition((1,)), -1)
 
     def test_large_n_tail(self):
         for lam in (Partition((2, 1)), Partition((3, 3)), Partition((2, 2, 2))):
-            _, r, k_r, *_ = minorder._levels(MayaDiagram.from_partition(lam))
+            r, k_r, *_ = minorder._levels(MayaDiagram.from_partition(lam))
             n = 40
-            assert xhermite_min_origin(lam, n) == (r + 1, k_r)
+            assert min_origin(lam, n) == (r + 1, k_r)
 
     def test_against_insert_machinery(self, rng):
         for _ in range(250):
@@ -363,7 +369,7 @@ class TestXhermiteMinOrigin:
             n = rng.randint(0, 24)
             if (n - offset) in m or n < 0:
                 continue
-            r_n, origin = xhermite_min_origin(lam, n)
+            r_n, origin = min_origin(lam, n)
             rep = min_order_after_insert(m, n - offset)
             assert r_n == rep.r, (lam, n)
             assert origin in rep.origins, (lam, n, origin, rep)
@@ -375,25 +381,24 @@ class TestXhermiteMinOrigin:
             m = MayaDiagram.from_partition(lam)
             r = minimal_girth(lam).r
             levels = [girth_level_set(m, v) for v in (r, r + 1, r + 2)]
-            assert minorder._standard_levels(lam) == (
-                m, r, corner_label(lam, r), corner_label(lam, r + 1), *levels)
+            assert minorder._levels(m) == (
+                r, corner_label(lam, r), corner_label(lam, r + 1), *levels)
 
     def test_fifty_calls_walk_the_base_diagram_once(self, monkeypatch):
-        # the record is built once, from walks of the base diagram only, and
-        # no later call walks at all
-        walks, builds = [], []
-        real_walk, real_levels = MayaDiagram.walk, minorder._levels
+        # the theorem inputs are built once, from walks of the base diagram
+        # only, and no later call walks at all
+        walks = []
+        real_walk = MayaDiagram.walk
         monkeypatch.setattr(MayaDiagram, "walk", lambda m: walks.append(m) or real_walk(m))
-        monkeypatch.setattr(minorder, "_levels", lambda m: builds.append(m) or real_levels(m))
         lam = Partition((4, 4, 1, 1))
         m, offset = MayaDiagram.from_partition(lam), lam.size - lam.length
         degrees = [n for n in range(80) if n - offset not in m][:50]
-        minorder._standard_levels.cache_clear()
-        xhermite_min_origin(lam, degrees[0])
+        minorder._levels.cache_clear()
+        min_origin(lam, degrees[0])
         first = len(walks)
         for n in degrees[1:]:
-            xhermite_min_origin(lam, n)
+            min_origin(lam, n)
         assert len(degrees) == 50
-        assert builds == [m]
+        assert minorder._levels.cache_info().misses == 1
         assert first > 0 and walks == [m] * first
-        assert minorder._standard_levels.cache_info().maxsize == 16
+        assert minorder._levels.cache_info().maxsize == 16

@@ -15,14 +15,13 @@ import hermitepw.determinant as determinant
 import hermitepw.polys as polys
 from hermitepw.determinant import det
 import hermitepw.hermite as hermite
-from hermitepw.hermite import darboux_step, pseudo_wronskian, pseudo_wronskian_matrix
+from hermitepw.hermite import darboux_step, min_order_at, pseudo_wronskian, pseudo_wronskian_matrix
 from hermitepw.maya import MayaDiagram
 from hermitepw.minorder import minimal_girth_of_diagram
 import hermitepw.painleve as painleve
 from hermitepw.painleve import (
     PivSolution,
     _log_ratio,
-    _min_order,
     gh_maya,
     min_order_gh,
     min_order_o,
@@ -751,7 +750,7 @@ class TestMinOrder:
     def test_gh_wronskian_side(self):
         spec = min_order_gh(4, 2)
         assert spec.order == 2 and spec.origin == 0
-        assert spec.constant == 1
+        assert spec.scalar == 1
         assert spec.poly == pseudo_wronskian(gh_maya(4, 2))
 
     def test_gh_conjugate_side(self):
@@ -759,7 +758,7 @@ class TestMinOrder:
         assert spec.order == 2 and spec.origin == 6
         assert spec.poly == -32 * IntPoly((45, 0, 0, 0, 120, 0, 64, 0, 16))
         full = det(pseudo_wronskian_matrix(gh_maya(2, 4)))
-        assert full * spec.constant.denominator == spec.constant.numerator * spec.poly
+        assert full * spec.scalar.denominator == spec.scalar.numerator * spec.poly
 
     def test_gh_other_members(self):
         assert pseudo_wronskian(gh_maya(2, 5).shift(-7)) == \
@@ -793,9 +792,9 @@ class TestMinOrder:
         # computed independently with a general-purpose symbolic engine
         spec = min_order_o(3, 5)
         assert spec.order == 5 and spec.origin == 9
-        assert spec.constant == -54281409739125424128000
+        assert spec.scalar == -54281409739125424128000
         full = det(pseudo_wronskian_matrix(o_maya(3, 5)))
-        assert full == spec.constant.numerator * spec.poly
+        assert full == spec.scalar.numerator * spec.poly
 
     def test_constants_reproduce_full_polynomial(self):
         for p1 in range(1, 6):
@@ -803,8 +802,8 @@ class TestMinOrder:
                 for maker, diagram in ((min_order_gh, gh_maya), (min_order_o, o_maya)):
                     spec = maker(p1, p2)
                     full = det(pseudo_wronskian_matrix(diagram(p1, p2)))
-                    assert full * spec.constant.denominator == \
-                        spec.constant.numerator * spec.poly, (maker, p1, p2)
+                    assert full * spec.scalar.denominator == \
+                        spec.scalar.numerator * spec.poly, (maker, p1, p2)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -815,6 +814,6 @@ class TestMinOrder:
     def test_wrong_order_or_origin_raises(self):
         # O(2,3) has minimal order 3 at origin 6; at origin 3 its girth is 4
         with pytest.raises(ArithmeticError):
-            _min_order(o_maya(2, 3), 2, 6)
+            min_order_at(o_maya(2, 3), 6, 2)
         with pytest.raises(ArithmeticError):
-            _min_order(o_maya(2, 3), 4, 3)
+            min_order_at(o_maya(2, 3), 3, 4)

@@ -11,12 +11,12 @@ from hermitepw.hermite import (
     conj_hermite_poly,
     hermite_poly,
     hermite_wronskian,
+    min_order_at,
     pseudo_wronskian,
     pseudo_wronskian_matrix,
     wronskian,
 )
 from hermitepw.maya import MayaDiagram, Partition
-from hermitepw.minorder import xhermite_min_origin
 from hermitepw.polys import IntPoly, RatFunc
 from hermitepw.xhermite import (
     XHermiteFamily,
@@ -161,7 +161,7 @@ class TestEigen:
 
 def _memo_misses():
     return {name: memo.cache_info().misses for name, memo in (
-        ("_member", xhermite._member), ("_weight", xhermite._weight),
+        ("_member", xhermite._member), ("_family", xhermite._family),
         ("_minimal_determinant", _minimal_determinant), ("_cofactors", _cofactors))}
 
 
@@ -169,7 +169,7 @@ def _memo_misses():
 def clear_memos():
     """For tests that corrupt an input the xhermite memos cache: start with
     them empty, and leave no corrupted entry behind."""
-    memos = (xhermite._family, xhermite._weight, xhermite._member)
+    memos = (xhermite._family, xhermite._member)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -178,9 +178,10 @@ def clear_memos():
 
 
 class TestMemos:
-    # exceptional_hermite and min_order_form read the one member record
-    @pytest.mark.parametrize("memo", [xhermite._family, xhermite._weight, xhermite._member],
-                             ids=["_family", "_weight", "exceptional_hermite"])
+    # exceptional_hermite and min_order_form read the one member record;
+    # the standard diagram and W sit on the one family record
+    @pytest.mark.parametrize("memo", [xhermite._family, xhermite._member],
+                             ids=["_family", "exceptional_hermite"])
     def test_fixed_bound(self, memo):
         assert memo.cache_info().maxsize == 16
 
@@ -189,10 +190,12 @@ class TestMemos:
         assert fam.diagram is fam.diagram
         assert fam.diagram == MayaDiagram.from_partition(fam.lam)
         assert xhermite._family(fam.lam) is xhermite._family(Partition((2, 2, 1, 1)))
+        assert fam.weight is fam.weight
+        assert fam.weight == pseudo_wronskian(fam.diagram)
 
     def test_norm_check_shares_the_weight(self):
         lam = Partition((2, 2, 1, 1))
-        xhermite._weight(lam)
+        xhermite._family(lam).weight
         exceptional_hermite(lam, 2)
         before = _memo_misses()
         assert weight_and_norm_check(lam, 2, 2).ok
@@ -254,6 +257,27 @@ def test_member_above_corners_reuses_its_cofactors(monkeypatch, clear_memos):
     assert counts == {"det": 0, "search": 1}
 
 
+@pytest.mark.parametrize("n", [3, -1])
+def test_inadmissible_degree_raises_before_any_search(monkeypatch, clear_memos, n):
+    # the degree is rejected before the family's diagram or the member's
+    # origin is searched for, or any determinant is taken, from empty memos
+    import hermitepw.hermite as hermite
+    import hermitepw.minorder as minorder
+
+    minorder._levels.cache_clear()
+    calls = []
+    real_search, real_det = minorder.minimal_girth_of_diagram, hermite.det
+    for module in (minorder, hermite):
+        monkeypatch.setattr(module, "minimal_girth_of_diagram",
+                            lambda d: calls.append(d) or real_search(d))
+    monkeypatch.setattr(hermite, "det", lambda rows: calls.append(rows) or real_det(rows))
+    lam = Partition((2, 2, 1, 1))
+    for reader in (exceptional_hermite, min_order_form):
+        with pytest.raises(ValueError, match=f"degree {n} is not admissible"):
+            reader(lam, n)
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_member_below_corners_searches_once(monkeypatch, clear_memos, n):
     # P_3 and P_5 of (2,1) insert below their minimal origin: the search
@@ -262,14 +286,33 @@ def test_member_below_corners_searches_once(monkeypatch, clear_memos, n):
     import hermitepw.minorder as minorder
 
     lam = Partition((2, 1))
-    assert XHermiteFamily(lam).insertion_position(n) < xhermite_min_origin(lam, n)[1]
-    xhermite._weight(lam)
+    fam = xhermite._family(lam)
+    assert fam.insertion_position(n) < fam.min_origin(n)[1]
+    fam.weight
     real, calls = minorder.minimal_girth_of_diagram, []
     for module in (minorder, hermite):
         monkeypatch.setattr(module, "minimal_girth_of_diagram",
                             lambda d: calls.append(d) or real(d))
     exceptional_hermite(lam, n)
     assert len(calls) == 1
+
+
+def test_both_member_branches_build_the_determinant_record():
+    # every admissible n <= 20 of every partition of size <= 6: the record
+    # of min_order_form, whether the inserted-row expansion or the shifted
+    # determinant built it, equals the one min_order_at builds from the
+    # enlarged diagram at the same origin, times the insertion sign
+    branches = {"expansion": 0, "determinant": 0}
+    for lam in all_partitions_up_to(6):
+        fam = XHermiteFamily(lam)
+        for n in (n for n in range(21) if fam.is_admissible(n)):
+            form = min_order_form(lam, n)
+            pos = fam.insertion_position(n)
+            branches["expansion" if pos >= form.origin else "determinant"] += 1
+            enlarged = fam.diagram.add(pos)
+            assert form == min_order_at(enlarged, form.origin, form.order,
+                                        insertion_sign(lam, n)), (lam, n)
+    assert all(branches.values()), branches
 
 
 class TestMinOrderForm:
@@ -297,7 +340,7 @@ class TestMinOrderForm:
         lam = Partition((2, 1))
         fam = XHermiteFamily(lam)
         high = next(n for n in range(304, 320) if fam.is_admissible(n))
-        xhermite._weight(lam)
+        xhermite._family(lam).weight
         for n in (3, 6, high):
             exceptional_hermite(lam, n)
             misses = _memo_misses()
@@ -309,7 +352,7 @@ class TestMinOrderForm:
         # P_8 of (2,2,1,1) has minimal order 2 at origin 7; origin -3 has
         # girth 8, so a claim of (8, -3) is consistent but not minimal.
         # Both readers build the record that checks the claim.
-        monkeypatch.setattr(xhermite, "xhermite_min_origin", lambda lam, n: (8, -3))
+        monkeypatch.setattr(XHermiteFamily, "min_origin", lambda fam, n: (8, -3))
         for reader in (exceptional_hermite, min_order_form):
             with pytest.raises(ArithmeticError, match="minimal girth 2"):
                 reader(Partition((2, 2, 1, 1)), 8)
@@ -462,7 +505,7 @@ class TestNorms:
         # a step of the wrong sign doubles the term it should cancel
         real = xhermite._subtract_L
         monkeypatch.setattr(xhermite, "_subtract_L", lambda r, i, t, wp: real(r, i, -t, wp))
-        w = xhermite._weight(Partition((2, 2, 1, 1)))
+        w = xhermite._family(Partition((2, 2, 1, 1))).weight
         with pytest.raises(ArithmeticError, match="above deg W"):
             xhermite._hermite_remainder(w * w, w)
 
@@ -478,7 +521,7 @@ class TestNorms:
         # a product whose remainder has the right leading term but is not
         # a multiple of the remainder of W^2 leaves no constant c
         lam = Partition((2, 2, 1, 1))
-        w = xhermite._weight(lam)
+        w = xhermite._family(lam).weight
         scale = xhermite._norm_scale(XHermiteFamily(lam), 5)
         assert xhermite._norm_constant(scale * w * w, w) == scale
         with pytest.raises(ArithmeticError, match="not a multiple"):
@@ -495,8 +538,9 @@ class TestNorms:
         # Sturm's count runs first: a W with a real zero never reaches the
         # reduction, where the integral would not exist
         lam = Partition((2, 2, 1, 1))
-        w = xhermite._weight(lam)
-        monkeypatch.setattr(xhermite, "_weight", lambda lam: w * IntPoly((-1, 0, 1)))
+        fam = XHermiteFamily(lam)
+        fam.__dict__["weight"] = fam.weight * IntPoly((-1, 0, 1))
+        monkeypatch.setattr(xhermite, "_family", lambda lam: fam)
         monkeypatch.setattr(xhermite, "_norm_constant", _boom)
         with pytest.raises(ArithmeticError, match="real zero"):
             weight_and_norm_check(lam, 2, 2)
@@ -600,7 +644,7 @@ class TestNorms:
         integrand, within 10^-45 of the diagonal norm at n."""
         seen = _spy_certificates(monkeypatch)
         assert weight_and_norm_check(lam, n, m).ok
-        w = xhermite._weight(lam)
+        w = xhermite._family(lam).weight
         value = quadrature(exceptional_hermite(lam, n), exceptional_hermite(lam, m), w)
         sqrt_pi = Fraction(SQRT_PI_60)
         norm = abs(xhermite._norm_scale(XHermiteFamily(lam), n)) * sqrt_pi
@@ -658,7 +702,7 @@ class TestNorms:
         lam = Partition((1, 1))
         p0 = exceptional_hermite(lam, 0)
         with pytest.raises(ArithmeticError, match="did not reach 50 digits"):
-            norm_oracle.norm_integral(p0, p0, xhermite._weight(lam))
+            norm_oracle.norm_integral(p0, p0, xhermite._family(lam).weight)
 
     def test_high_degree_keeps_precision(self):
         # H_40^2 grows like x^80; the certificate is exact at any degree.
