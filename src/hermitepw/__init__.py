@@ -7,11 +7,9 @@ from .hermite import (
     conj_hermite_poly,
     equivalence_factor,
     hermite_poly,
-    hermite_wronskian,
     pseudo_wronskian,
     pure_conjugate_wronskian,
     verify_equivalence,
-    wronskian,
 )
 from .maya import BentPoint, MayaDiagram, Partition, rim
 from .minorder import (
@@ -46,10 +44,10 @@ __all__ = [
     "BentPoint", "IntPoly", "MayaDiagram", "Partition", "RatFunc",
     "XHermiteFamily", "conj_hermite_poly", "count_real_roots", "det",
     "durfee_symbol", "eigen_check", "equivalence_factor",
-    "exceptional_hermite", "gh_maya", "hermite_poly", "hermite_wronskian",
+    "exceptional_hermite", "gh_maya", "hermite_poly",
     "inside_corners", "min_order_after_insert", "min_order_form",
     "min_order_gh", "min_order_o", "minimal_girth", "o_maya", "piv_catalog",
     "piv_solution_gh", "piv_solution_o", "poly_gcd",
     "pseudo_wronskian", "pure_conjugate_wronskian", "rim", "three_cycle",
-    "verify_equivalence", "verify_piv", "weight_and_norm_check", "wronskian",
+    "verify_equivalence", "verify_piv", "weight_and_norm_check",
 ]

@@ -21,7 +21,7 @@ import contextlib
 import json
 import sys
 
-from . import hermite, minorder, painleve, xhermite
+from . import minorder, painleve, xhermite
 from .hermite import pseudo_wronskian, verify_equivalence
 from .maya import MayaDiagram, Partition
 
@@ -173,16 +173,13 @@ def cmd_piv(args):
 def _selftest_checks():
     from fractions import Fraction as F
 
-    from .determinant import det
-
-    th = hermite.conj_hermite_poly
-    H = hermite.hermite_poly
-
-    d1 = hermite.hermite_wronskian([1, 2, 3, 6])
-    d2 = hermite.wronskian([th(1), th(2), th(6)])
-    d3 = det([[H(2), H(2).derivative()], [th(3), th(4)]])
-    yield "mixed triple 1:48", d1 == 48 * d2
-    yield "mixed triple 1:7680", d1 == 7680 * d3
+    # ( | 6,3,2,1) is Wr[H_1, H_2, H_3, H_6]; its shifts by 7 and 4 are the
+    # all-conjugate (6,2,1 | ) and the mixed (3 | 2), in defining row order
+    triple = MayaDiagram.from_partition(Partition((3, 1, 1, 1)))
+    r7 = verify_equivalence(triple, 7)
+    yield "mixed triple 1:48", r7.match and r7.constant == -48
+    r4 = verify_equivalence(triple, 4)
+    yield "mixed triple 1:7680", r4.match and r4.constant == -7680
 
     big = MayaDiagram.from_partition(Partition((4, 4, 3, 1, 1)))
     r6 = verify_equivalence(big, 6)
@@ -190,10 +187,10 @@ def _selftest_checks():
     r3 = verify_equivalence(big, 3)
     yield "shift constant -1935360", r3.match and r3.constant == -1935360
 
-    m2211 = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
-    yield "shift constant -768", verify_equivalence(m2211, 6).constant == -768
-    m4411 = MayaDiagram.from_partition(Partition((4, 4, 1, 1)))
-    yield "shift constant 19200", verify_equivalence(m4411, 3).constant == 19200
+    r = verify_equivalence(MayaDiagram.from_partition(Partition((2, 2, 1, 1))), 6)
+    yield "shift constant -768", r.match and r.constant == -768
+    r = verify_equivalence(MayaDiagram.from_partition(Partition((4, 4, 1, 1))), 3)
+    yield "shift constant 19200", r.match and r.constant == 19200
 
     rep = minorder.minimal_girth(Partition((2, 2, 1, 1)))
     yield "minimal girth (2,2,1,1)", (rep.r, rep.origins) == (2, (6,))

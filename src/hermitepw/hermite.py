@@ -57,10 +57,12 @@ and rescales from the same smallest origin.  It returns a
 Hermite layers return too.  The checks ``verify_equivalence``,
 ``one_step_shift_check`` and ``conjugate_wronskian_identity`` take the
 determinants at their own orders instead (the Wronskian form for s-only
-diagrams).  ``verify_equivalence`` may read a side at its smallest
-minimal-girth origin from the memo, which holds that side's direct
-determinant, but never a rescaled one; so the identity is always tested
-against determinants it did not produce.
+diagrams); the last is ``verify_equivalence`` on a standard diagram.  No
+determinant here has rows built by derivative chains: that definition of
+the Wronskian is the tests' oracle.  ``verify_equivalence`` may read a
+side at its smallest minimal-girth origin from the memo, which holds that
+side's direct determinant, but never a rescaled one; so the identity is
+always tested against determinants it did not produce.
 
 Adding one element t >= 0 to a diagram B adds one row to its matrix, so
 the Laplace expansion along that row gives
@@ -99,8 +101,6 @@ from .polys import IntPoly, _mac, _pairs, _scale
 __all__ = [
     "hermite_poly",
     "conj_hermite_poly",
-    "wronskian",
-    "hermite_wronskian",
     "pseudo_wronskian_matrix",
     "pseudo_wronskian",
     "check_min_origin",
@@ -165,24 +165,6 @@ def conj_hermite_poly(n):
     if n < 0:
         raise ValueError(f"conjugate Hermite index must be non-negative: {n}")
     return _hermite_th(n)
-
-
-def wronskian(polys):
-    """Classical Wronskian determinant of the given polynomials, in order."""
-    n = len(polys)
-    rows = []
-    for p in polys:
-        row = [p]
-        for _ in range(n - 1):
-            p = p.derivative()
-            row.append(p)
-        rows.append(row)
-    return det(rows)
-
-
-def hermite_wronskian(indices):
-    """Wronskian of H_i for the given index sequence, in the order given."""
-    return wronskian([hermite_poly(i) for i in indices])
 
 
 # Entries of the derivative-row memo, keyed by (family, n, width).  One
@@ -369,8 +351,6 @@ class EquivalenceFactor:
     """Exact shift constant: H_M = ratio * H_{M-k}."""
 
     k: int
-    filled_window: tuple      # E_k = elements of M in [0, k)
-    hole_window: tuple        # G_k = holes of M in [0, k)
     eps_product: int
     gamma_product: int
 
@@ -388,18 +368,16 @@ def equivalence_factor(m: MayaDiagram, k: int) -> EquivalenceFactor:
     """
     k = int(k)
     if k == 0:
-        return EquivalenceFactor(0, (), (), 1, 1)
+        return EquivalenceFactor(0, 1, 1)
     if k < 0:
         inv = equivalence_factor(m.shift(-k), -k)
-        return EquivalenceFactor(k, inv.filled_window, inv.hole_window,
-                                 inv.gamma_product, inv.eps_product)
+        return EquivalenceFactor(k, inv.gamma_product, inv.eps_product)
 
     # One pass over the window: the holes below i grow by each hole passed,
     # and the elements above i are a suffix of the ascending t.
     t_asc = sorted(m.t)
     filled_set = set(m.t)
     holes_below = [-v - 1 for v in m.s]  # ascending
-    filled, hole_w = [], []
     eps_prod = gamma_prod = 1
     for i in range(k):
         above = t_asc[bisect.bisect_right(t_asc, i):]
@@ -408,17 +386,15 @@ def equivalence_factor(m: MayaDiagram, k: int) -> EquivalenceFactor:
             for e in above:
                 term *= 2 * e - 2 * i
             eps_prod *= term
-            filled.append(i)
         else:
             term = -1 if len(above) % 2 else 1
             for h in holes_below:
                 term *= 2 * h - 2 * i
             gamma_prod *= term
-            hole_w.append(i)
             holes_below.append(i)
     if eps_prod == 0 or gamma_prod == 0:
         raise ArithmeticError("degenerate zero factor: some 2m - 2i vanished")
-    return EquivalenceFactor(k, tuple(filled), tuple(hole_w), eps_prod, gamma_prod)
+    return EquivalenceFactor(k, eps_prod, gamma_prod)
 
 
 @dataclass(frozen=True)
@@ -469,32 +445,20 @@ def verify_equivalence(m: MayaDiagram, k: int) -> EquivalenceReport:
 
 def conjugate_wronskian_identity(lam: Partition):
     """Exact constant c with Wr[H_{m_1..m_ell}] = c * Wr[th_{m'_1..m'_ell'}],
-    both argument lists ascending; verified two independent ways.
+    both argument lists ascending; verified by two direct determinants.
 
-    The constant is assembled from the shift machinery: write the standard
-    diagram of lam, slide the origin past the top element to reach the
-    all-conjugate representative (whose hole distances are the standard
-    indices of the conjugate partition), and fold in the row-reversal sign
-    of the plain-Wronskian form.  Returns (ok, c, lhs, rhs).
+    The standard diagram of lam is the first Wronskian, rows ascending.
+    Sliding the origin past its top element reaches the all-conjugate
+    diagram, whose hole distances are the standard indices of the
+    conjugate partition and whose rows are descending; ``verify_equivalence``
+    checks that shift, and the row-reversal sign of the ell' = lam_1 rows
+    folds into c and the second side.  Returns (ok, c, lhs, rhs).
     """
-    m_std = MayaDiagram.from_partition(lam)
-    lhs = _direct_pseudo_wronskian(m_std)  # Wronskian of H_{m_i}, ascending rows
-
-    conj_std = MayaDiagram.from_partition(lam.conjugate())
-    ellp = lam.conjugate().length
-    rhs = wronskian([conj_hermite_poly(i) for i in sorted(conj_std.t)])
-
-    if lam.size == 0:
-        return lhs == rhs, Fraction(1), lhs, rhs
-
-    k = m_std.max_element() + 1
-    fac = equivalence_factor(m_std, k)
-    # H_{std - k} is the pure conjugate form with descending rows; the
-    # ascending Wronskian differs by the row-reversal sign.
+    std = MayaDiagram.from_partition(lam)
+    report = verify_equivalence(std, std.t[0] + 1 if std.t else 0)
+    ellp = lam.part(1)
     reversal = (-1) ** (ellp * (ellp - 1) // 2)
-    c = fac.ratio * reversal
-    ok = lhs * c.denominator == rhs * c.numerator
-    return ok, c, lhs, rhs
+    return report.match, report.constant * reversal, report.h_m, reversal * report.h_shifted
 
 
 def one_step_shift_check(m: MayaDiagram, direction: str):

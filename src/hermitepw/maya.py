@@ -179,16 +179,6 @@ class MayaDiagram:
         """min(Z \\ M): the first point of the walk outside the diagram."""
         return next(k for k, _, here in self.walk() if not here)
 
-    def max_element(self):
-        """max(M): largest element (negative when t is empty)."""
-        if self.t:
-            return self.t[0]
-        holes = set(-v - 1 for v in self.s)
-        m = -1
-        while m in holes:
-            m -= 1
-        return m
-
     def walk(self):
         """The girth walk g(k) = girth(M - k) at the points where membership
         can change: [(k, g(k), k in M)], ascending.

@@ -7,7 +7,7 @@ through holes and falling by 1 through filled boxes.  Valleys of the walk
 (k-1 filled, k empty) are the inside corners of the Ferrers diagram plus
 the two degenerate corners, and every minimal-girth origin is a valley.
 Below min(Z \\ M) the walk only falls and past max(M) it only rises, so
-every valley lies in [min_hole, max_element + 1].
+every valley lies in [min(Z \\ M), max(M) + 1].
 
 Valleys and level sets come from one sparse walk, ``MayaDiagram.walk``:
 g at the points next to an entry of s or t and at the origin, where

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from hermitepw.determinant import det
+from hermitepw.hermite import hermite_poly
 from hermitepw.maya import MayaDiagram, Partition, partitions_of
 from hermitepw.polys import IntPoly
 from hermitepw.xhermite import XHermiteFamily
@@ -19,6 +21,37 @@ def eval_at(p, x):
 def poly_from_json(obj):
     """The IntPoly of an ``IntPoly.to_json`` object."""
     return IntPoly(int(c) for c in obj["coeffs"])
+
+
+def wronskian(polys):
+    """Classical Wronskian determinant of the given polynomials, in order,
+    from derivative chains: the definition, which shares no row
+    construction with the library."""
+    n = len(polys)
+    rows = []
+    for p in polys:
+        row = [p]
+        for _ in range(n - 1):
+            p = p.derivative()
+            row.append(p)
+        rows.append(row)
+    return det(rows)
+
+
+def hermite_wronskian(indices):
+    """Wronskian of H_i for the given index sequence, in the order given."""
+    return wronskian([hermite_poly(i) for i in indices])
+
+
+def max_element(m):
+    """max(M): largest element (negative when t is empty)."""
+    if m.t:
+        return m.t[0]
+    holes = set(-v - 1 for v in m.s)
+    k = -1
+    while k in holes:
+        k -= 1
+    return k
 
 
 def all_partitions_up_to(n):

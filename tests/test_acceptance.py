@@ -15,11 +15,9 @@ from hermitepw.determinant import det
 from hermitepw.hermite import (
     conj_hermite_poly,
     hermite_poly,
-    hermite_wronskian,
     pseudo_wronskian,
     pseudo_wronskian_matrix,
     verify_equivalence,
-    wronskian,
 )
 from hermitepw.maya import MayaDiagram, Partition
 from hermitepw.minorder import (
@@ -42,9 +40,12 @@ from hermitepw.xhermite import NORM_DPS, XHermiteFamily, eigen_check, \
 from conftest import (
     admissible_degrees,
     all_partitions_up_to,
+    hermite_wronskian,
+    max_element,
     random_diagram,
     random_partition,
     split_window,
+    wronskian,
 )
 from norm_oracle import NORM_TOLERANCE, norm_integral
 
@@ -196,7 +197,7 @@ def test_criterion_7b_minimal_girth_exhaustive():
     t0 = time.perf_counter()
     for lam in all_partitions_up_to(12):
         m = MayaDiagram.from_partition(lam)
-        lo, hi = m.min_hole() - 1, m.max_element() + 2
+        lo, hi = m.min_hole() - 1, max_element(m) + 2
         vals = {k: m.shift(-k).girth for k in range(lo, hi + 1)}
         r = min(vals.values())
         origins = [k for k in range(lo, hi + 1) if vals[k] == r]
@@ -215,7 +216,7 @@ def test_criterion_7c_insertion_cases():
         lam = random_partition(rng, 12)
         m = MayaDiagram.from_partition(lam).shift(rng.randint(-5, 5))
         # every hole below max(0, max(M) + 1) and the next four
-        choices = split_window(m, m.min_hole(), max(0, m.max_element() + 1) + 4)[0]
+        choices = split_window(m, m.min_hole(), max(0, max_element(m) + 1) + 4)[0]
         new = rng.choice(choices)
         rep = min_order_after_insert(m, new)
         r, origins = minimal_girth_of_diagram(m.add(new))

@@ -212,6 +212,34 @@ def test_selftest(capsys):
     assert "FAIL" not in out and "PASS" in out
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "a9839367658a0c77acbf48cbaa437d5233c1dac826bce4944744d7a24cb3538b"),
+    ("json", "9ff5f97574c1c10b27e83a8a880b5b95ea6cd659b8f31df19f0da6c38da72cc9"),
+])
+def test_selftest_bytes_pinned(capsys, fmt, digest):
+    code, out = run(capsys, "--format", fmt, "selftest")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_selftest_verdicts_are_computed(capsys, monkeypatch):
+    # scale the pseudo-Wronskian of every standard diagram (t only) by 3:
+    # each check with such a side must fail, and the rest must not
+    import hermitepw.hermite as hermite
+
+    real = hermite._direct_pseudo_wronskian
+    monkeypatch.setattr(hermite, "_direct_pseudo_wronskian",
+                        lambda d: 3 * real(d) if d.t and not d.s else real(d))
+    code, out = run(capsys, "selftest")
+    failed = [line.removeprefix("[FAIL] ") for line in out.splitlines()
+              if line.startswith("[FAIL] ")]
+    assert code == 1 and failed
+    assert all(name.startswith(("mixed triple", "shift constant")) for name in failed)
+    code, out = run(capsys, "--format", "json", "selftest")
+    assert code == 1
+    assert [r["check"] for r in json.loads(out) if r["pass"] is False] == failed
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "--format", "json", "piv", "catalog", "--max", "1")
     _, out2 = run(capsys, "--format", "json", "piv", "catalog", "--max", "1")

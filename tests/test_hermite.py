@@ -22,7 +22,6 @@ from hermitepw.hermite import (
     darboux_step,
     equivalence_factor,
     hermite_poly,
-    hermite_wronskian,
     hirota,
     min_order_at,
     pseudo_wronskian,
@@ -31,14 +30,22 @@ from hermitepw.hermite import (
     pure_conjugate_wronskian,
     one_step_shift_check,
     verify_equivalence,
-    wronskian,
 )
 from hermitepw.maya import MayaDiagram, Partition
 from hermitepw.minorder import minimal_girth_of_diagram
 from hermitepw.polys import IntPoly
 from hermitepw.xhermite import XHermiteFamily, eigen_check, exceptional_hermite
 
-from conftest import all_partitions_up_to, diagrams, frobenius_sides, random_diagram, split_window
+from conftest import (
+    all_partitions_up_to,
+    diagrams,
+    frobenius_sides,
+    hermite_wronskian,
+    max_element,
+    random_diagram,
+    split_window,
+    wronskian,
+)
 from test_determinant import bareiss_intpoly
 
 X = IntPoly((0, 1))
@@ -66,7 +73,7 @@ def s_only_diagrams(draw):
         parts.append(draw(st.integers(min_value=1, max_value=min(left, 14, *parts[-1:]))))
         left -= parts[-1]
     m = MayaDiagram.from_partition(Partition(tuple(parts)))
-    base = m.max_element() + 1
+    base = max_element(m) + 1
     top = base + 14 - m.shift(-base).girth
     return m.shift(-draw(st.integers(min_value=base, max_value=top)))
 
@@ -283,7 +290,7 @@ class TestPseudoWronskian:
 
         m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
         monkeypatch.setattr(hermite, "equivalence_factor",
-                            lambda m, k: EquivalenceFactor(k, (), (), 1, 7))
+                            lambda m, k: EquivalenceFactor(k, 1, 7))
         with pytest.raises(ArithmeticError):
             pseudo_wronskian(m)
 
@@ -386,7 +393,7 @@ def _equivalence_factor_oracle(m, k):
     if k < 0:
         eps, gamma = _equivalence_factor_oracle(m.shift(-k), -k)
         return gamma, eps
-    lowest, top = m.min_hole(), m.max_element()
+    lowest, top = m.min_hole(), max_element(m)
 
     def holes_below(i):
         return split_window(m, lowest, i)[0]
@@ -423,7 +430,7 @@ def raised_checks(draw):
     r, origins = minimal_girth_of_diagram(std)
     low = draw(st.sampled_from(origins))
     g = draw(st.integers(min_value=r + 1, max_value=14))
-    at_g = [k for k in range(std.min_hole() - 14, std.max_element() + 16)
+    at_g = [k for k in range(std.min_hole() - 14, max_element(std) + 16)
             if std.shift(-k).girth == g]
     high = draw(st.sampled_from([max(at_g), min(at_g)]))
     a, b = draw(st.sampled_from([(low, high), (high, low)]))
@@ -435,15 +442,10 @@ class TestEquivalence:
     def test_factor_matches_window_oracle(self, m, k):
         fac = equivalence_factor(m, k)
         assert (fac.eps_product, fac.gamma_product) == _equivalence_factor_oracle(m, k)
-        base = m if k >= 0 else m.shift(-k)
-        assert fac.filled_window == tuple(i for i in range(abs(k)) if i in base)
-        assert fac.hole_window == tuple(i for i in range(abs(k)) if i not in base)
 
     def test_factor_structure(self):
         m = MayaDiagram.from_partition(Partition((2, 2, 1, 1)))
         fac = equivalence_factor(m, 6)
-        assert fac.filled_window == (1, 2, 4, 5)
-        assert fac.hole_window == (0, 3)
         assert fac.ratio == Fraction(fac.eps_product, fac.gamma_product) == -768
 
     def test_identity_direction(self):
@@ -650,13 +652,30 @@ class TestConjugateIdentity:
             assert lhs * c.denominator == rhs * c.numerator
 
     def test_empty_partition_compares_both_sides(self, monkeypatch):
+        # both sides are the empty diagram; doubling the second one read
+        # must fail the check, so it is computed, not assumed
         import hermitepw.hermite as hermite
 
         ok, c, lhs, rhs = conjugate_wronskian_identity(Partition())
         assert ok and c == 1 and lhs == rhs == 1
-        monkeypatch.setattr(hermite, "wronskian", lambda polys: IntPoly.const(2))
+        real, reads = hermite._direct_side, []
+
+        def doubled_second(m, smallest):
+            reads.append(m)
+            return 2 * real(m, smallest) if len(reads) == 2 else real(m, smallest)
+
+        monkeypatch.setattr(hermite, "_direct_side", doubled_second)
         ok, _, _, _ = conjugate_wronskian_identity(Partition())
-        assert not ok
+        assert not ok and reads == [MayaDiagram(), MayaDiagram()]
+
+    def test_sides_match_derivative_chain_oracle(self):
+        # lhs = Wr[H_m] and rhs = Wr[th_m'] over the ascending standard
+        # indices of lam and of its conjugate, each by derivative chains
+        for lam in all_partitions_up_to(8):
+            _, _, lhs, rhs = conjugate_wronskian_identity(lam)
+            conj = MayaDiagram.from_partition(lam.conjugate())
+            assert lhs == hermite_wronskian(sorted(MayaDiagram.from_partition(lam).t)), lam
+            assert rhs == wronskian([conj_hermite_poly(i) for i in sorted(conj.t)]), lam
 
     def test_self_conjugate_constant_unity_scale(self):
         # a self-conjugate partition relates two equal-order Wronskians

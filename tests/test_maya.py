@@ -17,6 +17,7 @@ from conftest import (
     all_partitions_up_to,
     diagrams,
     frobenius_sides,
+    max_element,
     partitions,
     random_partition,
     walk_at,
@@ -86,10 +87,10 @@ class TestMayaBasics:
 
     def test_min_hole_max_element(self):
         m = MayaDiagram.parse("5,2,1|2,1")
-        assert m.min_hole() == -6 and m.max_element() == 2
+        assert m.min_hole() == -6 and max_element(m) == 2
         assert MayaDiagram.parse("|").min_hole() == 0
-        assert MayaDiagram.parse("|").max_element() == -1
-        assert MayaDiagram.parse("1,0|").max_element() == -3
+        assert max_element(MayaDiagram.parse("|")) == -1
+        assert max_element(MayaDiagram.parse("1,0|")) == -3
 
     def test_parse_str_round_trip(self):
         for text in ("5,2,1|2,1", "5,2|", "|1,2,4,5", "|"):
@@ -180,7 +181,7 @@ class TestBentDiagram:
     @given(diagrams)
     @settings(max_examples=100)
     def test_step_rule(self, m):
-        lo, hi = m.min_hole() - 3, m.max_element() + 3
+        lo, hi = m.min_hole() - 3, max_element(m) + 3
         pts = _bent_points(m, lo, hi)
         for a, b in zip(pts, pts[1:]):
             step = (b.holes_below - a.holes_below,
@@ -218,7 +219,7 @@ class TestRim:
     def test_rim_equals_positive_bent_part(self):
         for lam in all_partitions_up_to(12):
             m = MayaDiagram.from_partition(lam)
-            lo, hi = m.min_hole() - 1, m.max_element() + 2
+            lo, hi = m.min_hole() - 1, max_element(m) + 2
             bent_positive = {
                 (p.holes_below, p.filled_at_or_above)
                 for p in _bent_points(m, lo, hi)

@@ -19,6 +19,7 @@ from hermitepw.xhermite import XHermiteFamily
 from conftest import (
     all_partitions_up_to,
     diagrams,
+    max_element,
     random_diagram,
     random_partition,
     split_window,
@@ -33,7 +34,7 @@ def min_origin(lam, n):
 
 def brute_minimum(m):
     # one step wider than the library's search on each side
-    lo, hi = m.min_hole() - 1, m.max_element() + 2
+    lo, hi = m.min_hole() - 1, max_element(m) + 2
     vals = {k: m.shift(-k).girth for k in range(lo, hi + 1)}
     r = min(vals.values())
     return r, [k for k in range(lo, hi + 1) if vals[k] == r]
@@ -95,9 +96,9 @@ class TestMinimalGirth:
         cases = 0
         for lam in all_partitions_up_to(12):
             std = MayaDiagram.from_partition(lam)
-            for j in range(std.min_hole() - 1, std.max_element() + 3):
+            for j in range(std.min_hole() - 1, max_element(std) + 3):
                 m = std.shift(-j)
-                lo, hi = m.min_hole() - 3, m.max_element() + 4
+                lo, hi = m.min_hole() - 3, max_element(m) + 4
                 walk = {k: m.shift(-k).girth for k in range(lo, hi + 1)}
                 valleys = [(k, g) for k, g in walk.items() if k - 1 in m and k not in m]
                 r = min(walk.values())
@@ -133,7 +134,7 @@ class TestSparseWalk:
     def test_matches_shift_oracle(self, m, r):
         g = {k: m.shift(-k).girth for k in ORACLE_WINDOW}
         holes, elements = split_window(m, ORACLE_WINDOW.start, ORACLE_WINDOW.stop)
-        assert (m.min_hole(), m.max_element()) == (holes[0], elements[-1])
+        assert (m.min_hole(), max_element(m)) == (holes[0], elements[-1])
         assert m.shift(-holes[0]) == MayaDiagram.from_partition(m.partition())
         for n in range(-13, 14):
             below = sum(1 for h in holes if h < n)
@@ -153,7 +154,7 @@ class TestSparseWalk:
         # from 10^6 + 1 on
         m = MayaDiagram((3,), (10 ** 6, 2))
         assert m.partition() == Partition((10 ** 6, 3, 1, 1, 1))
-        assert (m.min_hole(), m.max_element()) == (-4, 10 ** 6)
+        assert (m.min_hole(), max_element(m)) == (-4, 10 ** 6)
         assert m.bent_point(5 * 10 ** 5) == BentPoint(5 * 10 ** 5, 5 * 10 ** 5, 1)
         assert m.bent_point(10 ** 6 + 1) == BentPoint(10 ** 6 + 1, 10 ** 6, 0)
         assert minorder._valleys(m) == [(-4, 5), (0, 3), (3, 4), (10 ** 6 + 1, 10 ** 6)]
@@ -163,7 +164,7 @@ class TestSparseWalk:
         # the standard diagram of (10^9): g(k) = 1 - k below 0 and 1 + k up to 10^9
         m = MayaDiagram((), (10 ** 9,))
         assert m.partition() == Partition((10 ** 9,))
-        assert (m.min_hole(), m.max_element()) == (0, 10 ** 9)
+        assert (m.min_hole(), max_element(m)) == (0, 10 ** 9)
         assert m.bent_point(10 ** 9) == BentPoint(10 ** 9, 10 ** 9, 1)
         assert minorder._valleys(m) == [(0, 1), (10 ** 9 + 1, 10 ** 9)]
         assert minimal_girth_of_diagram(m) == (1, [0])
@@ -204,7 +205,7 @@ class TestLevelSets:
         # every level, below the minimum too, on shifted diagrams; the
         # brute-force window is far wider than the library's
         m = m.shift(j)
-        ks = range(m.min_hole() - 30, m.max_element() + 31)
+        ks = range(m.min_hole() - 30, max_element(m) + 31)
         assert girth_level_set(m, r) == [k for k in ks if m.shift(-k).girth == r]
 
 
@@ -286,7 +287,7 @@ class TestInsert:
             lam = random_partition(rng, 12)
             m = MayaDiagram.from_partition(lam).shift(rng.randint(-4, 4))
             # every hole below max(0, max(M) + 1) and the next four
-            choices = split_window(m, m.min_hole(), max(0, m.max_element() + 1) + 4)[0]
+            choices = split_window(m, m.min_hole(), max(0, max_element(m) + 1) + 4)[0]
             new = rng.choice(choices)
             rep = min_order_after_insert(m, new)
             seen[rep.case] += 1
@@ -318,7 +319,7 @@ class TestInsert:
         for _ in range(120):
             m = random_diagram(rng, max_girth=5, max_val=9)
             r0, _ = minimal_girth_of_diagram(m)
-            new = rng.choice(split_window(m, m.min_hole(), max(0, m.max_element() + 1) + 1)[0])
+            new = rng.choice(split_window(m, m.min_hole(), max(0, max_element(m) + 1) + 1)[0])
             r1, _ = minimal_girth_of_diagram(m.add(new))
             assert abs(r1 - r0) <= 1
 

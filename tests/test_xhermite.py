@@ -10,11 +10,9 @@ from hermitepw.hermite import (
     _minimal_determinant,
     conj_hermite_poly,
     hermite_poly,
-    hermite_wronskian,
     min_order_at,
     pseudo_wronskian,
     pseudo_wronskian_matrix,
-    wronskian,
 )
 from hermitepw.maya import MayaDiagram, Partition
 from hermitepw.polys import IntPoly, RatFunc
@@ -29,7 +27,13 @@ from hermitepw.xhermite import (
 )
 
 import norm_oracle
-from conftest import admissible_degrees, all_partitions_up_to, random_partition
+from conftest import (
+    admissible_degrees,
+    all_partitions_up_to,
+    hermite_wronskian,
+    random_partition,
+    wronskian,
+)
 
 
 class TestFamilyBookkeeping:
