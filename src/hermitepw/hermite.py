@@ -103,7 +103,6 @@ __all__ = [
     "conj_hermite_poly",
     "pseudo_wronskian_matrix",
     "pseudo_wronskian",
-    "check_min_origin",
     "MinOrderForm",
     "min_order_at",
     "pseudo_wronskian_with",
@@ -252,17 +251,6 @@ def pseudo_wronskian(m: MayaDiagram) -> IntPoly:
     return _from_smallest_origin(m, minimal_girth_of_diagram(m)[1][0])
 
 
-def check_min_origin(m: MayaDiagram, origin: int, order: int):
-    """Raise ArithmeticError unless ``origin`` is a minimal-girth origin of
-    M at girth ``order``, by one minimal-girth search; return the ascending
-    minimal-girth origins."""
-    r, origins = minimal_girth_of_diagram(m)
-    if r != order or origin not in origins:
-        raise ArithmeticError(f"{m}: minimal girth {r} at origins {origins}, "
-                              f"not {order} at {origin}")
-    return origins
-
-
 @dataclass(frozen=True)
 class MinOrderForm:
     """A polynomial at minimal order: it equals scalar * poly, where poly is
@@ -281,15 +269,18 @@ class MinOrderForm:
                 "poly": self.poly.to_json()}
 
 
-def min_order_at(m: MayaDiagram, origin: int, order: int, scale: int = 1) -> MinOrderForm:
-    """The form of scale * H_M at a claimed minimal-girth ``origin`` of M at
-    girth ``order``: scalar = scale * ratio with H_M = ratio * H_{M-origin}.
-    A claim the minimal-girth search does not confirm raises; the same
+def min_order_at(m: MayaDiagram, origin: int, order: int) -> MinOrderForm:
+    """The form of H_M at a claimed minimal-girth ``origin`` of M at girth
+    ``order``: scalar = ratio with H_M = ratio * H_{M-origin}.  A claim the
+    minimal-girth search does not confirm raises ArithmeticError; the same
     search gives the smallest origin that H_{M-origin} is rescaled from."""
-    smallest = check_min_origin(m, origin, order)[0]
+    r, origins = minimal_girth_of_diagram(m)
+    if r != order or origin not in origins:
+        raise ArithmeticError(f"{m}: minimal girth {r} at origins {origins}, "
+                              f"not {order} at {origin}")
     small = m.shift(-origin)
-    return MinOrderForm(origin, order, small, scale * equivalence_factor(m, origin).ratio,
-                        _from_smallest_origin(small, smallest - origin))
+    return MinOrderForm(origin, order, small, equivalence_factor(m, origin).ratio,
+                        _from_smallest_origin(small, origins[0] - origin))
 
 
 # Entries of the cofactor memo: one base diagram serves every member of an

@@ -16,28 +16,26 @@ valleys off it and ``girth_level_set`` finds at most one point of a level
 on each straight stretch, so both cost O(|s| + |t|) however far apart the
 entries lie, and no window of integers is walked.
 ``minimal_girth_of_diagram`` is the one minimal-girth search of a labelled
-diagram: ``hermite.pseudo_wronskian`` evaluates at its smallest origin, and
-``hermite.check_min_origin`` checks a claimed origin against it.
+diagram: ``hermite.pseudo_wronskian`` evaluates at its smallest origin,
+``hermite.min_order_at`` checks a claimed origin against it, and
+``xhermite`` places each exceptional Hermite member with it.
 ``minimal_girth`` reads the same valleys of the standard diagram of a
 partition for the minimal girth, its origins and the corner inventory,
 cross-checked against the corner-distance formula; the CLI's ``minorder``
 prints that inventory.
 
 How the minimal girth r and its origins change when one element is
-inserted is the theorem of ``min_order_after_insert``, its one entry: cases
-(a)-(d) on the corner labels k_r and k_{r+1} (the largest valley at each
-level).  Its origins come from the full level sets L_v =
+inserted is the paper's insertion theorem, ``min_order_after_insert``:
+cases (a)-(d) on the corner labels k_r and k_{r+1} (the largest valley at
+each level).  Its origins come from the full level sets L_v =
 ``girth_level_set``, not from the valleys alone: after an insertion, walk
-points that merely pass through a level can become valleys.  The theorem's
-inputs are memoised per diagram, so the members of an exceptional Hermite
-family, which all insert into its standard diagram, walk it once.  Which
-degree inserts where, and which of the returned origins a member is built
-at, is ``xhermite``'s business.
+points that merely pass through a level can become valleys.  It is a
+result of the paper, checked against a search of M u {new}; production
+places a member by that search, which is the definition.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .maya import MayaDiagram, Partition
@@ -185,13 +183,6 @@ class InsertReport:
     origins: tuple     # ascending minimal-girth origins after insertion
 
 
-# Entries of the theorem-input memo, keyed by the diagram: one per
-# exceptional Hermite family in use, whose members all insert into its
-# standard diagram
-_LEVELS_MEMO_SIZE = 16
-
-
-@functools.lru_cache(maxsize=_LEVELS_MEMO_SIZE)
 def _levels(m: MayaDiagram):
     """(r, k_r, k_{r+1}, L_r, L_{r+1}, L_{r+2}): the inputs of the insertion
     theorem for M, with r its minimal girth, L_v its girth level sets and
@@ -204,8 +195,8 @@ def _levels(m: MayaDiagram):
 
 
 def min_order_after_insert(m: MayaDiagram, new: int) -> InsertReport:
-    """Minimal girth and origins of M u {new}, from the memoised theorem
-    inputs of M, by cases on the position of ``new`` against the corner
+    """Minimal girth and origins of M u {new}, from the theorem inputs of
+    M, by cases on the position of ``new`` against the corner
     labels; agrees with a search of M u {new}:
       (a) new < k_r:              r-1, origins {k in L_r : k > new}
       (b) new = k_r:              r,   origins {new+1} u {k in L_{r+1} : k > new}

@@ -483,7 +483,8 @@ class RatFunc:
 
     Canonical form: no common polynomial factor, coprime integer contents,
     denominator nonzero with positive leading coefficient.  The constructor
-    reduces once: one gcd, then the content, then the sign.  Equal values
+    reduces once: one division by ``poly_gcd``, which carries the gcd of the
+    contents, so the contents left are coprime; then the sign.  Equal values
     have equal parts, so equality compares parts and holds only between
     RatFuncs.
     """
@@ -505,12 +506,8 @@ class RatFunc:
         if g.degree > 0 or g.leading != 1:
             num = num.divexact(g)
             den = den.divexact(g)
-        cg = math.gcd(num.content(), den.content())
         if den.leading < 0:
-            cg = -cg
-        if cg != 1:
-            num = IntPoly(tuple(c // cg for c in num.coeffs))
-            den = IntPoly(tuple(c // cg for c in den.coeffs))
+            num, den = -num, -den
         return num, den
 
     def is_zero(self):

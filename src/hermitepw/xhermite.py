@@ -21,10 +21,12 @@ record of a partition, whose standard diagram and weight Wronskian W are
 cached properties, and the record of (lam, n) each sit behind a fixed
 16-entry ``functools.lru_cache``.  The member record holds P_n and its
 ``hermite.MinOrderForm``, built together at the minimal origin k that
-``XHermiteFamily.min_origin`` picks.  The family maps the degree to its
-insertion position pos, ``minorder.min_order_after_insert`` gives the
-minimal order and origins of M u {pos}, and the pick takes the largest
-origin below pos, or the largest; one minimal-girth search confirms it.
+``XHermiteFamily.placement`` picks.  The family maps the degree to its
+insertion position pos, one minimal-girth search of M u {pos} gives its
+minimal order and origins, and the pick takes the largest origin below
+pos, or the largest.  (The paper's insertion theorem,
+``minorder.min_order_after_insert``, predicts the same order and origins
+from the corners of M; the tests check it against this search.)
 At k the matrix of P_n is the family's fixed rows plus one row
 D^j H_(pos-k); when pos >= k, P_n comes from the Laplace expansion along
 that row (``hermite.pseudo_wronskian_with``), whose cofactors belong to
@@ -54,15 +56,14 @@ from fractions import Fraction
 
 from .hermite import (
     MinOrderForm,
-    check_min_origin,
+    _from_smallest_origin,
     equivalence_factor,
     hirota,
-    min_order_at,
     pseudo_wronskian,
     pseudo_wronskian_with,
 )
 from .maya import MayaDiagram, Partition
-from .minorder import min_order_after_insert
+from .minorder import minimal_girth_of_diagram
 from .polys import IntPoly, RatFunc, count_real_roots
 
 __all__ = [
@@ -120,16 +121,18 @@ class XHermiteFamily:
             raise ValueError(f"degree {n} is not admissible for {self.lam}")
         return n - self.offset
 
-    def min_origin(self, n):
-        """(minimal order, one minimal origin) of the degree-n member: the
-        insertion theorem at its position pos.  Of the theorem's origins
-        the largest below pos is picked, or the largest when none is below,
-        so the member is on the expansion path of ``_member`` whenever an
+    def placement(self, n):
+        """(M u {pos}, its minimal order, its ascending minimal-girth
+        origins, the picked origin) of the degree-n member at its position
+        pos, from one minimal-girth search of M u {pos}.  The largest
+        origin below pos is picked, or the largest when none is below, so
+        the member is on the expansion path of ``_member`` whenever an
         origin allows it."""
         pos = self.insertion_position(n)
-        rep = min_order_after_insert(self.diagram, pos)
-        below = [k for k in rep.origins if k < pos]
-        return rep.r, (below or rep.origins)[-1]
+        enlarged = self.diagram.add(pos)
+        order, origins = minimal_girth_of_diagram(enlarged)
+        below = [k for k in origins if k < pos]
+        return enlarged, order, origins, (below or origins)[-1]
 
 
 # Entries of each memo below: a request reuses its own member and its
@@ -146,8 +149,7 @@ def exceptional_hermite(lam: Partition, n: int) -> IntPoly:
     """The degree-n family member: the defining Wronskian, which is
     ``insertion_sign`` times the pseudo-Wronskian of the enlarged diagram.
     It is read from the member's memoised record (``_member``), built at
-    minimal order; an origin that the minimal-girth search does not confirm
-    raises ArithmeticError."""
+    minimal order."""
     return _member(lam, n)[0]
 
 
@@ -209,32 +211,30 @@ def min_order_form(lam: Partition, n: int) -> MinOrderForm:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _member(lam: Partition, n: int):
     """(P_n, its MinOrderForm), built once per (lam, n) at the minimal
-    origin k that ``XHermiteFamily.min_origin`` picks, after
+    origin k that ``XHermiteFamily.placement`` picks, after
     ``insertion_sign`` has rejected an inadmissible degree.
 
-    One minimal-girth search of the enlarged diagram M u {pos} confirms the
-    claim (order, k), or raises ArithmeticError.  At that origin the
-    matrix is the family's fixed rows, those of B = M - k, plus one row for
-    pos - k.  When pos >= k that row is D^j H_(pos-k), and the minimal
-    determinant is ``pseudo_wronskian_with(B, pos - k)``: its cofactors
-    C_j(B) are memoised, so members above the corners share them.
-    Otherwise ``min_order_at`` takes it from the shifted diagram.  Either
-    way P_n = scalar * H_(M u {pos} - k) with scalar = insertion_sign *
-    ratio, the exact shift ratio, in one division that raises on a
-    remainder.
+    The one minimal-girth search of the enlarged diagram M u {pos} gives
+    the order, the origins and k.  At k the matrix is the family's fixed
+    rows, those of B = M - k, plus one row for pos - k.  When pos >= k that
+    row is D^j H_(pos-k), and the minimal determinant is
+    ``pseudo_wronskian_with(B, pos - k)``: its cofactors C_j(B) are
+    memoised, so members above the corners share them.  Otherwise it is
+    the memoised determinant at the smallest origin, rescaled.  Either way
+    P_n = scalar * H_(M u {pos} - k) with scalar = insertion_sign * ratio,
+    the exact shift ratio, in one division that raises on a remainder.
     """
     sign = insertion_sign(lam, n)
     fam = _family(lam)
-    order, origin = fam.min_origin(n)
     pos = fam.insertion_position(n)
-    enlarged = fam.diagram.add(pos)
+    enlarged, order, origins, origin = fam.placement(n)
+    small = enlarged.shift(-origin)
     if pos >= origin:
-        check_min_origin(enlarged, origin, order)
-        form = MinOrderForm(origin, order, enlarged.shift(-origin),
-                            sign * equivalence_factor(enlarged, origin).ratio,
-                            pseudo_wronskian_with(fam.diagram.shift(-origin), pos - origin))
+        h = pseudo_wronskian_with(fam.diagram.shift(-origin), pos - origin)
     else:
-        form = min_order_at(enlarged, origin, order, sign)
+        h = _from_smallest_origin(small, origins[0] - origin)
+    form = MinOrderForm(origin, order, small,
+                        sign * equivalence_factor(enlarged, origin).ratio, h)
     scalar = form.scalar
     poly = (scalar.numerator * form.poly).divexact(IntPoly.const(scalar.denominator))
     if poly.degree != n:
@@ -244,12 +244,18 @@ def _member(lam: Partition, n: int):
 
 @dataclass(frozen=True)
 class NormReport:
+    """The integral is exactly c sqrt(pi), and Crum's formula gives
+    expected_c sqrt(pi), 0 off the diagonal; the strings ``integral`` and
+    ``expected`` render both to 20 digits."""
+
     n: int
     m: int
     integral: str
     expected: str
     rel_error: float
     ok: bool
+    c: Fraction
+    expected_c: Fraction
 
 
 # The check is exact and has no tolerance; sqrt(pi) in the report strings
@@ -408,7 +414,8 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     P_n P_m e^(-x^2) / W^2 = (A e^(-x^2) / W)' + c e^(-x^2), and the integral
     is exactly c sqrt(pi).  The check passes when c equals the closed form,
     an equality of rationals; a product that leaves no such c raises
-    ArithmeticError.  sqrt(pi) enters only the report strings.
+    ArithmeticError.  The report carries c and the closed form as exact
+    rationals; sqrt(pi) enters only its strings.
     """
     if not lam.is_even():
         raise ValueError(f"partition {lam} is not even")
@@ -419,7 +426,7 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     pn = exceptional_hermite(lam, n)
     pm = pn if m == n else exceptional_hermite(lam, m)
     if pn.parity() != pm.parity():
-        return NormReport(n, m, "0.0", "0.0", 0.0, True)
+        return NormReport(n, m, "0.0", "0.0", 0.0, True, Fraction(0), Fraction(0))
     num = pn * pm
     # W^2 is even whenever W has definite parity
     if num.parity() != 0 or w.parity() is None:
@@ -427,8 +434,8 @@ def weight_and_norm_check(lam: Partition, n: int, m: int) -> NormReport:
     c = _norm_constant(num, w)
     # diagonal norm at n; off the diagonal it is the relative yardstick
     scale = _norm_scale(fam, n)
-    expected = scale if n == m else 0
+    expected = Fraction(scale if n == m else 0)
     sqrt_pi = Fraction(_sqrt_pi(), 1 << _NORM_BITS)
     rel = abs(c - expected) / abs(scale)
     return NormReport(n, m, _nstr(c * sqrt_pi), _nstr(expected * sqrt_pi),
-                      float(rel), c == expected)
+                      float(rel), c == expected, c, expected)

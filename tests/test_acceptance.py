@@ -291,26 +291,27 @@ def test_criterion_8_orthogonality_certificate():
 
 
 # Diagonal norms of the first four admissible degrees: (integral, expected)
-# exactly as the full-line mpf-Horner quadrature printed them.  They must
-# not move when the integrand's evaluation or interval changes.
+# exactly as the full-line mpf-Horner quadrature printed them, and the exact
+# c = expected_c with integral = c sqrt(pi), Crum's 2^(j+ell) j! prod(j - m_i).
+# They must not move when the integrand's evaluation or interval changes.
 _PINNED_NORMS = {
     (1, 1): {
-        0: ("14.179630807244128218", "14.179630807244128218"),
-        3: ("680.62227874771815448", "680.62227874771815448"),
-        4: ("16334.934689945235708", "16334.934689945235708"),
-        5: ("326698.69379890471415", "326698.69379890471415"),
+        0: ("14.179630807244128218", "14.179630807244128218", 8),
+        3: ("680.62227874771815448", "680.62227874771815448", 384),
+        4: ("16334.934689945235708", "16334.934689945235708", 9216),
+        5: ("326698.69379890471415", "326698.69379890471415", 184320),
     },
     (2, 2): {
-        2: ("42.538892421732384655", "42.538892421732384655"),
-        3: ("28.359261614488256437", "28.359261614488256437"),
-        6: ("5444.9782299817452359", "5444.9782299817452359"),
-        7: ("163349.34689945235708", "163349.34689945235708"),
+        2: ("42.538892421732384655", "42.538892421732384655", 24),
+        3: ("28.359261614488256437", "28.359261614488256437", 16),
+        6: ("5444.9782299817452359", "5444.9782299817452359", 3072),
+        7: ("163349.34689945235708", "163349.34689945235708", 92160),
     },
     (2, 2, 1, 1): {
-        2: ("1134.3704645795302575", "1134.3704645795302575"),
-        5: ("5444.9782299817452359", "5444.9782299817452359"),
-        8: ("52271791.007824754264", "52271791.007824754264"),
-        9: ("3293122833.4929595186", "3293122833.4929595186"),
+        2: ("1134.3704645795302575", "1134.3704645795302575", 640),
+        5: ("5444.9782299817452359", "5444.9782299817452359", 3072),
+        8: ("52271791.007824754264", "52271791.007824754264", 29491200),
+        9: ("3293122833.4929595186", "3293122833.4929595186", 1857945600),
     },
 }
 
@@ -322,9 +323,11 @@ def test_norm_strings_pinned():
         assert degs == list(pinned), (parts, degs)
         for n in degs:
             rep = weight_and_norm_check(lam, n, n)
-            assert (rep.integral, rep.expected) == pinned[n], (parts, n, rep)
-            assert rep.ok
-        # off the diagonal the integral is rounding noise: only its verdict holds
+            assert (rep.integral, rep.expected, rep.c) == pinned[n], (parts, n, rep)
+            assert type(rep.c) is type(rep.expected_c) is Fraction
+            assert rep.c == rep.expected_c and rep.ok
+        # off the diagonal the integral string is rounding noise; exactly, c is 0
         for a, b in ((degs[0], degs[2]), (degs[1], degs[3])):
             assert (a - b) % 2 == 0, (parts, a, b)
-            assert weight_and_norm_check(lam, a, b).ok, (parts, a, b)
+            rep = weight_and_norm_check(lam, a, b)
+            assert rep.ok and rep.c == rep.expected_c == 0, (parts, a, b)

@@ -29,7 +29,8 @@ from conftest import (
 
 def min_origin(lam, n):
     """The (order, origin) that xhermite builds the degree-n member at."""
-    return XHermiteFamily(lam).min_origin(n)
+    _, order, _, origin = XHermiteFamily(lam).placement(n)
+    return order, origin
 
 
 def brute_minimum(m):
@@ -376,7 +377,7 @@ class TestXhermiteMinOrigin:
             assert origin in rep.origins, (lam, n, origin, rep)
 
     def test_corner_data_from_one_walk(self):
-        # the memoised record against the corner inventory of minimal_girth's
+        # the theorem inputs against the corner inventory of minimal_girth's
         # one walk and the level sets
         for lam in all_partitions_up_to(10):
             m = MayaDiagram.from_partition(lam)
@@ -385,21 +386,26 @@ class TestXhermiteMinOrigin:
             assert minorder._levels(m) == (
                 r, corner_label(lam, r), corner_label(lam, r + 1), *levels)
 
-    def test_fifty_calls_walk_the_base_diagram_once(self, monkeypatch):
-        # the theorem inputs are built once, from walks of the base diagram
-        # only, and no later call walks at all
-        walks = []
-        real_walk = MayaDiagram.walk
-        monkeypatch.setattr(MayaDiagram, "walk", lambda m: walks.append(m) or real_walk(m))
+    def test_fifty_members_make_fifty_searches(self, monkeypatch):
+        # each member is placed by one minimal-girth search of its own
+        # enlarged diagram, and the insertion theorem is never called
+        import hermitepw.hermite as hermite
+        import hermitepw.xhermite as xhermite
+
         lam = Partition((4, 4, 1, 1))
         m, offset = MayaDiagram.from_partition(lam), lam.size - lam.length
         degrees = [n for n in range(80) if n - offset not in m][:50]
-        minorder._levels.cache_clear()
-        min_origin(lam, degrees[0])
-        first = len(walks)
-        for n in degrees[1:]:
-            min_origin(lam, n)
+        xhermite._member.cache_clear()
+        xhermite._family(lam).weight
+        searched, theorem = [], []
+        real_search, real_theorem = minorder.minimal_girth_of_diagram, minorder.min_order_after_insert
+        for module in (minorder, hermite, xhermite):
+            monkeypatch.setattr(module, "minimal_girth_of_diagram",
+                                lambda d: searched.append(d) or real_search(d))
+        monkeypatch.setattr(minorder, "min_order_after_insert",
+                            lambda *a: theorem.append(a) or real_theorem(*a))
+        for n in degrees:
+            xhermite.min_order_form(lam, n)
         assert len(degrees) == 50
-        assert minorder._levels.cache_info().misses == 1
-        assert first > 0 and walks == [m] * first
-        assert minorder._levels.cache_info().maxsize == 16
+        assert searched == [m.add(n - offset) for n in degrees]
+        assert theorem == []

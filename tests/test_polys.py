@@ -417,7 +417,30 @@ class TestSturm:
             assert count_real_roots(conj_hermite_poly(n)) == n % 2
 
 
+def reduced_with_contents(num, den):
+    """(num, den) over their primitive gcd, then over the gcd of their
+    contents, signed so that den leads positive: the reduction with an
+    explicit content pass."""
+    g = polys._prs_gcd(num.primitive(), den.primitive())
+    num, den = num.divexact(g), den.divexact(g)
+    c = math.gcd(num.content(), den.content()) * (1 if den.leading > 0 else -1)
+    return IntPoly(tuple(v // c for v in num.coeffs)), IntPoly(tuple(v // c for v in den.coeffs))
+
+
 class TestRatFunc:
+    @given(gcd_pairs())
+    @example((IntPoly((0, -2)), IntPoly((0, 0, -4))))
+    @example((IntPoly((6,)), IntPoly((-4, 0, 10))))
+    @settings(max_examples=100, deadline=None)
+    def test_one_gcd_leaves_coprime_contents(self, pair):
+        # poly_gcd carries the gcd of the contents, so the one division
+        # leaves nothing for a content pass to take out
+        num, den = pair
+        f = RatFunc(num, den)
+        assert (f.num, f.den) == reduced_with_contents(num, den)
+        assert math.gcd(f.num.content(), f.den.content()) == 1
+        assert f.den.leading > 0
+
     def test_reduction(self):
         f = RatFunc(IntPoly((0, 2)), IntPoly((0, 0, 2)))
         assert f == RatFunc(IntPoly((1,)), IntPoly((0, 1)))

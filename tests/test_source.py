@@ -327,6 +327,7 @@ PAPER_RESULTS = {
     "maya.rim": "tests/test_maya.py::TestRim::test_rim_equals_positive_bent_part",
     "maya.MayaDiagram.bent_point": "tests/test_maya.py::TestBentDiagram::test_step_rule",
     "minorder.inside_corners": "tests/test_minorder.py::TestInsideCorners::test_against_cell_rule",
+    "minorder.min_order_after_insert": "tests/test_minorder.py::TestInsert::test_theorem_exhaustive",
     "hermite.conjugate_wronskian_identity":
         "tests/test_hermite.py::TestConjugateIdentity::test_all_small_partitions",
     "hermite.one_step_shift_check":

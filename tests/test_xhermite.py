@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -231,9 +233,9 @@ class TestMemos:
 
 def test_member_above_corners_reuses_its_cofactors(monkeypatch, clear_memos):
     # above the corners every member of a family has the same base diagram,
-    # so once one is built a new one costs one minimal-girth search (the
-    # check of its corner-rule origin) and no determinant; the rest of the
-    # request reads the record
+    # so once one is built a new one costs the one minimal-girth search that
+    # places it, no determinant and no call of the insertion theorem; the
+    # rest of the request reads the record
     import hermitepw.hermite as hermite
     import hermitepw.minorder as minorder
 
@@ -242,7 +244,7 @@ def test_member_above_corners_reuses_its_cofactors(monkeypatch, clear_memos):
     first, second = [n for n in range(301, 320) if fam.is_admissible(n)][:2]
     eigen_check(lam, first)
     min_order_form(lam, first)
-    counts = {"det": 0, "search": 0}
+    counts = {"det": 0, "search": 0, "theorem": 0}
 
     def counting(key, fn):
         def wrapped(*args):
@@ -251,14 +253,16 @@ def test_member_above_corners_reuses_its_cofactors(monkeypatch, clear_memos):
         return wrapped
 
     monkeypatch.setattr(hermite, "det", counting("det", hermite.det))
+    monkeypatch.setattr(minorder, "min_order_after_insert",
+                        counting("theorem", minorder.min_order_after_insert))
     search = counting("search", minorder.minimal_girth_of_diagram)
-    for module in (minorder, hermite):
+    for module in (minorder, hermite, xhermite):
         monkeypatch.setattr(module, "minimal_girth_of_diagram", search)
     exceptional_hermite(lam, second)
-    assert counts == {"det": 0, "search": 1}
+    assert counts == {"det": 0, "search": 1, "theorem": 0}
     min_order_form(lam, second)
     eigen_check(lam, second)
-    assert counts == {"det": 0, "search": 1}
+    assert counts == {"det": 0, "search": 1, "theorem": 0}
 
 
 @pytest.mark.parametrize("n", [3, -1])
@@ -268,10 +272,9 @@ def test_inadmissible_degree_raises_before_any_search(monkeypatch, clear_memos, 
     import hermitepw.hermite as hermite
     import hermitepw.minorder as minorder
 
-    minorder._levels.cache_clear()
     calls = []
     real_search, real_det = minorder.minimal_girth_of_diagram, hermite.det
-    for module in (minorder, hermite):
+    for module in (minorder, hermite, xhermite):
         monkeypatch.setattr(module, "minimal_girth_of_diagram",
                             lambda d: calls.append(d) or real_search(d))
     monkeypatch.setattr(hermite, "det", lambda rows: calls.append(rows) or real_det(rows))
@@ -285,16 +288,16 @@ def test_inadmissible_degree_raises_before_any_search(monkeypatch, clear_memos, 
 @pytest.mark.parametrize("n", [3, 5])
 def test_member_below_corners_searches_once(monkeypatch, clear_memos, n):
     # P_3 and P_5 of (2,1) insert below their minimal origin: the search
-    # that checks the origin also gives the one to rescale from
+    # that places the member also gives the origin to rescale from
     import hermitepw.hermite as hermite
     import hermitepw.minorder as minorder
 
     lam = Partition((2, 1))
     fam = xhermite._family(lam)
-    assert fam.insertion_position(n) < fam.min_origin(n)[1]
+    assert fam.insertion_position(n) < fam.placement(n)[3]
     fam.weight
     real, calls = minorder.minimal_girth_of_diagram, []
-    for module in (minorder, hermite):
+    for module in (minorder, hermite, xhermite):
         monkeypatch.setattr(module, "minimal_girth_of_diagram",
                             lambda d: calls.append(d) or real(d))
     exceptional_hermite(lam, n)
@@ -305,7 +308,8 @@ def test_both_member_branches_build_the_determinant_record():
     # every admissible n <= 20 of every partition of size <= 6: the record
     # of min_order_form, whether the inserted-row expansion or the shifted
     # determinant built it, equals the one min_order_at builds from the
-    # enlarged diagram at the same origin, times the insertion sign
+    # enlarged diagram at the same origin, its scalar times the insertion
+    # sign
     branches = {"expansion": 0, "determinant": 0}
     for lam in all_partitions_up_to(6):
         fam = XHermiteFamily(lam)
@@ -313,9 +317,9 @@ def test_both_member_branches_build_the_determinant_record():
             form = min_order_form(lam, n)
             pos = fam.insertion_position(n)
             branches["expansion" if pos >= form.origin else "determinant"] += 1
-            enlarged = fam.diagram.add(pos)
-            assert form == min_order_at(enlarged, form.origin, form.order,
-                                        insertion_sign(lam, n)), (lam, n)
+            expected = min_order_at(fam.diagram.add(pos), form.origin, form.order)
+            assert form == dataclasses.replace(
+                expected, scalar=insertion_sign(lam, n) * expected.scalar), (lam, n)
     assert all(branches.values()), branches
 
 
@@ -351,15 +355,6 @@ class TestMinOrderForm:
             eigen_check(lam, n)
             min_order_form(lam, n)
             assert _memo_misses() == misses, n
-
-    def test_rejects_non_minimal_origin(self, monkeypatch, clear_memos):
-        # P_8 of (2,2,1,1) has minimal order 2 at origin 7; origin -3 has
-        # girth 8, so a claim of (8, -3) is consistent but not minimal.
-        # Both readers build the record that checks the claim.
-        monkeypatch.setattr(XHermiteFamily, "min_origin", lambda fam, n: (8, -3))
-        for reader in (exceptional_hermite, min_order_form):
-            with pytest.raises(ArithmeticError, match="minimal girth 2"):
-                reader(Partition((2, 2, 1, 1)), 8)
 
     def test_json(self):
         blob = min_order_form(Partition((2, 2, 1, 1)), 8).to_json()
@@ -449,6 +444,8 @@ class TestNorms:
     def test_classical_norm(self):
         rep = weight_and_norm_check(Partition(), 3, 3)
         assert rep.ok and rep.rel_error <= 1e-10
+        # the norm of H_3 is 2^3 3! sqrt(pi)
+        assert rep.c == rep.expected_c == 48
 
     def test_even_partition_norms(self, monkeypatch):
         lam = Partition((1, 1))
@@ -461,6 +458,7 @@ class TestNorms:
         rep = weight_and_norm_check(lam, 0, 4)
         assert seen == [0]
         assert rep.ok and (rep.integral, rep.expected, rep.rel_error) == ("0.0", "0.0", 0.0)
+        assert rep.c == rep.expected_c == 0
 
     @pytest.mark.parametrize("parts", EVEN_FAMILIES)
     def test_certificate_is_the_closed_form(self, monkeypatch, parts):
@@ -471,8 +469,10 @@ class TestNorms:
         for n in degs:
             for m in degs:
                 if (n - m) % 2 == 0:
-                    assert weight_and_norm_check(lam, n, m).ok, (parts, n, m)
+                    rep = weight_and_norm_check(lam, n, m)
+                    assert rep.ok, (parts, n, m)
                     assert seen[-1] == (xhermite._norm_scale(fam, n) if n == m else 0)
+                    assert rep.c == rep.expected_c == seen[-1]
 
     @pytest.mark.parametrize("parts", [(), (1, 1), (2, 2, 1, 1), (2, 1), (3, 1, 1)])
     def test_remainder_of_image_is_exact(self, parts):
@@ -535,6 +535,7 @@ class TestNorms:
         monkeypatch.setattr(xhermite, "_norm_constant", _boom)
         rep = weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 5)
         assert (rep.integral, rep.expected, rep.rel_error, rep.ok) == ("0.0", "0.0", 0.0, True)
+        assert rep.c == rep.expected_c == 0
         with pytest.raises(RuntimeError, match="certificate built"):
             weight_and_norm_check(Partition((2, 2, 1, 1)), 2, 8)
 
@@ -550,6 +551,7 @@ class TestNorms:
             weight_and_norm_check(lam, 2, 2)
 
     def test_wrong_closed_form_fails(self, monkeypatch):
+        # a wrong Crum scale is reported exactly, against the right c
         lam = Partition((2, 2, 1, 1))
         real = xhermite._norm_scale
         for wrong in (lambda fam, n: real(fam, n) + 1, lambda fam, n: 2 * real(fam, n),
@@ -557,6 +559,19 @@ class TestNorms:
             monkeypatch.setattr(xhermite, "_norm_scale", wrong)
             rep = weight_and_norm_check(lam, 5, 5)
             assert not rep.ok and rep.rel_error > 0
+            assert rep.c == 3072 and rep.expected_c == wrong(XHermiteFamily(lam), 5)
+
+    def test_wrong_constant_fails(self, monkeypatch):
+        # a wrong certificate constant c is reported exactly, against the
+        # right closed form
+        lam = Partition((2, 2, 1, 1))
+        real = xhermite._norm_constant
+        for wrong in (lambda c: c + Fraction(1, 2), lambda c: 2 * c, lambda c: -c):
+            monkeypatch.setattr(xhermite, "_norm_constant",
+                                lambda num, w: wrong(real(num, w)))
+            rep = weight_and_norm_check(lam, 5, 5)
+            assert not rep.ok and rep.rel_error > 0
+            assert rep.c == wrong(Fraction(3072)) and rep.expected_c == 3072
 
     def test_scaled_member_fails(self, monkeypatch):
         lam = Partition((2, 2, 1, 1))
@@ -564,6 +579,7 @@ class TestNorms:
         monkeypatch.setattr(xhermite, "exceptional_hermite", lambda lam, n: 2 * real(lam, n))
         rep = weight_and_norm_check(lam, 8, 8)
         assert not rep.ok and rep.rel_error == 3.0
+        assert rep.c == 4 * rep.expected_c == 4 * 29491200
 
     @pytest.mark.parametrize("n, m", [(8, 8), (2, 8), (5, 9)])
     def test_perturbed_member_fails(self, monkeypatch, n, m):
@@ -713,6 +729,7 @@ class TestNorms:
         # The pinned string is mpmath tanh-sinh's at 50 digits.
         rep = weight_and_norm_check(Partition(), 40, 40)
         assert rep.ok and rep.rel_error < 1e-50
+        assert rep.c == rep.expected_c == 2 ** 40 * math.factorial(40)
         assert rep.integral == rep.expected == "1.5900831340592726055e+60"
 
     def test_report_format_matches_nstr(self):
