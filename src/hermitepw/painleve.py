@@ -52,13 +52,16 @@ nonzero constant:
 
 The seeds are GH(m, 0) = 1, GH(m, 1) ~ H_m, and the four O(a, b) with
 a, b <= 1, pseudo-Wronskians of order at most 1.  GH(0, l) is a
-constant.  The O columns a = 0, 1 are built along (0, 1), then each row
-along (1, 0); the direction (1, -1) fits no such step.  Each step divides
-the primitive lower tau out of an integer polynomial that is a rational
-multiple of the product of two primitive polynomials.  By Gauss's lemma
-that multiple is an integer, so the division is exact over Z.  Adjacent
-taus are coprime, so a wrong constant, which adds a multiple of tau^2,
-leaves a remainder whenever the lower tau has positive degree.
+constant.  One bounded memo holds the Toda lines, each a list that a
+read extends in place from its last two taus, so each tau is built once:
+the GH lines of fixed m, the O columns a = 0, 1 along (0, 1), and the O
+rows along (1, 0), seeded by the columns; (1, -1) fits no such step.
+Each step divides the primitive lower tau out of an integer polynomial
+that is a rational multiple of the product of two primitive polynomials.
+By Gauss's lemma that multiple is an integer, so the division is exact
+over Z.  Adjacent taus are coprime, so a wrong constant, which adds a
+multiple of tau^2, leaves a remainder whenever the lower tau has
+positive degree.
 pseudo_wronskian keeps the determinants for everything else, and the
 tests hold the Toda-built taus to them.
 """
@@ -195,10 +198,9 @@ class PivSolution:
                 "a": str(self.a), "b": str(self.b)}
 
 
-# Entries of each tau memo: a catalog with parameters <= p reaches
-# (p + 2)^2 taus of each family, so 256 hold p <= 14; a walk needs only the
-# last four entries it visited
-_TAU_MEMO_SIZE = 256
+# Entries of the line memo: a catalog with parameters <= p, p >= 2, reads
+# 2p + 6 lines (34 at p = 14, 38 at p = 16), so 64 hold every bound to 29
+_LINE_MEMO_SIZE = 64
 
 
 def _toda_step(tau: IntPoly, below: IntPoly, quad: int, c: int) -> IntPoly:
@@ -214,49 +216,43 @@ def _toda_step(tau: IntPoly, below: IntPoly, quad: int, c: int) -> IntPoly:
     return (tau * q - d1 * d1).divexact(below).primitive()
 
 
-@functools.lru_cache(maxsize=_TAU_MEMO_SIZE)
-def _gh_entry(m: int, ell: int) -> IntPoly:
-    """GH(m, ell) up to a constant, primitive; the walk of _gh_tau has put
-    GH(m, ell - 1) and GH(m, ell - 2) in the memo."""
-    if ell == 0:
-        return IntPoly.const(1)
-    if ell == 1:
-        return hermite_poly(m).primitive()
-    # middle GH(m, ell - 1)
-    return _toda_step(_gh_entry(m, ell - 1), _gh_entry(m, ell - 2), 0, -2 * (ell - 1))
+@functools.lru_cache(maxsize=_LINE_MEMO_SIZE)
+def _line(kind: str, k: int) -> list:
+    """The primitive taus built so far on the line "gh" of GH(k, l), the O
+    column "col" of O(k, b), k <= 1, or the O row "row" of O(a, k), for
+    _read to extend in place; a row starts empty and _o_tau seeds it."""
+    if kind == "gh":
+        return [IntPoly.const(1), hermite_poly(k).primitive()]
+    if kind == "col":
+        return [pseudo_wronskian(o_maya(k, b)).primitive() for b in (0, 1)]
+    return []
+
+
+def _read(kind: str, k: int, n: int) -> IntPoly:
+    """Entry n of the line (kind, k), built by steps from its last two
+    entries, middle entry i, with the constants of the module docstring."""
+    line = _line(kind, k)
+    while len(line) <= n:
+        i = len(line) - 1
+        quad, c = (0, -2 * i) if kind == "gh" else (1, 2 * (k - (kind == "col") - 2 * i))
+        line.append(_toda_step(line[i], line[i - 1], quad, c))
+    return line[n]
 
 
 def _gh_tau(m: int, ell: int) -> IntPoly:
-    """The primitive part of pseudo_wronskian(gh_maya(m, ell)), by Toda
-    steps up the line of fixed m."""
-    for j in range(ell + 1):
-        tau = _gh_entry(m, j)
-    return tau
-
-
-@functools.lru_cache(maxsize=_TAU_MEMO_SIZE)
-def _o_entry(a: int, b: int) -> IntPoly:
-    """O(a, b) up to a constant, primitive; the walk of _o_tau has put the
-    two taus before it on its line in the memo."""
-    if a <= 1 and b <= 1:
-        return pseudo_wronskian(o_maya(a, b)).primitive()
-    if a <= 1:  # along (0, 1), middle O(a, j) with j = b - 1
-        j = b - 1
-        return _toda_step(_o_entry(a, j), _o_entry(a, j - 1), 1, 2 * (a - 1 - 2 * j))
-    i = a - 1   # along (1, 0), middle O(i, b)
-    return _toda_step(_o_entry(i, b), _o_entry(i - 1, b), 1, 2 * (b - 2 * i))
+    """The primitive part of pseudo_wronskian(gh_maya(m, ell))."""
+    return _read("gh", m, ell)
 
 
 def _o_tau(a: int, b: int) -> IntPoly:
-    """The primitive part of pseudo_wronskian(o_maya(a, b)), by Toda steps
-    up the columns a = 0, 1 to row b, then along row b."""
-    cols = (a,) if a <= 1 else (0, 1)
-    for j in range(b + 1):
-        for i in cols:
-            tau = _o_entry(i, j)
-    for i in range(2, a + 1):
-        tau = _o_entry(i, b)
-    return tau
+    """The primitive part of pseudo_wronskian(o_maya(a, b)), on the column
+    a when a <= 1, else on the row b."""
+    if a <= 1:
+        return _read("col", a, b)
+    row = _line("row", b)
+    if not row:
+        row += (_read("col", 0, b), _read("col", 1, b))
+    return _read("row", b, a)
 
 
 def _log_ratio(h0: IntPoly, hp: IntPoly) -> tuple:

@@ -121,18 +121,22 @@ class XHermiteFamily:
             raise ValueError(f"degree {n} is not admissible for {self.lam}")
         return n - self.offset
 
+    def sign_above(self, pos):
+        """(-1)^(count of diagram elements above pos)."""
+        return (-1) ** sum(1 for t in self.diagram.t if t > pos)
+
     def placement(self, n):
         """(M u {pos}, its minimal order, its ascending minimal-girth
-        origins, the picked origin) of the degree-n member at its position
-        pos, from one minimal-girth search of M u {pos}.  The largest
-        origin below pos is picked, or the largest when none is below, so
-        the member is on the expansion path of ``_member`` whenever an
-        origin allows it."""
+        origins, the picked origin, pos) of the degree-n member at its
+        position pos, from one minimal-girth search of M u {pos}.  The
+        largest origin below pos is picked, or the largest when none is
+        below, so the member is on the expansion path of ``_member``
+        whenever an origin allows it."""
         pos = self.insertion_position(n)
         enlarged = self.diagram.add(pos)
         order, origins = minimal_girth_of_diagram(enlarged)
         below = [k for k in origins if k < pos]
-        return enlarged, order, origins, (below or origins)[-1]
+        return enlarged, order, origins, (below or origins)[-1], pos
 
 
 # Entries of each memo below: a request reuses its own member and its
@@ -157,8 +161,7 @@ def insertion_sign(lam: Partition, n: int) -> int:
     """Sign relating the defining Wronskian to the pseudo-Wronskian of the
     enlarged diagram: (-1)^(count of diagram elements above the insertion)."""
     fam = _family(lam)
-    pos = fam.insertion_position(n)
-    return (-1) ** sum(1 for t in fam.diagram.t if t > pos)
+    return fam.sign_above(fam.insertion_position(n))
 
 
 def apply_T_lambda(lam: Partition, y: IntPoly) -> RatFunc:
@@ -211,8 +214,8 @@ def min_order_form(lam: Partition, n: int) -> MinOrderForm:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _member(lam: Partition, n: int):
     """(P_n, its MinOrderForm), built once per (lam, n) at the minimal
-    origin k that ``XHermiteFamily.placement`` picks, after
-    ``insertion_sign`` has rejected an inadmissible degree.
+    origin k that ``XHermiteFamily.placement`` picks, which also rejects
+    an inadmissible degree.
 
     The one minimal-girth search of the enlarged diagram M u {pos} gives
     the order, the origins and k.  At k the matrix is the family's fixed
@@ -224,10 +227,9 @@ def _member(lam: Partition, n: int):
     P_n = scalar * H_(M u {pos} - k) with scalar = insertion_sign * ratio,
     the exact shift ratio, in one division that raises on a remainder.
     """
-    sign = insertion_sign(lam, n)
     fam = _family(lam)
-    pos = fam.insertion_position(n)
-    enlarged, order, origins, origin = fam.placement(n)
+    enlarged, order, origins, origin, pos = fam.placement(n)
+    sign = fam.sign_above(pos)
     small = enlarged.shift(-origin)
     if pos >= origin:
         h = pseudo_wronskian_with(fam.diagram.shift(-origin), pos - origin)

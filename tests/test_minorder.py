@@ -29,7 +29,7 @@ from conftest import (
 
 def min_origin(lam, n):
     """The (order, origin) that xhermite builds the degree-n member at."""
-    _, order, _, origin = XHermiteFamily(lam).placement(n)
+    _, order, _, origin, _ = XHermiteFamily(lam).placement(n)
     return order, origin
 
 

@@ -5,6 +5,7 @@ from functools import lru_cache
 import itertools
 import math
 from math import lcm
+import random
 import sys
 
 import pytest
@@ -552,14 +553,11 @@ class TestXForm:
 
 @pytest.fixture
 def fresh_taus():
-    """Empty tau memos before the test and after it, so that no tau built
-    under a monkeypatch outlives the test."""
-    def clear():
-        painleve._gh_entry.cache_clear()
-        painleve._o_entry.cache_clear()
-    clear()
+    """An empty line memo before the test and after it, so that no tau
+    built under a monkeypatch outlives the test."""
+    painleve._line.cache_clear()
     yield
-    clear()
+    painleve._line.cache_clear()
 
 
 def toda_steps(top):
@@ -643,8 +641,8 @@ class TestTodaTaus:
         assert orders == [3]
 
     def test_walk_depth_does_not_grow(self, fresh_taus):
-        # each memo miss steps once from two entries the walk has just
-        # visited, so the stack stays shallow however long the line
+        # a read extends its line in a loop and nothing recurses along a
+        # line, so the stack stays shallow however long the line
         frame, depth = sys._getframe(), 0
         while frame:
             frame, depth = frame.f_back, depth + 1
@@ -658,6 +656,51 @@ class TestTodaTaus:
                 assert painleve._o_tau(p1, p2).degree == o_maya(p1, p2).partition().size
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_catalog_builds_each_tau_once(self, monkeypatch, fresh_taus):
+        # the taus that piv_catalog(15) reads, solution then partner, in
+        # catalog order and in a seeded shuffle: one Toda step per tau that
+        # is not a seed, where memos of single taus rebuilt evicted ones
+        reads = []
+        monkeypatch.setattr(painleve, "_solution", lambda family, params, branch, partner, a, b:
+                            reads.extend(((family, params), (family, partner))))
+        for builder in (piv_solution_gh, piv_solution_o):
+            for p1, p2, branch in itertools.product(range(16), range(16), (1, 2, 3)):
+                try:
+                    builder(p1, p2, branch)
+                except ValueError:
+                    pass
+        # the seeds: GH(m, l) with l <= 1 and O(a, b) with a, b <= 1
+        built = {(f, p) for f, p in reads if (p[1] if f == "gh" else max(p)) > 1}
+        # each step is a stand-in, so the count does not pay for the
+        # arithmetic; test_taus_match_determinants holds the values
+        steps = []
+        monkeypatch.setattr(painleve, "_toda_step",
+                            lambda *args: steps.append(args) or IntPoly.const(1))
+        for order in (reads, random.Random(15).sample(reads, len(reads))):
+            painleve._line.cache_clear()
+            steps.clear()
+            for family, params in order:
+                (painleve._gh_tau if family == "gh" else painleve._o_tau)(*params)
+            assert len(steps) == len(built) == 537
+
+    def test_evicted_and_partly_built_lines(self, monkeypatch, fresh_taus):
+        # a line that the memo dropped is rebuilt from its seeds, and a read
+        # past the end of a line extends it from its last two taus
+        real, steps = painleve._toda_step, []
+        monkeypatch.setattr(painleve, "_toda_step", lambda *args: steps.append(args) or real(*args))
+        painleve._gh_tau(2, 4)
+        size = painleve._line.cache_info().maxsize
+        for m in range(3, size + 4):
+            painleve._gh_tau(m, 1)
+        assert painleve._line.cache_info().currsize == size
+        steps.clear()
+        assert painleve._gh_tau(2, 5) == pseudo_wronskian(gh_maya(2, 5)).primitive()
+        assert len(steps) == 4
+        painleve._o_tau(3, 2)
+        steps.clear()
+        assert painleve._o_tau(5, 2) == pseudo_wronskian(o_maya(5, 2)).primitive()
+        assert len(steps) == 2
 
 
 def _murata_type(a, b):

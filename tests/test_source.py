@@ -332,6 +332,8 @@ PAPER_RESULTS = {
         "tests/test_hermite.py::TestConjugateIdentity::test_all_small_partitions",
     "hermite.one_step_shift_check":
         "tests/test_hermite.py::TestEquivalence::test_step_constants_compose_to_factor",
+    "xhermite.insertion_sign":
+        "tests/test_xhermite.py::TestConstruction::test_pseudo_wronskian_link_with_sign",
     "hermite.darboux_step": "tests/test_painleve.py::TestChainSteps::test_random_flips_match_oracle",
     "painleve.three_cycle": "tests/test_painleve.py::TestThreeCycle::test_gh_cycle",
     "painleve.min_order_gh": "tests/test_painleve.py::TestMinOrder::test_orders_match_brute_force",
