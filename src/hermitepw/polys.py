@@ -14,8 +14,8 @@ one ``int.to_bytes`` cut into word slices.
 
 * ``poly_gcd`` is GCDHEU (Char, Geddes & Gonnet 1989): one integer gcd of
   the two values at ``xi``, read back as a candidate that is accepted only
-  after it divides both inputs exactly.  The primitive polynomial remainder
-  sequence is the fallback when a few growing ``xi`` all fail.
+  after it divides both inputs exactly.  When a few growing ``xi`` all
+  fail, the gcd is the last term of the remainder sequence, made primitive.
 * ``painleve.verify_piv`` evaluates its whole residual at one point and
   reads a nonzero value back as the residual polynomial.  For an odd
   solution the residual is even, so it packs at ``xi = 2^(8 * h)`` with
@@ -31,10 +31,19 @@ kernels that ``IntPoly.__mul__``, ``divmod`` and ``divexact`` share with
 coefficients of either side cost nothing.  Every pseudo-Wronskian has
 definite parity, so half the words of a packed product would be such
 zeros; multiplication takes no Kronecker path.  ``_divmod`` is the one
-division loop; it divides by a constant with one comprehension and a
-multiply-back check, and by the constant 1 not at all.  Division that
+division loop; it divides by a constant with one checked ``divmod`` per
+coefficient, and by the constant 1 not at all.  Division that
 does not come out exact raises ``InexactDivisionError``, an
 ``ArithmeticError``: it signals a broken invariant, never bad input.
+
+One signed pseudo-remainder sequence (``_remainder_sequence``) serves two
+jobs: its last term is GCDHEU's fallback gcd, and ``count_real_roots``
+counts its sign changes at -infinity and +infinity (Sturm's theorem, in
+the form of Basu, Pollack & Roy for the sequence of P and P').  Each term
+is divided by its positive content, which keeps every sign.  Sturm's
+theorem counts distinct roots on the sequence of p and p' as it stands:
+every term is a multiple of gcd(p, p'), whose sign at either end is common
+to all terms, so no squarefree pass runs first.
 """
 
 from __future__ import annotations
@@ -133,9 +142,12 @@ def _divmod(a, b):
     if not db:
         if lead == 1:
             return list(a), []
-        q = [c // lead for c in a]
-        if [lead * c for c in q] != list(a):
-            raise InexactDivisionError("inexact division by a constant over Z")
+        q = []
+        for c in a:
+            c, rem = divmod(c, lead)
+            if rem:
+                raise InexactDivisionError("inexact division by a constant over Z")
+            q.append(c)
         return q, []
     if len(a) <= db:
         return [], list(a)
@@ -385,9 +397,9 @@ def _pseudo_rem(a, b):
     return rem
 
 
-# GCDHEU evaluation points tried before the remainder sequence takes over;
-# each try doubles the word, so a spurious integer factor of the two values
-# becomes ever smaller against xi
+# GCDHEU evaluation points tried before the remainder sequence, the one
+# that count_real_roots reads, takes over; each try doubles the word, so a
+# spurious integer factor of the two values becomes ever smaller against xi
 _GCDHEU_TRIES = 3
 
 
@@ -419,20 +431,36 @@ def _gcdheu(a, b):
     return None
 
 
+def _remainder_sequence(a, b):
+    """The signed pseudo-remainder sequence of nonzero a, b, deg a >= deg b:
+    a, b, then the negated remainder of the two terms before, each divided
+    by its positive content, up to the last nonzero term, which is
+    gcd(a, b) up to a constant."""
+    seq = [a, b]
+    while seq[-1].degree > 0:
+        r = _pseudo_rem(seq[-2], seq[-1])
+        if r.is_zero():
+            break
+        # the pseudo-remainder is lc^k times the remainder, of the other sign
+        # when lc < 0 and k is odd; dividing by the positive content keeps
+        # every sign and stops the coefficients from growing exponentially
+        lead, k = seq[-1].leading, seq[-2].degree - seq[-1].degree + 1
+        g = r.content() if lead < 0 and k % 2 else -r.content()
+        seq.append(IntPoly(tuple(c // g for c in r.coeffs)))
+    return seq
+
+
 def _prs_gcd(a, b):
-    """gcd of primitive a, b via the primitive polynomial remainder sequence."""
+    """gcd of primitive a, b: the last term of their remainder sequence."""
     if a.degree < b.degree:
         a, b = b, a
-    while not b.is_zero():
-        r = _pseudo_rem(a, b)
-        a, b = b, r.primitive()
-    return a.primitive()
+    return _remainder_sequence(a, b)[-1].primitive()
 
 
 def poly_gcd(a, b):
-    """gcd over Z[x]: GCDHEU on the primitive parts, the primitive remainder
-    sequence when the heuristic fails; positive leading coefficient, times
-    the gcd of the contents."""
+    """gcd over Z[x]: GCDHEU on the primitive parts, the remainder sequence
+    when the heuristic fails; positive leading coefficient, times the gcd
+    of the contents."""
     if a.is_zero():
         return b.primitive() if not b.is_zero() else IntPoly()
     if b.is_zero():
@@ -451,29 +479,16 @@ def _sign_changes(signs):
 
 
 def count_real_roots(p):
-    """Number of distinct real roots, by Sturm's theorem (exact)."""
+    """Number of distinct real roots, by Sturm's theorem (exact): the sign
+    changes of the remainder sequence of p and p' at -infinity less those
+    at +infinity, with no squarefree pass (see the module docstring)."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    p = p.divexact(poly_gcd(p, p.derivative())) if p.degree > 0 else p
     if p.degree == 0:
         return 0
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        r = _pseudo_rem(chain[-2], chain[-1])
-        # keep signs faithful: pseudo-remainder scales by lc^k which may
-        # flip sign when lc < 0 and k is odd
-        lead = chain[-1].leading
-        k = chain[-2].degree - chain[-1].degree + 1
-        if lead < 0 and k % 2:
-            r = -r
-        # dividing by the positive content keeps every sign and stops the
-        # coefficients from growing exponentially along the chain
-        g = r.content()
-        chain.append(IntPoly(tuple(-c // g for c in r.coeffs)) if g else r)
-    if chain[-1].is_zero():
-        chain.pop()
-    at_plus = [q.leading for q in chain]
-    at_minus = [q.leading * (-1) ** q.degree for q in chain]
+    seq = _remainder_sequence(p, p.derivative())
+    at_plus = [q.leading for q in seq]
+    at_minus = [q.leading * (-1) ** q.degree for q in seq]
     return _sign_changes(at_minus) - _sign_changes(at_plus)
 
 

@@ -635,6 +635,36 @@ class TestOneStepShifts:
                             lambda d: off * real(d) if d == other else real(d))
         assert not one_step_shift_check(m, "up")[0]
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda f: replace(f, eps_product=-f.eps_product),
+        lambda f: replace(f, gamma_product=3 * f.gamma_product),
+    ], ids=["sign", "scale"])
+    def test_check_reads_the_shift_constant(self, monkeypatch, corrupt):
+        # the check is verify_equivalence at k = +-1, so a wrong
+        # equivalence_factor fails it in both directions; only k > 0 is
+        # corrupted, since k < 0 inverts the factor of k > 0
+        import hermitepw.hermite as hermite
+
+        cases = [("|3,0", "down"), ("2|4,0", "down"), ("6,3,1,0|", "up"), ("1,0|2", "up")]
+        for text, direction in cases:
+            assert one_step_shift_check(MayaDiagram.parse(text), direction)[0]
+        real = hermite.equivalence_factor
+        monkeypatch.setattr(hermite, "equivalence_factor",
+                            lambda m, k: corrupt(real(m, k)) if k > 0 else real(m, k))
+        for text, direction in cases:
+            assert not one_step_shift_check(MayaDiagram.parse(text), direction)[0], text
+
+    def test_closed_form_must_equal_the_reported_constant(self, monkeypatch):
+        # a report that matches with another constant fails the check
+        import hermitepw.hermite as hermite
+
+        m = MayaDiagram.parse("|3,0")
+        real = hermite.verify_equivalence
+        monkeypatch.setattr(hermite, "verify_equivalence",
+                            lambda d, k: replace(real(d, k), factor=EquivalenceFactor(k, 12, 1)))
+        ok, c = one_step_shift_check(m, "down")
+        assert c == 6 and not ok
+
 
 class TestConjugateIdentity:
     def test_specific_constants(self):

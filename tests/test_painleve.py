@@ -284,6 +284,22 @@ class TestSolutions:
         with pytest.raises(ValueError):
             piv_solution_gh(1, 0, 2)
 
+    def test_no_entry_is_built_to_be_discarded(self, monkeypatch):
+        # the branch rule refuses GH(0, l) on branch 1 and GH(m, 0) on
+        # branch 2 before any tau is read, where 17 of 451 builds used to
+        # end in y = 0
+        calls, real = [], painleve._log_ratio
+        monkeypatch.setattr(painleve, "_log_ratio", lambda h0, hp: calls.append(1) or real(h0, hp))
+        assert len(piv_catalog(8)) == 434
+        assert len(calls) == 434
+
+    def test_zero_y_past_the_rule_is_a_broken_invariant(self, monkeypatch):
+        # a y = 0 that the branch rule let through is an ArithmeticError,
+        # not a ValueError that reads as bad input
+        monkeypatch.setattr(painleve, "_branch", lambda *args: ((0, 3), Fraction(-5), Fraction(0)))
+        with pytest.raises(ArithmeticError):
+            piv_solution_gh(0, 2, 1)
+
     def test_report_verdict_follows_residual(self):
         rep = verify_piv(piv_solution_gh(2, 4, 1))
         assert rep.ok and rep.residual.is_zero()
@@ -619,6 +635,22 @@ class TestTodaTaus:
         with pytest.raises(ArithmeticError):
             piv_catalog(3)
 
+    def test_value_error_in_catalog_is_not_skipped(self, monkeypatch, fresh_taus):
+        # only the branch rule says which entries exist: a ValueError from
+        # a deeper layer surfaces instead of dropping an entry
+        real, raised = painleve._toda_step, []
+
+        def step(*args):
+            if not raised:
+                raised.append(args)
+                raise ValueError("a fault below the builders")
+            return real(*args)
+
+        monkeypatch.setattr(painleve, "_toda_step", step)
+        with pytest.raises(ValueError, match="a fault below the builders"):
+            piv_catalog(3)
+        assert len(raised) == 1
+
     def test_catalog_calls_only_seed_determinants(self, monkeypatch, fresh_taus):
         # every det of a catalog pass has order <= 1: the O seeds, and no
         # fallback to determinants of the taus themselves
@@ -642,12 +674,16 @@ class TestTodaTaus:
 
     def test_walk_depth_does_not_grow(self, fresh_taus):
         # a read extends its line in a loop and nothing recurses along a
-        # line, so the stack stays shallow however long the line
+        # line, so the stack stays shallow however long the line.  The
+        # seeds are built first: the depth of their determinants depends on
+        # which hermite memos earlier tests warmed, not on the line code
+        for kind, k in (("gh", 1), ("col", 0), ("col", 1)):
+            painleve._line(kind, k)
         frame, depth = sys._getframe(), 0
         while frame:
             frame, depth = frame.f_back, depth + 1
-        # a build takes 15 frames; an entry that recursed into the entries
-        # before it would take one per step of its lines
+        # a read takes at most 9 frames; an entry that recursed into the
+        # entries before it would take one per step of its lines
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 25)
         try:
@@ -660,7 +696,9 @@ class TestTodaTaus:
     def test_catalog_builds_each_tau_once(self, monkeypatch, fresh_taus):
         # the taus that piv_catalog(15) reads, solution then partner, in
         # catalog order and in a seeded shuffle: one Toda step per tau that
-        # is not a seed, where memos of single taus rebuilt evicted ones
+        # is not a seed, where memos of single taus rebuilt evicted ones.
+        # No entry reads GH(0, 16): GH(0, 15) on branch 1 pairs two
+        # constant taus and is refused before it reads them
         reads = []
         monkeypatch.setattr(painleve, "_solution", lambda family, params, branch, partner, a, b:
                             reads.extend(((family, params), (family, partner))))
@@ -682,7 +720,7 @@ class TestTodaTaus:
             steps.clear()
             for family, params in order:
                 (painleve._gh_tau if family == "gh" else painleve._o_tau)(*params)
-            assert len(steps) == len(built) == 537
+            assert len(steps) == len(built) == 536
 
     def test_evicted_and_partly_built_lines(self, monkeypatch, fresh_taus):
         # a line that the memo dropped is rebuilt from its seeds, and a read

@@ -226,7 +226,7 @@ INEXACT_DIVISIONS = {
     "remainder": ((1, 0, 1), (1, 1)),   # integral quotient x - 1, remainder 2
     "fraction": ((0, 0, 3), (0, 2)),    # quotient 3x/2, every remainder term zero
     "low_degree": ((3,), (1, 1)),       # nonzero dividend below the divisor's degree
-    "constant": ((4, 0, 3), (2,)),      # constant divisor: 3 // 2 fails the multiply-back
+    "constant": ((4, 0, 3), (2,)),      # constant divisor: 3 = 2 * 1 + 1 leaves a remainder
 }
 
 
@@ -254,7 +254,7 @@ def test_list_divexact_fails_loudly_under_optimize():
 
 
 def prs_gcd(a, b):
-    """poly_gcd of two nonzero inputs by the primitive remainder sequence alone."""
+    """poly_gcd of two nonzero inputs by the remainder sequence alone."""
     return polys._prs_gcd(a.primitive(), b.primitive()) * math.gcd(a.content(), b.content())
 
 
@@ -388,6 +388,10 @@ def sturm_inputs(draw):
 class TestSturm:
     @given(sturm_inputs())
     @example(IntPoly((-1, 1)) ** 3 * IntPoly((1, 0, 1)) ** 2)
+    # a term two degrees below the one before it leads negative, so the
+    # next pseudo-remainder has the other sign than the remainder
+    @example(IntPoly((1, 0, 3, -4, 2)))
+    @example(IntPoly((-2, 2, 3, 0, 0, -2)))
     @settings(max_examples=150, deadline=None)
     def test_matches_raw_chain(self, p):
         assert count_real_roots(p) == sturm_oracle(p)
@@ -402,6 +406,14 @@ class TestSturm:
         # (x - 1)^2 (x + 2): two distinct real roots
         p = IntPoly((-1, 1)) * IntPoly((-1, 1)) * IntPoly((2, 1))
         assert count_real_roots(p) == 2
+
+    def test_repeated_roots_need_no_gcd(self, monkeypatch):
+        # Sturm's theorem counts distinct roots on the unreduced sequence,
+        # so no squarefree pass runs
+        monkeypatch.setattr(polys, "poly_gcd", lambda a, b: pytest.fail("a gcd ran"))
+        p = IntPoly((-1, 1)) ** 3 * IntPoly((2, 1)) ** 2 * IntPoly((1, 0, 1)) ** 2
+        assert count_real_roots(p) == 2
+        assert count_real_roots(IntPoly((0, 1)) ** 4 * IntPoly((-3, 0, 1)) ** 3) == 3
 
     def test_hermite_polynomials_fully_real(self):
         for n in range(1, 11):
