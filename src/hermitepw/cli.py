@@ -5,7 +5,9 @@ Every numeric value in JSON output is rendered as an exact decimal (or
 p/q) string; output is byte-identical across runs for identical
 arguments.  Exit codes: 0 success / verified, 1 computed but a
 verification failed, 2 usage error or invalid input (argparse's own
-convention; a ValueError from the library counts as invalid input).
+convention; a ValueError from the library counts as invalid input, and so
+does a value above the input bounds MAX_SIZE, MAX_SHIFT and MAX_CATALOG,
+refused before any work: they cap memory, not running time).
 
 Each subcommand computes its result and returns (exit code, JSON payload,
 text lines); ``main`` prints it outside the handler that maps a ValueError
@@ -36,11 +38,26 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
+# The partition size is the degree of a pseudo-Wronskian, a shift by k
+# gives a girth of about |k|, the order of equiv's determinant, and the
+# painleve line memo builds each catalog tau once up to bound 29
+MAX_SIZE, MAX_SHIFT, MAX_CATALOG = 1000, 100, 29
+
+
+def _bounded(name, value, bound):
+    if abs(value) > bound:
+        raise ValueError(f"{name} must be at most {bound} in absolute value: {value}")
+
+
 def _diagram_from(args) -> MayaDiagram:
     if args.frobenius is not None:
         m = MayaDiagram.parse(args.frobenius)
     else:
         m = MayaDiagram.from_partition(Partition.parse(args.partition))
+    # the partition size from the Frobenius symbol alone, with charge c
+    c = len(m.t) - len(m.s)
+    _bounded("partition size", sum(m.s) + sum(m.t) + len(m.t) - c * (c + 1) // 2, MAX_SIZE)
+    _bounded("--shift", args.shift, MAX_SHIFT)
     return m.shift(args.shift)
 
 
@@ -75,6 +92,7 @@ def cmd_pw(args):
 
 
 def cmd_equiv(args):
+    _bounded("--k", args.k, MAX_SHIFT)
     m = _diagram_from(args)
     report = verify_equivalence(m, args.k)
     return 0 if report.match else 1, report.to_json(), [
@@ -136,18 +154,12 @@ def cmd_xhermite(args):
 
 def cmd_piv(args):
     if args.mode == "catalog":
+        _bounded("--max", args.max, MAX_CATALOG)
         entries = painleve.piv_catalog(args.max)
-        payload = []
-        lines = []
-        ok = True
-        for sol, rep in entries:
-            item = sol.to_json()
-            item["verified"] = rep.ok
-            payload.append(item)
-            ok = ok and rep.ok
-            lines.append(f"{sol.family}{sol.params} branch {sol.branch}: "
-                         f"a={sol.a}, b={sol.b}, verified={rep.ok}")
-        return 0 if ok else 1, payload, lines
+        payload = [{**sol.to_json(), "verified": rep.ok} for sol, rep in entries]
+        lines = [f"{sol.family}{sol.params} branch {sol.branch}: "
+                 f"a={sol.a}, b={sol.b}, verified={rep.ok}" for sol, rep in entries]
+        return 0 if all(rep.ok for _, rep in entries) else 1, payload, lines
 
     if args.family == "gh":
         if args.m is None or args.ell is None:

@@ -80,11 +80,11 @@ there a member costs a few products of a small cofactor with H_{t-j} and
 no determinant.
 
 Flipping one element of M is one rational Darboux step.  ``hirota`` is its
-polynomial form B_eps(f, g) - c f g, with B_eps(f, g) = (D^2 + 2 eps x D) f.g,
-taken as a second-order operator on f whose three short coefficient
-factors come from g, in one banded pass over the coefficients of f.
-``darboux_step`` checks B_eps(H_M', H_M) = c H_M' H_M in Z[x], passing its
-c to ``hirota``, with eps, the eigenvalue and c in closed form.
+polynomial form B_eps(f, g) - (c + c2 x^2) f g, B_eps(f, g) =
+(D^2 + 2 eps x D) f.g, as a second-order operator on f in one banded pass;
+the even x^2 term serves the Okamoto Toda steps.  ``darboux_constants``
+holds a step's closed-form eps, eigenvalue and c, which ``darboux_step``
+and ``xhermite.eigen_check`` both read.
 """
 
 from __future__ import annotations
@@ -115,6 +115,7 @@ __all__ = [
     "conjugate_wronskian_identity",
     "one_step_shift_check",
     "hirota",
+    "darboux_constants",
     "DarbouxStep",
     "darboux_step",
 ]
@@ -481,32 +482,34 @@ def one_step_shift_check(m: MayaDiagram, direction: str):
 # -- Darboux steps -----------------------------------------------------------
 
 
-def hirota(f: IntPoly, g: IntPoly, eps: int, c: int = 0) -> IntPoly:
-    """B_eps(f, g) - c f g, where
+def hirota(f: IntPoly, g: IntPoly, eps: int, c: int = 0, c2: int = 0) -> IntPoly:
+    """B_eps(f, g) - (c + c2 x^2) f g, where
     B_eps(f, g) = (f'' + 2 eps x f') g - 2 f' g' + (g'' - 2 eps x g') f
     is the Hirota form (D^2 + 2 eps x D) f.g of one Darboux step.
 
     It is evaluated as a second-order operator on f,
 
-        g f'' + (2 eps x g - 2 g') f' + (g'' - 2 eps x g' - c g) f,
+        g f'' + (2 eps x g - 2 g') f' + (g'' - 2 eps x g' - (c + c2 x^2) g) f,
 
     in one banded pass.  With a0, a1, a2 the three factors above, built
     from g once, the term f_i x^i contributes
     f_i x^(i-2) (i (i-1) a0 + i x a1 + x^2 a2).  So each nonzero f_i meets
     one short band of small integers, and the zero coefficients of a
-    definite-parity f (or band) are skipped.
+    definite-parity f (or band) are skipped; c2 = 0 adds no band entry.
     """
     fc, gc = f.coeffs, g.coeffs
     if not fc or not gc:
         return IntPoly()
     # index j of each list holds the coefficient of x^j in a0, x a1, x^2 a2
-    width = len(gc) + 2
-    a0, a1, a2 = list(gc) + [0, 0], [0] * width, [0] * width
+    width = len(gc) + (4 if c2 else 2)
+    a0, a1, a2 = list(gc) + [0] * (width - len(gc)), [0] * width, [0] * width
     for k, gk in enumerate(gc):
         a1[k] -= 2 * k * gk
         a1[k + 2] += 2 * eps * gk
         a2[k] += k * (k - 1) * gk
         a2[k + 2] -= (2 * eps * k + c) * gk
+    if c2:
+        a2[4:] = [b2 - c2 * gk for b2, gk in zip(a2[4:], gc)]
     band = [(j, b0, b1, b2) for j, (b0, b1, b2) in enumerate(zip(a0, a1, a2))
             if b0 or b1 or b2]
     # out[m] holds x^(m - 2); m < 2 is reached only by terms that vanish
@@ -517,6 +520,14 @@ def hirota(f: IntPoly, g: IntPoly, eps: int, c: int = 0) -> IntPoly:
             for j, b0, b1, b2 in band:
                 out[i + j] += fi * (ii * b0 + i * b1 + b2)
     return IntPoly(out[2:])
+
+
+def darboux_constants(m: MayaDiagram, flip: int) -> tuple:
+    """(eps, eigenvalue, constant) of flipping ``flip`` in M: the closed
+    forms of the ``DarbouxStep`` fields."""
+    eps = 1 if flip in m else -1
+    eigenvalue = 2 * flip + 1
+    return eps, eigenvalue, 2 * (len(m.t) - len(m.s)) - eps - eigenvalue
 
 
 @dataclass(frozen=True)
@@ -541,17 +552,12 @@ def darboux_step(m: MayaDiagram, flip: int) -> DarbouxStep:
     With U_M = x^2 - 2 (log H_M)'' + 2(|t| - |s|) and
     f = eps x + (log H_M'/H_M)', the step is U_M = f' + f^2 + eigenvalue
     (then U_M' = -f' + f^2 + eigenvalue, as the offsets differ by eps).
-    Cleared of denominators that is B_eps(H_M', H_M) = constant H_M' H_M;
-    a nonzero residual raises.
+    Cleared of denominators that is B_eps(H_M', H_M) = constant H_M' H_M,
+    with the constants of ``darboux_constants``; a nonzero residual raises.
     """
-    if flip in m:
-        eps, partner = 1, m.remove(flip)
-    else:
-        eps, partner = -1, m.add(flip)
-    eigenvalue = 2 * flip + 1
-    c = 2 * (len(m.t) - len(m.s)) - eps - eigenvalue
-    tau, tau2 = pseudo_wronskian(m), pseudo_wronskian(partner)
-    residual = hirota(tau2, tau, eps, c)
+    eps, eigenvalue, c = darboux_constants(m, flip)
+    partner = m.remove(flip) if eps == 1 else m.add(flip)
+    residual = hirota(pseudo_wronskian(partner), pseudo_wronskian(m), eps, c)
     if not residual.is_zero():
         raise ArithmeticError(f"flipping {flip} in {m} is not a Darboux step "
                               f"with eps = {eps}, constant {c}")

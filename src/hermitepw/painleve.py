@@ -6,7 +6,9 @@ fourth Painleve equation
 Each solution is a linear term plus the log-derivative of a ratio h0/hp
 of two pseudo-Wronskians of the generalized-Hermite (GH) or Okamoto (O)
 diagram families, whose chains of flips (``three_cycle``) are Darboux
-steps (``hermite.darboux_step``).  Each family has its own variable: x = t
+steps (``hermite.darboux_step``), with one flip rule per family; a
+solution pairs its seed with the seed's image under one of its flips, up
+to translation.  Each family has its own variable: x = t
 for GH, and x = t/sqrt3 for O, where Y(x) = sqrt3 y(sqrt3 x) solves
 PIV with a factor 3 in its t terms (Clarkson, J. Math. Phys. 44, 2003).
 In it a solution is one fraction in Z[x]: with N = h0' hp - h0 hp' and
@@ -57,8 +59,9 @@ read extends in place from its last two taus, so each tau is built once:
 the GH lines of fixed m, the O columns a = 0, 1 along (0, 1), and the O
 rows along (1, 0); (1, -1) fits no such step.  ``_line`` seeds every
 line, a row b with the column taus O(0, b) and O(1, b).
-Each step divides the primitive lower tau out of an integer polynomial
-that is a rational multiple of the product of two primitive polynomials.
+Each step is one ``hermite.hirota`` pass, as 2 B(tau) = B_0(tau, tau),
+and divides the primitive lower tau out of that integer polynomial, a
+rational multiple of the product of two primitive polynomials.
 By Gauss's lemma that multiple is an integer, so the division is exact
 over Z.  Adjacent taus are coprime, so a wrong constant, which adds a
 multiple of tau^2, leaves a remainder whenever the lower tau has
@@ -88,7 +91,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .hermite import MinOrderForm, hermite_poly, min_order_at, pseudo_wronskian
+from .hermite import MinOrderForm, hermite_poly, hirota, min_order_at, pseudo_wronskian
 from .maya import MayaDiagram
 from .polys import IntPoly, RatFunc
 
@@ -125,54 +128,37 @@ def o_maya(ell1: int, ell2: int) -> MayaDiagram:
 
 @dataclass(frozen=True)
 class MayaChain:
-    """Diagrams M_1..M_4 with single-element flips between consecutive ones."""
+    """The diagrams M_1..M_4 from the seed M_1, each the last with one
+    element flipped: added when absent, removed when present.  The chain
+    must close, M_4 = M_1 + shift; ValueError otherwise."""
 
-    diagrams: tuple
+    seed: MayaDiagram
     flips: tuple        # the flipped element at each of the three steps
     shift: int          # M_4 = M_1 + shift
 
     def __post_init__(self):
-        for cur, nxt, f in zip(self.diagrams, self.diagrams[1:], self.flips):
-            expected = cur.add(f) if f not in cur else cur.remove(f)
-            if nxt != expected:
-                raise ValueError(f"flip {f} does not send {cur} to {nxt}")
-        if self.diagrams[-1] != self.diagrams[0].shift(self.shift):
+        if self.diagrams[-1] != self.seed.shift(self.shift):
             raise ValueError("chain is not cyclic up to translation")
+
+    @functools.cached_property
+    def diagrams(self) -> tuple:
+        out = [self.seed]
+        for f in self.flips:
+            out.append(out[-1].remove(f) if f in out[-1] else out[-1].add(f))
+        return tuple(out)
 
 
 def three_cycle(family: str, params) -> MayaChain:
-    """The translation-cyclic three-step chain seeded by a GH or O diagram.
-
-    GH(m, ell) returns to itself shifted by 1 after adding m + ell,
-    adding 0 and removing m; O(ell1, ell2) returns shifted by 3 after
-    adding 3*ell1 + 1, 3*ell2 + 2 and 0.
-    """
+    """The translation-cyclic three-step chain seeded by a GH or O diagram,
+    with one flip rule per family: GH(m, ell) returns to itself shifted by
+    1 after flipping m + ell, 0 and m, and O(ell1, ell2) returns shifted
+    by 3 after flipping 3*ell1 + 1, 3*ell2 + 2 and 0."""
+    p1, p2 = params
     if family == "gh":
-        m, ell = params
-        if m < 0 or ell < 0:
-            raise ValueError("parameters must be non-negative")
-        if ell == 0:
-            m = 0  # every GH(m, 0) is the bare negative ray
-        m1 = gh_maya(m, ell)
-        if m > 0:
-            flips = (m + ell, 0, m)
-        elif ell > 0:
-            flips = (ell, 0, 0)
-        else:
-            flips = (0, 0, 0)
-        k = 1
-    elif family == "o":
-        ell1, ell2 = params
-        m1 = o_maya(ell1, ell2)
-        flips = (3 * ell1 + 1, 3 * ell2 + 2, 0)
-        k = 3
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    diagrams = [m1]
-    for f in flips:
-        cur = diagrams[-1]
-        diagrams.append(cur.add(f) if f not in cur else cur.remove(f))
-    return MayaChain(tuple(diagrams), flips, k)
+        return MayaChain(gh_maya(p1, p2), (p1 + p2, 0, p1), 1)
+    if family == "o":
+        return MayaChain(o_maya(p1, p2), (3 * p1 + 1, 3 * p2 + 2, 0), 3)
+    raise ValueError(f"unknown family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -219,16 +205,11 @@ _LINE_MEMO_SIZE = 64
 
 
 def _toda_step(tau: IntPoly, below: IntPoly, quad: int, c: int) -> IntPoly:
-    """The tau after ``tau`` on its line, up to a constant:
-
-        [tau tau'' - tau'^2 + (4 quad x^2 + c) tau^2] / below,
-
-    primitive, with ``below`` the primitive tau before ``tau``.  The
-    division is exact over Z by Gauss's lemma; InexactDivisionError when
+    """The primitive tau after ``tau`` on its line, from ``below``, the one
+    before: [tau tau'' - tau'^2 + (4 quad x^2 + c) tau^2] / below, half of
+    hirota(tau, tau, 0, -2c, -8 quad) / below; InexactDivisionError when
     ``below`` does not divide, as for a wrong constant."""
-    d1 = tau.derivative()
-    q = tau.derivative(2) + IntPoly((c, 0, 4 * quad)) * tau
-    return (tau * q - d1 * d1).divexact(below).primitive()
+    return hirota(tau, tau, 0, -2 * c, -8 * quad).divexact(below).primitive()
 
 
 @functools.lru_cache(maxsize=_LINE_MEMO_SIZE)

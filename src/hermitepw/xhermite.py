@@ -11,10 +11,10 @@ n + ell - size is a hole of M; the excluded degrees number size(lam).
 P_n equals a pseudo-Wronskian of M u {position} up to the explicit sign
 (-1)^(number of m_i above the inserted position).
 
-T[P_n] = 2(size - n) P_n is the Darboux-step identity of adding the
-insertion position to M: B_-1(P_n, W) = 2(size - n) P_n W with W = H_M
-and B the form of ``hermite.hirota``, which ``eigen_check`` evaluates as
-one residual hirota(P_n, W, -1, 2(size - n)) in Z[x].
+T[P_n] = 2(size - n) P_n is the Darboux step that adds the insertion
+position pos to M, B_-1(P_n, W) = c P_n W with W = H_M: ``eigen_check``
+reads eps = -1 and c = 2(|t| - |s|) + 1 - (2 pos + 1) = 2(size - n) from
+``hermite.darboux_constants(M, pos)`` and evaluates hirota(P_n, W, eps, c).
 
 Each request on a family member builds its pieces once.  The family
 record of a partition, whose standard diagram and weight Wronskian W are
@@ -57,6 +57,7 @@ from fractions import Fraction
 from .hermite import (
     MinOrderForm,
     _from_smallest_origin,
+    darboux_constants,
     equivalence_factor,
     hirota,
     pseudo_wronskian,
@@ -192,14 +193,12 @@ class EigenReport:
 
 
 def eigen_check(lam: Partition, n: int) -> EigenReport:
-    """Verify T[P_n] = 2(size - n) P_n exactly, as the Darboux-step
-    identity B_-1(P_n, W) = 2(size - n) P_n W in Z[x].  P_n and W come from
-    their memos; the residual is computed on every call.  A nonzero
-    residual is a construction bug and raises."""
-    y = exceptional_hermite(lam, n)
-    w = _family(lam).weight
-    c = 2 * (lam.size - n)
-    residual = hirota(y, w, -1, c)
+    """Verify T[P_n] = 2(size - n) P_n exactly, as the Darboux step of the
+    module docstring, in Z[x].  P_n and W come from their memos; the
+    residual is computed on every call, and a nonzero one raises."""
+    fam = _family(lam)
+    eps, _, c = darboux_constants(fam.diagram, fam.insertion_position(n))
+    residual = hirota(exceptional_hermite(lam, n), fam.weight, eps, c)
     if not residual.is_zero():
         raise ArithmeticError(f"T[P_{n}] is not {c} P_{n} for {lam}")
     return EigenReport(n, c, lam.size, residual)

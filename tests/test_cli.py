@@ -82,19 +82,25 @@ def test_minorder_subcommand(capsys):
     assert blob["durfee"] == {"mu": [2], "nu": [3, 3], "p": 1, "q": 2}
 
 
-def test_minorder_of_a_billion_fits_in_512_mb():
-    # five short lines need no more than the Frobenius symbol; the cap on
-    # the address space acts on the child only, so a regression to a dense
-    # walk fails fast with a MemoryError instead of filling the machine
+def _capped_cli(*argv):
+    """The CLI run in a child whose address space is capped at 512 MB: the
+    cap acts on the child only, so a command that needs more fails fast
+    with a MemoryError instead of filling the machine."""
     import resource
 
     cap = 512 * 2 ** 20
     src = Path(hermitepw.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hermitepw.cli", "minorder", "--partition", "1000000000"],
+    return subprocess.run(
+        [sys.executable, "-m", "hermitepw.cli", *argv],
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
+def test_minorder_of_a_billion_fits_in_512_mb():
+    # five short lines need no more than the Frobenius symbol, so a
+    # regression to a dense walk fails in the capped child
+    proc = _capped_cli("minorder", "--partition", "1000000000")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
         "partition: (1000000000)",
@@ -103,6 +109,31 @@ def test_minorder_of_a_billion_fits_in_512_mb():
         "durfee symbol at origin 0: [ | 1000000000]_{0x1}",
         "minimal frobenius: ( | 1000000000)",
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    "pw --partition 99999999999",
+    "maya --frobenius 99999999999|",
+    "maya --partition 1001",
+    "pw --partition 2,1 --shift -101",
+    "equiv --partition 3,2,1 --k 100000",
+    "piv catalog --max 100000000000000000000",
+])
+def test_input_above_its_bound_exits_2_before_any_work(argv):
+    # each value is rejected before the work it would size starts, which
+    # in the capped child ends in a MemoryError or runs past the timeout
+    proc = _capped_cli(*argv.split())
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("hermitepw: error: ") and proc.stderr.count("\n") == 1
+
+
+def test_bounds_admit_their_edge(capsys):
+    # a value at its bound is valid input
+    assert main(["maya", "--partition", "1000", "--shift", "-100"]) == 0
+    assert main(["equiv", "--partition", "2,1", "--k", "-100"]) == 0
+    assert main(["maya", "--frobenius", "999,0|", "--shift", "100"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_xhermite_subcommand(capsys):

@@ -729,32 +729,35 @@ def test_mixed_triple_identity():
 # -- Darboux steps -----------------------------------------------------------
 
 
-def hirota_products(f, g, eps, c=0):
-    """Oracle of ``hermite.hirota``: B_eps(f, g) - c f g from the defining
-    formula (f'' + 2 eps x f') g - 2 f' g' + (g'' - 2 eps x g') f, as five
-    IntPoly products and one more for c f g."""
+def hirota_products(f, g, eps, c=0, c2=0):
+    """Oracle of ``hermite.hirota``: B_eps(f, g) - (c + c2 x^2) f g from the
+    defining formula (f'' + 2 eps x f') g - 2 f' g' + (g'' - 2 eps x g') f,
+    as five IntPoly products and two more for (c + c2 x^2) f g."""
     fp, gp = f.derivative(), g.derivative()
     x2 = IntPoly((0, 2 * eps))
     return ((fp.derivative() + x2 * fp) * g - 2 * fp * gp
-            + (gp.derivative() - x2 * gp) * f - c * (f * g))
+            + (gp.derivative() - x2 * gp) * f - IntPoly((c, 0, c2)) * (f * g))
 
 
 hirota_polys = st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
                         max_size=12).map(IntPoly)
+hirota_constants = st.integers(min_value=-10 ** 4, max_value=10 ** 4)
 
 
 class TestHirota:
-    @given(hirota_polys, hirota_polys, st.sampled_from((1, -1)),
-           st.integers(min_value=-10 ** 4, max_value=10 ** 4))
-    @example(IntPoly(), hermite_poly(4), 1, 3)                  # zero f
-    @example(hermite_poly(4), IntPoly(), -1, 3)                 # zero g
-    @example(IntPoly((5,)), hermite_poly(3), -1, -7)            # constant f
-    @example(hermite_poly(5), IntPoly((-3,)), 1, 11)            # constant g
-    @example(IntPoly((1, 2)), hermite_poly(9), 1, 0)            # g longer than f
-    @example(X ** 7, conj_hermite_poly(2), -1, 4)               # one term against a band
+    @given(hirota_polys, hirota_polys, st.sampled_from((1, -1, 0)),
+           hirota_constants, hirota_constants | st.just(0))
+    @example(IntPoly(), hermite_poly(4), 1, 3, 0)               # zero f
+    @example(hermite_poly(4), IntPoly(), -1, 3, 0)              # zero g
+    @example(IntPoly((5,)), hermite_poly(3), -1, -7, 0)         # constant f
+    @example(hermite_poly(5), IntPoly((-3,)), 1, 11, 0)         # constant g
+    @example(IntPoly((1, 2)), hermite_poly(9), 1, 0, 0)         # g longer than f
+    @example(X ** 7, conj_hermite_poly(2), -1, 4, 0)            # one term against a band
+    @example(hermite_poly(6), hermite_poly(6), 0, 12, 0)        # f = g: a GH Toda step
+    @example(conj_hermite_poly(5), conj_hermite_poly(5), 0, -6, -8)  # an O-line quadratic
     @settings(max_examples=200, deadline=None)
-    def test_matches_product_oracle(self, f, g, eps, c):
-        assert hirota(f, g, eps, c) == hirota_products(f, g, eps, c)
+    def test_matches_product_oracle(self, f, g, eps, c, c2):
+        assert hirota(f, g, eps, c, c2) == hirota_products(f, g, eps, c, c2)
 
     def test_c_defaults_to_zero(self):
         f, g = hermite_poly(6), conj_hermite_poly(3)
@@ -796,6 +799,26 @@ class TestHirota:
 
         monkeypatch.setattr(hermite, "hirota", shifted)
         monkeypatch.setattr(xhermite, "hirota", shifted)
+        with pytest.raises(ArithmeticError):
+            eigen_check(Partition((2, 2, 1, 1)), 5)
+        with pytest.raises(ArithmeticError):
+            darboux_step(MayaDiagram.from_partition(Partition((2, 1))), 6)
+
+    @pytest.mark.parametrize("delta", [-2, 2])
+    def test_wrong_shared_constant_makes_checks_raise(self, monkeypatch, delta):
+        # darboux_step and eigen_check both read darboux_constants, so a c
+        # off by delta there fails both checks
+        import hermitepw.hermite as hermite
+        import hermitepw.xhermite as xhermite
+
+        real = hermite.darboux_constants
+
+        def shifted(m, flip):
+            eps, eigenvalue, c = real(m, flip)
+            return eps, eigenvalue, c + delta
+
+        monkeypatch.setattr(hermite, "darboux_constants", shifted)
+        monkeypatch.setattr(xhermite, "darboux_constants", shifted)
         with pytest.raises(ArithmeticError):
             eigen_check(Partition((2, 2, 1, 1)), 5)
         with pytest.raises(ArithmeticError):

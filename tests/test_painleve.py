@@ -93,8 +93,24 @@ class TestThreeCycle:
         assert chain.diagrams[3] == o_maya(1, 2).shift(3)
 
     def test_degenerate_gh(self):
+        # GH(m, 0) takes the one GH flip rule, so its chain leaves the
+        # empty partition and reaches GH(5, 1), up to translation
         chain = three_cycle("gh", (5, 0))
-        assert all(d.partition().size == 0 for d in chain.diagrams)
+        assert chain.flips == (5, 0, 5)
+        assert gh_maya(5, 1).standardize()[0] in [d.standardize()[0] for d in chain.diagrams]
+
+    def test_every_seed_closes(self):
+        # MayaChain checks that the three flips close up to translation
+        for family, p1, p2 in itertools.product(("gh", "o"), range(13), range(13)):
+            chain = three_cycle(family, (p1, p2))
+            expected = (p1 + p2, 0, p1) if family == "gh" else (3 * p1 + 1, 3 * p2 + 2, 0)
+            assert chain.flips == expected
+            assert chain.diagrams[3] == chain.diagrams[0].shift(chain.shift)
+
+    def test_negative_parameters_rejected(self):
+        for family in ("gh", "o"):
+            with pytest.raises(ValueError, match="non-negative"):
+                three_cycle(family, (2, -1))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -178,6 +194,15 @@ class TestChainSteps:
         step = darboux_step(m, flip)
         assert (step.eps, step.eigenvalue) == (sigma, lam), (m, flip)
 
+    def test_gh_m0_chains_match_oracle(self):
+        # the chains that the old GH(m, 0) normalisation kept on empty
+        # diagrams: every step holds through darboux_step, which raises on
+        # a nonzero residual of the pseudo_wronskian taus
+        for m in range(7):
+            chain = three_cycle("gh", (m, 0))
+            for d, f in zip(chain.diagrams, chain.flips):
+                self._agrees_with_oracle(d, f)
+
     def test_three_cycles_match_oracle(self):
         # every step of every cycle with parameters <= 4: 150 steps
         for family in ("gh", "o"):
@@ -222,6 +247,32 @@ class TestChainSteps:
 
     def test_o_cycle_alphas(self):
         self._alpha_chain("o", (1, 2))
+
+
+def chain_step(family, params, branch):
+    """(chain, i) of a catalog entry: the three-cycle of its seed and the
+    index of the flip that its branch takes.  GH branches 1, 2, 3 flip
+    m + ell, 0 and m, flips 0, 1, 2 of the cycle; O branches 1, 2, 3 flip
+    0, 3a + 1 and 3b + 2, flips 2, 0, 1."""
+    return three_cycle(family, params), branch - 1 if family == "gh" else (branch + 1) % 3
+
+
+def test_every_catalog_entry_is_one_flip_of_its_cycle():
+    # up to translation, the partner of every entry with parameters <= 10
+    # is its seed with its branch's flip applied
+    maya = {"gh": gh_maya, "o": o_maya}
+    mapped = 0
+    for family, p1, p2, branch in itertools.product(("gh", "o"), range(11), range(11), (1, 2, 3)):
+        spec = painleve._branch(family, p1, p2, branch)
+        if spec is None:
+            continue
+        chain, i = chain_step(family, (p1, p2), branch)
+        seed, f = chain.seed, chain.flips[i]
+        reached = seed.remove(f) if f in seed else seed.add(f)
+        assert reached.standardize()[0] == maya[family](*spec[0]).standardize()[0], \
+            (family, p1, p2, branch)
+        mapped += 1
+    assert mapped == 662
 
 
 GOLDEN = [

@@ -11,12 +11,13 @@ from hermitepw.hermite import (
     _cofactors,
     _minimal_determinant,
     conj_hermite_poly,
+    darboux_constants,
     hermite_poly,
     min_order_at,
     pseudo_wronskian,
     pseudo_wronskian_matrix,
 )
-from hermitepw.maya import MayaDiagram, Partition
+from hermitepw.maya import MayaDiagram, Partition, partitions_of
 from hermitepw.polys import IntPoly, RatFunc
 from hermitepw.xhermite import (
     XHermiteFamily,
@@ -152,6 +153,23 @@ class TestEigen:
                     Partition((3, 1)), Partition()):
             for n in admissible_degrees(lam, 4):
                 assert eigen_check(lam, n).shifted_index == lam.size
+
+    def test_constant_is_the_insertion_step(self):
+        # the eigen relation is the Darboux step that adds the insertion
+        # position: c = 2(|t| - |s|) + 1 - (2 pos + 1) = 2(size - n) on
+        # every admissible member with size <= 7 and n < size + 15
+        checked = 0
+        for size in range(8):
+            for lam in partitions_of(size):
+                fam = XHermiteFamily(lam)
+                for n in range(size + 15):
+                    if fam.is_admissible(n):
+                        eps, _, c = darboux_constants(fam.diagram, fam.insertion_position(n))
+                        # eigen_check raises on a nonzero residual
+                        rep = eigen_check(lam, n)
+                        assert (eps, rep.eigenvalue) == (-1, c) == (-1, 2 * (size - n))
+                        checked += 1
+        assert checked == 675
 
     @pytest.mark.parametrize("corrupt", [lambda y: y + 1, lambda y: IntPoly((0, 1)) * y],
                              ids=["plus_one", "times_x"])
